@@ -60,6 +60,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.queue_capacity < self.batch_size:
             raise ValueError("queue capacity must hold at least one batch")
+        if self.num_actors > self.queue_capacity:
+            # one round of unrolls would overflow the queue, so backpressure
+            # would stop the first round and leave the learner an empty batch
+            raise ValueError(f"num_actors={self.num_actors} exceeds queue_capacity="
+                             f"{self.queue_capacity}: one round of unrolls must fit the queue")
 
 
 def anneal_lr(step, config):
@@ -190,11 +195,10 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
 
     lp = ad.log_softmax(logits_all)
     logp_a = ad.gather_last(lp, actions_flat)
-    adv = ad.constant(np.asarray(advantages_flat, dtype=dt))
-    policy_loss = -ad.mean_all(ad.mul(adv, logp_a)).item()
-    policy_term = ad.mul(ad.constant(np.asarray(-1.0, dtype=dt)), ad.mean_all(ad.mul(adv, logp_a)))
+    adv = ad.constant(advantages_flat, dtype=dt)
+    policy_term = ad.mul(ad.constant(-1.0, dtype=dt), ad.mean_all(ad.mul(adv, logp_a)))
 
-    err = ad.sub(values_all, ad.constant(np.asarray(value_targets_flat, dtype=dt)))
+    err = ad.sub(values_all, ad.constant(value_targets_flat, dtype=dt))
     value_term = ad.mean_all(ad.square(err))
 
     probs = ad.exp(lp)
@@ -205,17 +209,17 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
     if config.logit_l2_on_value_head:
         logit_term = ad.add(logit_term, ad.mean_all(ad.square(values_all)))
 
-    loss = ad.add(policy_term, ad.mul(ad.constant(np.asarray(config.baseline_cost, dtype=dt)), value_term))
-    loss = ad.add(loss, ad.mul(ad.constant(np.asarray(config.entropy_cost, dtype=dt)), neg_entropy))
-    loss = ad.add(loss, ad.mul(ad.constant(np.asarray(config.logit_l2_cost, dtype=dt)), logit_term))
+    loss = ad.add(policy_term, ad.mul(ad.constant(config.baseline_cost, dtype=dt), value_term))
+    loss = ad.add(loss, ad.mul(ad.constant(config.entropy_cost, dtype=dt), neg_entropy))
+    loss = ad.add(loss, ad.mul(ad.constant(config.logit_l2_cost, dtype=dt), logit_term))
     head_l2 = 0.0
     for w in head_weights:
         term = ad.sum_all(ad.square(w))
         head_l2 += term.item()
-        loss = ad.add(loss, ad.mul(ad.constant(np.asarray(config.head_l2_cost, dtype=dt)), term))
+        loss = ad.add(loss, ad.mul(ad.constant(config.head_l2_cost, dtype=dt), term))
 
     parts = {
-        "policy_loss": float(policy_loss),
+        "policy_loss": float(policy_term.item()),
         "value_loss": float(value_term.item()),
         "entropy": float(entropy),
         "logit_l2": float(logit_term.item()),

@@ -7,21 +7,23 @@ shares no code with the library paths it checks.
 import numpy as np
 
 
-def conv2d_reference(x, w, b=None, stride=1, padding="same"):
-    """Quadruple-loop direct-summation convolution, NHWC."""
-    n, h, wd, cin = x.shape
-    k = w.shape[0]
-    cout = w.shape[3]
+def _conv_geometry(h, wd, k, stride, padding):
+    """Output size and top/left zero padding; extra padding goes bottom/right."""
     if padding == "same":
         oh = -(-h // stride)
         ow = -(-wd // stride)
         pad_h = max((oh - 1) * stride + k - h, 0)
         pad_w = max((ow - 1) * stride + k - wd, 0)
-        top, left = pad_h // 2, pad_w // 2
-    else:
-        oh = (h - k) // stride + 1
-        ow = (wd - k) // stride + 1
-        top = left = 0
+        return oh, ow, pad_h // 2, pad_w // 2
+    return (h - k) // stride + 1, (wd - k) // stride + 1, 0, 0
+
+
+def conv2d_reference(x, w, b=None, stride=1, padding="same"):
+    """Quadruple-loop direct-summation convolution, NHWC."""
+    n, h, wd, cin = x.shape
+    k = w.shape[0]
+    cout = w.shape[3]
+    oh, ow, top, left = _conv_geometry(h, wd, k, stride, padding)
     out = np.zeros((n, oh, ow, cout), dtype=x.dtype)
     for ni in range(n):
         for oi in range(oh):
@@ -37,6 +39,31 @@ def conv2d_reference(x, w, b=None, stride=1, padding="same"):
                                     acc += x[ni, ri, rj, ci] * w[ki, kj, ci, co]
                     out[ni, oi, oj, co] = acc + (b[co] if b is not None else 0.0)
     return out
+
+
+def conv2d_backward_reference(x, w, g, stride=1, padding="same"):
+    """Per-tap gradients of a bias-free NHWC convolution: (dx, dw).
+
+    For each kernel tap (kh, kw), the input pixels that tap reads form a
+    strided grid; dw[kh, kw] contracts that grid with `g` over the batch and
+    output positions, and dx gets `g @ w[kh, kw].T` added back onto the grid.
+    """
+    n, h, wd, cin = x.shape
+    k = w.shape[0]
+    oh, ow, top, left = _conv_geometry(h, wd, k, stride, padding)
+    ph = max((oh - 1) * stride + k, h + top)
+    pw = max((ow - 1) * stride + k, wd + left)
+    xp = np.zeros((n, ph, pw, cin), dtype=x.dtype)
+    xp[:, top:top + h, left:left + wd, :] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for kh in range(k):
+        rows = slice(kh, kh + (oh - 1) * stride + 1, stride)
+        for kw in range(k):
+            cs = slice(kw, kw + (ow - 1) * stride + 1, stride)
+            dw[kh, kw] = np.tensordot(xp[:, rows, cs, :], g, axes=([0, 1, 2], [0, 1, 2]))
+            dxp[:, rows, cs, :] += g @ w[kh, kw].T
+    return dxp[:, top:top + h, left:left + wd, :], dw
 
 
 def lambda_return_reference(rewards, values, bootstrap, dones, gamma, lam):

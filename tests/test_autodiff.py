@@ -3,11 +3,12 @@ oracles, and analytic gradients against central finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drcplan import autodiff as ad
 from drcplan.autodiff import ShapeError, Tensor
 
-from oracles import conv2d_reference, pool_spatial_reference
+from oracles import conv2d_backward_reference, conv2d_reference, pool_spatial_reference
 
 EPS = 1e-5
 TOL = 1e-4
@@ -56,6 +57,13 @@ OPS = {
                   [(2, 4, 4, 2), (3, 3, 2, 3), (3,)]),
     "conv_stride2_valid": (lambda x, w: ad.conv2d(x, w, stride=2, padding="valid"),
                            [(1, 5, 5, 2), (3, 3, 2, 2)]),
+    # the Sokoban encoder's second conv (K=4 > stride=2, "same") on a 7 x 6
+    # input: rows pad 1 top / 2 bottom, columns 1 / 1
+    "conv_stride2_same_even_kernel": (lambda x, w: ad.conv2d(x, w, stride=2, padding="same"),
+                                      [(1, 7, 6, 2), (4, 4, 2, 2)]),
+    # the last input row and column lie in no window
+    "conv_stride3_valid_remainder": (lambda x, w: ad.conv2d(x, w, stride=3, padding="valid"),
+                                     [(1, 7, 7, 2), (3, 3, 2, 2)]),
     "relu": (ad.relu, [(3, 4)]),
     "sigmoid": (ad.sigmoid, [(3, 4)]),
     "tanh": (ad.tanh, [(3, 4)]),
@@ -122,6 +130,43 @@ def test_sokoban_encoder_chain_shapes():
     w2 = Tensor(np.zeros((4, 4, 32, 32), dtype=np.float32))
     z = ad.conv2d(y, w2, stride=2, padding="same")
     assert z.shape == (1, 10, 10, 32)
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.integers(1, 4))
+    padding = draw(st.sampled_from(["same", "valid"]))
+    lo = k if padding == "valid" else 1
+    shape = (draw(st.integers(1, 2)), draw(st.integers(lo, 8)), draw(st.integers(lo, 8)),
+             draw(st.integers(1, 3)))
+    cout, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return shape, k, cout, stride, padding, draw(st.integers(0, 2**32 - 1))
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-30)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=conv_cases(), dtype=st.sampled_from([np.float64, np.float32]))
+def test_conv2d_matches_loop_oracles(case, dtype):
+    """Forward against direct summation, x.grad and w.grad against the
+    per-tap backward, over random shapes, kernels, strides and padding."""
+    shape, k, cout, stride, padding, seed = case
+    rng = np.random.default_rng(seed)
+    x_np = rng.normal(size=shape).astype(dtype)
+    w_np = rng.normal(size=(k, k, shape[3], cout)).astype(dtype)
+    x, w = Tensor(x_np, requires_grad=True), Tensor(w_np, requires_grad=True)
+    out = ad.conv2d(x, w, stride=stride, padding=padding)
+    tol = 1e-10 if dtype == np.float64 else 1e-5
+    assert out.dtype == dtype
+    assert _rel_err(out.data, conv2d_reference(x_np, w_np, stride=stride, padding=padding)) < tol
+    g = rng.normal(size=out.shape).astype(dtype)
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=dtype))))
+    dx, dw = conv2d_backward_reference(x_np, w_np, g, stride=stride, padding=padding)
+    assert x.grad.shape == shape and w.grad.shape == w_np.shape
+    assert _rel_err(x.grad, dx) < tol
+    assert _rel_err(w.grad, dw) < tol
 
 
 def test_conv2d_channel_mismatch_error():

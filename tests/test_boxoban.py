@@ -9,7 +9,7 @@ from drcplan.boxoban import (BUDGET_EXHAUSTED, SOLVED, UNSOLVABLE, LevelSet,
                              SokobanLevel, filter_by_agent, generate_level,
                              generate_level_set, level_hash, parse_levels,
                              replay_solution, serialize_levels, solve_bfs)
-from drcplan.policies import CyclePolicy, SolutionReplayPolicy, UniformRandomPolicy
+from drcplan.policies import SolutionReplayPolicy, UniformRandomPolicy
 
 
 def level_from(text):
@@ -234,13 +234,17 @@ def test_generate_level_failure_names_its_cause():
 
 
 def test_filter_keeps_levels_the_policy_fails():
+    """The filtered set is exactly the subset the probe cannot solve. The probe
+    replays solver solutions for every third id, so it solves a known part."""
     ls = generate_level_set(11, 12)
-    cycle = CyclePolicy()
-    kept = filter_by_agent(ls, cycle, attempts=10, seed=0)
-    # the filtered set is exactly the subset the policy cannot solve: rerun
+    solvable = {i for i in ls.ids if i % 3 == 0}
+    policy = SolutionReplayPolicy({level_hash(l): solve_bfs(l).solution.actions
+                                   for i, l in zip(ls.ids, ls.levels) if i in solvable})
+    kept = filter_by_agent(ls, policy, attempts=10, seed=0)
+    assert solvable and kept.ids == [i for i in ls.ids if i not in solvable]
     for level_id, level in zip(kept.ids, kept.levels):
         sub = LevelSet(levels=[level], ids=[level_id])
-        again = filter_by_agent(sub, CyclePolicy(), attempts=10, seed=0)
+        again = filter_by_agent(sub, policy, attempts=10, seed=0)
         assert len(again) == 1
 
 
