@@ -2,8 +2,8 @@
 
 This is not a general autodiff system: it implements exactly the op set the
 rest of the library needs (dense layers, 2D convolution, gate nonlinearities,
-spatial pooling, softmax losses). Arrays use HWC layout with an optional
-leading batch dimension, i.e. rank <= 4 as (N, H, W, C).
+spatial pooling, softmax losses). Image tensors are batched NHWC arrays,
+(N, H, W, C).
 
 Training runs in float32; gradient verification runs in float64 (central
 finite differences are unreliable at single precision). The dtype of a
@@ -72,42 +72,8 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars and ndarrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self.dtype), self)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self.dtype))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _wrap(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def constant(x, dtype=np.float32):
@@ -236,20 +202,15 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
     """Convolve NHWC input with a (K, K, Cin, Cout) kernel.
 
     `padding` is "same" (output spatial dims ceil(in/stride), zero padded)
-    or "valid" (floor((in - K)/stride) + 1). Rank-3 inputs are treated as a
-    single unbatched image.
+    or "valid" (floor((in - K)/stride) + 1).
 
     Forward is one matmul over the im2col matrix `cols` (N*OH*OW, K*K*Cin).
     Backward rebuilds `cols` from the padded input instead of keeping it, so
     it stays transient; then dW = cols^T g is one matmul, and dX is one matmul
     dcols = g W^T followed by a col2im of K*K strided adds.
     """
-    squeeze = False
-    if x.ndim == 3:
-        x = reshape(x, (1,) + x.shape)
-        squeeze = True
     if x.ndim != 4:
-        raise ShapeError(f"conv2d: expected rank 3 or 4 input, got shape {x.shape}")
+        raise ShapeError(f"conv2d: expected rank 4 input, got shape {x.shape}")
     if w.ndim != 4:
         raise ShapeError(f"conv2d: expected rank 4 kernel, got shape {w.shape}")
     if x.shape[3] != w.shape[2]:
@@ -316,10 +277,7 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
         if b is not None:
             _accumulate(b, g.sum(axis=(0, 1, 2)))
 
-    out = _node(out_data, parents, backward)
-    if squeeze:
-        out = reshape(out, out.shape[1:])
-    return out
+    return _node(out_data, parents, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +440,6 @@ def log_softmax(a):
     return _node(out_data, (a,), backward)
 
 
-def softmax(a):
-    return exp(log_softmax(a))
-
-
 # ---------------------------------------------------------------------------
 # spatial pooling for NHWC tensors
 
@@ -525,29 +479,6 @@ def tile_spatial(a, h, w):
         _accumulate(a, g.sum(axis=(1, 2)))
 
     return _node(out_data, (a,), backward)
-
-
-def pool_spatial(a, mode):
-    """Pool H x W x C (or N x H x W x C) down to spatial size 1 x 1.
-
-    Returns a tensor with the spatial axes kept at size 1 so the channel
-    layout is preserved.
-    """
-    squeeze = False
-    if a.ndim == 3:
-        a = reshape(a, (1,) + a.shape)
-        squeeze = True
-    if mode == "max":
-        pooled = spatial_max(a)
-    elif mode == "mean":
-        pooled = spatial_mean(a)
-    else:
-        raise ValueError(f"pool_spatial: unknown mode {mode!r}")
-    n, c = pooled.shape
-    out = reshape(pooled, (n, 1, 1, c))
-    if squeeze:
-        out = reshape(out, (1, 1, c))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ Layout (all integers little-endian, raw array data little-endian too):
         m data, v data
 
 The same array bytes written are read back, so a save/load round trip is
-bit-exact.
+bit-exact. A truncated or malformed file raises `ValueError` naming it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,21 @@ def _write_path(f, path):
     f.write(raw)
 
 
+def _take(f, n):
+    raw = f.read(n)
+    if len(raw) != n:
+        raise ValueError(f"truncated: {n} bytes wanted at offset {f.tell() - len(raw)}, "
+                         f"{len(raw)} left")
+    return raw
+
+
+def _unpack(f, fmt):
+    return struct.unpack(fmt, _take(f, struct.calcsize(fmt)))
+
+
 def _read_path(f):
-    (n,) = struct.unpack("<H", f.read(2))
-    return f.read(n).decode("utf-8")
+    (n,) = _unpack(f, "<H")
+    return _take(f, n).decode("utf-8")
 
 
 def _write_array(f, arr):
@@ -58,11 +70,13 @@ def _write_array(f, arr):
 
 
 def _read_array(f):
-    code, rank = struct.unpack("<BB", f.read(2))
-    dims = struct.unpack(f"<{rank}I", f.read(4 * rank)) if rank else ()
+    code, rank = _unpack(f, "<BB")
+    dims = _unpack(f, f"<{rank}I")
+    if code not in _CODE_DTYPES:
+        raise ValueError(f"unknown dtype code {code}")
     dtype = _CODE_DTYPES[code]
     count = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(f.read(count * dtype.itemsize), dtype=dtype)
+    data = np.frombuffer(_take(f, count * dtype.itemsize), dtype=dtype)
     return data.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
 
 
@@ -88,26 +102,29 @@ def save_checkpoint(path, params, adam=None):
 def load_checkpoint(path):
     """Read a checkpoint; returns (ParameterSet, AdamState or None)."""
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (nparams,) = struct.unpack("<I", f.read(4))
-        params = ParameterSet()
-        for _ in range(nparams):
-            name = _read_path(f)
-            (trainable,) = struct.unpack("<B", f.read(1))
-            params.add(name, _read_array(f), trainable=bool(trainable))
-        (has_adam,) = struct.unpack("<B", f.read(1))
-        adam = None
-        if has_adam:
-            beta1, beta2, eps, step = struct.unpack("<dddQ", f.read(32))
-            adam = AdamState(beta1=beta1, beta2=beta2, eps=eps)
-            adam.step = step
-            (nmoments,) = struct.unpack("<I", f.read(4))
-            for _ in range(nmoments):
+        try:
+            if f.read(4) != MAGIC:
+                raise ValueError("not a checkpoint file")
+            (version,) = _unpack(f, "<I")
+            if version != VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            (nparams,) = _unpack(f, "<I")
+            params = ParameterSet()
+            for _ in range(nparams):
                 name = _read_path(f)
-                adam.m[name] = _read_array(f)
-                adam.v[name] = _read_array(f)
-    return params, adam
+                (trainable,) = _unpack(f, "<B")
+                params.add(name, _read_array(f), trainable=bool(trainable))
+            (has_adam,) = _unpack(f, "<B")
+            adam = None
+            if has_adam:
+                beta1, beta2, eps, step = _unpack(f, "<dddQ")
+                adam = AdamState(beta1=beta1, beta2=beta2, eps=eps)
+                adam.step = step
+                (nmoments,) = _unpack(f, "<I")
+                for _ in range(nmoments):
+                    name = _read_path(f)
+                    adam.m[name] = _read_array(f)
+                    adam.v[name] = _read_array(f)
+            return params, adam
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None

@@ -20,7 +20,7 @@ from .boxoban import (SOLVED, filter_by_agent, generate_level_set, level_hash,
                       parse_levels, serialize_levels, solve_bfs)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_run_config
-from .drc import DrcNetwork, count_parameters, format_count_report
+from .drc import DrcNetwork, build_parameters, count_parameters, format_count_report
 from .evaluate import (evaluate, extrapolate_boxes, sokoban_factories,
                        thinking_steps_eval)
 from .gradcheck import full_drc_gradcheck
@@ -67,7 +67,14 @@ def _load_levels(path, tier="unfiltered", split="test"):
 
 
 def _load_net(args, run):
+    """The checkpoint's network, after checking it fits the run config's DRC."""
     params, _ = load_checkpoint(args.params)
+    want = build_parameters(run.drc)
+    for path in dict.fromkeys(want.paths() + params.paths()):
+        got, expected = (ps[path].shape if path in ps else "absent" for ps in (params, want))
+        if got != expected:
+            raise ValueError(f"{args.params} does not fit the run config: {path!r} is {got} "
+                             f"in the checkpoint but {expected} under the config")
     return DrcNetwork(run.drc, params)
 
 
@@ -168,6 +175,8 @@ def cmd_filter_levels(args):
     elif args.policy == "cycle":
         policy = CyclePolicy()
     elif args.policy == "network":
+        if args.params is None:
+            raise ValueError("filter-levels --policy network needs --params <checkpoint>")
         run = load_run_config(args.config, seed=args.seed)
         policy = NetworkPolicy(_load_net(args, run), mode="sample")
     else:

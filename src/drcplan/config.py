@@ -7,7 +7,7 @@ tuples are comma-separated, and the encoder spec uses
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .drc import DrcConfig, preset_config
 from .envs.gridworld import GRIDWORLD12, GridworldConfig
@@ -22,9 +22,6 @@ class RunConfig:
     train: TrainConfig = None
     step_limit: int = 120
     levels_path: str = ""  # training level file/directory (Sokoban)
-    eval_levels_path: str = ""
-    episodes_per_level: int = 1
-    eval_mode: str = "sample"
     eval_batch_size: int = 64
     gridworld: GridworldConfig = None
     minipacman: MiniPacmanConfig = None
@@ -75,7 +72,11 @@ def _parse_encoder(value):
 
 
 def load_run_config(path=None, overrides=None, seed=None):
-    """Build a RunConfig from an optional file plus CLI overrides."""
+    """Build a RunConfig from an optional file plus CLI overrides.
+
+    Keys `<section>.<field>` override one field of the section's dataclass,
+    coerced to the type of the field's default.
+    """
     raw = {}
     if path:
         with open(path) as f:
@@ -84,77 +85,29 @@ def load_run_config(path=None, overrides=None, seed=None):
         raw.update(overrides)
 
     game = raw.pop("game", "sokoban")
-    depth = int(raw.pop("drc.depth", 3))
-    repeats = int(raw.pop("drc.repeats", 3))
-
-    drc_over = {}
-    if "drc.encoder" in raw:
-        drc_over["encoder"] = _parse_encoder(raw.pop("drc.encoder"))
-    drc_defaults = preset_config(game if game != "gridworld12" else "gridworld12", depth, repeats)
-    for f_ in fields(DrcConfig):
-        key = f"drc.{f_.name}"
-        if key in raw:
-            drc_over[f_.name] = _coerce(raw.pop(key), getattr(drc_defaults, f_.name))
-    drc = replace(drc_defaults, **drc_over)
-
-    train_over = {}
-    for f_ in fields(TrainConfig):
-        key = f"train.{f_.name}"
-        if key in raw:
-            train_over[f_.name] = _coerce(raw.pop(key), getattr(TrainConfig(), f_.name))
+    sections = {}
+    for prefix, defaults in (("drc", preset_config(game)),
+                             ("train", TrainConfig()),
+                             ("gridworld", GRIDWORLD12 if game == "gridworld12" else GridworldConfig()),
+                             ("minipacman", MiniPacmanConfig())):
+        over = {}
+        for f_ in fields(defaults):
+            key = f"{prefix}.{f_.name}"
+            if key in raw:
+                value = raw.pop(key)
+                over[f_.name] = (_parse_encoder(value) if key == "drc.encoder"
+                                 else _coerce(value, getattr(defaults, f_.name)))
+        sections[prefix] = replace(defaults, **over)
     if seed is not None:
-        train_over["seed"] = seed
-    train = TrainConfig(**train_over)
-
-    gw_defaults = GRIDWORLD12 if game == "gridworld12" else GridworldConfig()
-    gw_over = {}
-    for f_ in fields(GridworldConfig):
-        key = f"gridworld.{f_.name}"
-        if key in raw:
-            gw_over[f_.name] = _coerce(raw.pop(key), getattr(gw_defaults, f_.name))
-    mp_over = {}
-    for f_ in fields(MiniPacmanConfig):
-        key = f"minipacman.{f_.name}"
-        if key in raw:
-            mp_over[f_.name] = _coerce(raw.pop(key), getattr(MiniPacmanConfig(), f_.name))
+        sections["train"] = replace(sections["train"], seed=seed)
 
     run = RunConfig(
         game=game,
-        drc=drc,
-        train=train,
         step_limit=int(raw.pop("env.step_limit", 120)),
         levels_path=raw.pop("data.levels", ""),
-        eval_levels_path=raw.pop("data.eval_levels", ""),
-        episodes_per_level=int(raw.pop("eval.episodes_per_level", 1)),
-        eval_mode=raw.pop("eval.mode", "sample"),
         eval_batch_size=int(raw.pop("eval.batch_size", 64)),
-        gridworld=replace(gw_defaults, **gw_over),
-        minipacman=MiniPacmanConfig(**mp_over),
+        **sections,
     )
     if raw:
         raise ValueError(f"unknown config keys: {sorted(raw)}")
     return run
-
-
-def format_run_config(run):
-    """Render a RunConfig back to the key = value format."""
-    lines = [f"game = {run.game}"]
-    base = preset_config(run.game, run.drc.depth, run.drc.repeats)
-    lines.append(f"drc.depth = {run.drc.depth}")
-    lines.append(f"drc.repeats = {run.drc.repeats}")
-    for f_ in fields(DrcConfig):
-        if f_.name in ("depth", "repeats"):
-            continue
-        val = getattr(run.drc, f_.name)
-        if val != getattr(base, f_.name):
-            if f_.name == "encoder":
-                val = ",".join(":".join(str(x) for x in layer) for layer in val)
-            lines.append(f"drc.{f_.name} = {val}")
-    for f_ in fields(TrainConfig):
-        val = getattr(run.train, f_.name)
-        if val != getattr(TrainConfig(), f_.name):
-            lines.append(f"train.{f_.name} = {val}")
-    lines.append(f"env.step_limit = {run.step_limit}")
-    if run.levels_path:
-        lines.append(f"data.levels = {run.levels_path}")
-    return "\n".join(lines) + "\n"

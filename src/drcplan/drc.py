@@ -107,15 +107,10 @@ class DrcState:
     c: tuple
     h: tuple
 
-    @property
-    def batch(self):
-        return self.h[0].shape[0]
-
-    def detach(self):
-        return DrcState(tuple(Tensor(t.data) for t in self.c), tuple(Tensor(t.data) for t in self.h))
-
-    def to_arrays(self):
-        return [t.data for t in self.c] + [t.data for t in self.h]
+    def rows(self, index):
+        """A new state holding the rows picked by a numpy index on the batch axis."""
+        pick = lambda ts: tuple(Tensor(t.data[index]) for t in ts)
+        return DrcState(pick(self.c), pick(self.h))
 
     def scale(self, keep):
         """Multiply every component by a per-row keep mask (0 resets a row)."""
@@ -134,38 +129,12 @@ def zero_state(config, batch=1, dtype=np.float32):
     return DrcState(tuple(zeros() for _ in range(config.depth)), tuple(zeros() for _ in range(config.depth)))
 
 
-def state_from_arrays(config, arrays):
-    d = config.depth
-    return DrcState(tuple(Tensor(a) for a in arrays[:d]), tuple(Tensor(a) for a in arrays[d:]))
-
-
-def slice_state(state, i):
-    """Extract row i as a batch-1 state (arrays copied off the batch)."""
-    return DrcState(
-        tuple(Tensor(t.data[i:i + 1].copy()) for t in state.c),
-        tuple(Tensor(t.data[i:i + 1].copy()) for t in state.h),
-    )
-
-
-def concat_states(states):
-    return DrcState(
-        tuple(Tensor(np.concatenate([s.c[d].data for s in states], axis=0)) for d in range(len(states[0].c))),
-        tuple(Tensor(np.concatenate([s.h[d].data for s in states], axis=0)) for d in range(len(states[0].h))),
-    )
-
-
 def boundary_pad_channel(x):
-    """Append a channel that is 1 on the spatial edges and 0 inside."""
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = ad.reshape(x, (1,) + x.shape)
+    """Append a channel that is 1 on the spatial edges and 0 inside (NHWC)."""
     n, h, w, _ = x.shape
     mask = _boundary_mask(h, w, x.dtype)
     edge = ad.constant(np.broadcast_to(mask, (n, h, w, 1)).copy(), dtype=x.dtype)
-    out = ad.concat([x, edge], axis=-1)
-    if squeeze:
-        out = ad.reshape(out, out.shape[1:])
-    return out
+    return ad.concat([x, edge], axis=-1)
 
 
 _BOUNDARY_CACHE = {}
@@ -213,12 +182,9 @@ class DrcNetwork:
     # -- encoder ------------------------------------------------------------
 
     def encode(self, obs):
-        """Run the convolutional encoder; ReLU after every layer."""
+        """Run the convolutional encoder on an NHWC batch; ReLU after every layer."""
         if isinstance(obs, np.ndarray):
             obs = Tensor(obs.astype(self.dtype, copy=False))
-        squeeze = obs.ndim == 3
-        if squeeze:
-            obs = ad.reshape(obs, (1,) + obs.shape)
         if obs.shape[1:] != tuple(self.config.obs_shape):
             raise ValueError(
                 f"observation shape {obs.shape[1:]} does not match configured {tuple(self.config.obs_shape)}"
@@ -232,8 +198,6 @@ class DrcNetwork:
         if self.config.memory_kind == "vector_lstm":
             flat = ad.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
             x = ad.relu(ad.dense(flat, self.params["core.compress.w"], self.params["core.compress.b"]))
-        if squeeze:
-            x = ad.reshape(x, x.shape[1:])
         return x
 
     # -- memory stack -------------------------------------------------------

@@ -1,9 +1,12 @@
 """Evaluation protocols: solve rates, thinking-steps probe, extrapolation.
 
-Evaluation never mutates network parameters or datasets. Episodes are
-batched through one network forward per step; sampling uses a per-episode
-RNG stream keyed by (seed, episode index) so results do not depend on batch
-layout and repeated runs are identical.
+Evaluation never mutates network parameters or datasets. Episodes run on
+the trainer's lockstep stepper (`train.ActorGroup`): up to `batch_size`
+rows share one network forward per step, a row whose episode ends takes the
+next level, and a row with no level left leaves the batch, so no forward
+runs on finished episodes. Sampling uses a per-episode RNG stream keyed by
+(seed, episode index), so results do not depend on batch layout and repeated
+runs are identical.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .boxoban.generator import generate_level_set
 from .envs.sokoban_env import SokobanEnv
-from .train import sample_action
+from .train import ActorGroup
+# unused here since episodes sample in `train`; kept because perfbench/tracing.py
+# patches `evaluate.sample_action` by name
+from .train import sample_action  # noqa: F401
 
 
 @dataclass
@@ -60,6 +64,10 @@ def run_episodes(net, env_factories, mode="sample", seed=0, batch_size=64,
                  force_noop_steps=0):
     """Play each environment once; returns (solved, return, length) triples.
 
+    Episode j is played with RNG [seed, j]. Up to `batch_size` episodes share
+    one forward per step; a row whose episode ends takes the next factory,
+    and leaves the batch once none is left.
+
     With `force_noop_steps` = k, the first k actions are overridden with the
     environment's no-op: the network still consumes the real observations and
     advances its recurrent state, only the executed action is replaced, and
@@ -67,45 +75,24 @@ def run_episodes(net, env_factories, mode="sample", seed=0, batch_size=64,
     """
     if mode not in ("sample", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    results = [None] * len(env_factories)
-    for start in range(0, len(env_factories), batch_size):
-        chunk = env_factories[start:start + batch_size]
-        envs = [f() for f in chunk]
-        if force_noop_steps and any(e.noop_action is None for e in envs):
+    if not env_factories:
+        return []
+    stream = enumerate(env_factories)
+
+    def next_episode(row):
+        j, make = next(stream, (None, None))
+        if make is None:
+            return None
+        env = make()
+        if force_noop_steps and env.noop_action is None:
             raise ValueError("forced thinking steps need an environment with a no-op action")
-        k = len(envs)
-        obs = np.stack([e.reset() for e in envs]).astype(np.float32)
-        state = net.zero_state(batch=k)
-        rngs = [np.random.default_rng([seed, start + i]) for i in range(k)]
-        active = np.ones(k, dtype=bool)
-        returns = np.zeros(k)
-        lengths = np.zeros(k, dtype=np.int64)
-        solveds = np.zeros(k, dtype=bool)
-        t = 0
-        while active.any():
-            with ad.no_grad():
-                state, logits, _ = net.forward(state, Tensor(obs))
-            for i in range(k):
-                if not active[i]:
-                    continue
-                if t < force_noop_steps:
-                    a = envs[i].noop_action
-                elif mode == "greedy":
-                    a = int(np.argmax(logits.data[i]))
-                else:
-                    a = sample_action(logits.data[i], rngs[i])
-                res = envs[i].step(a)
-                returns[i] += res.reward
-                lengths[i] += 1
-                if res.done:
-                    active[i] = False
-                    solveds[i] = res.solved
-                else:
-                    obs[i] = res.obs
-            t += 1
-        for i in range(k):
-            results[start + i] = (bool(solveds[i]), float(returns[i]), int(lengths[i]))
-    return results
+        return env, np.random.default_rng([seed, j]), force_noop_steps, j
+
+    rows = ActorGroup(net, next_episode, min(batch_size, len(env_factories)),
+                      greedy=mode == "greedy")
+    while rows.k:
+        rows.step()
+    return [(solved, ret, length) for _, solved, ret, length in sorted(rows.drain_episode_stats())]
 
 
 def evaluate(net, env_factories, episodes_per_level=1, mode="sample", seed=0,
@@ -132,11 +119,6 @@ def thinking_steps_eval(net, env_factories, k_max=10, episodes_per_level=1,
                                 batch_size=batch_size, force_noop_steps=k)
         curve[k] = make_report(outcomes, level_set_id=f"{level_set_id}[k={k}]")
     return curve
-
-
-def generalization_gap(train_report, test_report):
-    """Test solve fraction minus train solve fraction (negative = overfit)."""
-    return test_report.solved_fraction - train_report.solved_fraction
 
 
 def extrapolate_boxes(net, box_counts=(4, 5, 6, 7), levels_per_count=100, seed=0,

@@ -55,26 +55,9 @@ class ParameterSet:
         """Number of scalars stored under `prefix` (all parameters if empty)."""
         return sum(t.size for p, t in self._params.items() if p.startswith(prefix))
 
-    def set_requires_grad(self, flag):
-        for p, t in self._params.items():
-            t.requires_grad = bool(flag) and self._trainable[p]
-
     def zero_grads(self):
         for t in self._params.values():
             t.grad = None
-
-    def copy(self):
-        """Deep copy; used to publish immutable snapshots to actors."""
-        out = ParameterSet()
-        for path, t in self._params.items():
-            out.add(path, t.data.copy(), trainable=self._trainable[path])
-        return out
-
-    def astype(self, dtype):
-        out = ParameterSet()
-        for path, t in self._params.items():
-            out.add(path, t.data.astype(dtype), trainable=self._trainable[path])
-        return out
 
 
 def compute_gradients(loss, params):

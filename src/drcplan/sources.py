@@ -61,6 +61,8 @@ class MiniPacmanSource:
 def source_factory(game, *, levels=None, gridworld_config=None, minipacman_config=None,
                    step_limit=120):
     """Build a (seed, actor_index) -> source callable for the Trainer."""
+    if game == "sokoban" and levels is None:
+        raise ValueError("sokoban training needs a level set: set data.levels in the run config")
     def make(seed, actor_index):
         stream = [seed, 7919, actor_index]
         if game == "sokoban":

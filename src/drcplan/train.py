@@ -1,13 +1,15 @@
 """Actor-critic training with off-policy corrected targets.
 
 The pipeline follows a single-process multi-worker contract: K actors each
-own an environment stream and a recurrent state, produce fixed-length
-unrolls against the latest published parameters (snapshots refresh between
-unrolls, never inside one), and push trajectories into a bounded FIFO queue;
-a single learner consumes batches, replays the forward passes from each
-trajectory's stored initial state under the current parameters, and applies
-one Adam step per batch. Actors are stepped in lockstep so their forward
-passes share one batched network call, and the whole schedule is
+own an environment stream and a recurrent state and produce fixed-length
+unrolls against the latest parameters (they refresh between unrolls, never
+inside one). `ActorGroup` steps the K actors in lockstep, one batched no-grad
+forward per step, and writes each unroll as (T, K) arrays. The bounded FIFO
+queue keeps those arrays as column blocks; the learner takes its B columns
+in queue order, even when a batch spans two unrolls, replays the forward
+passes from the stored initial state under the current parameters, and
+applies one Adam step per batch. Evaluation drives the same stepper, where a
+row whose stream of episodes runs out leaves the batch. The whole schedule is
 deterministic: a fixed (config, seed) pair reproduces training bit for bit.
 """
 
@@ -15,14 +17,15 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
-from .drc import concat_states, slice_state, state_from_arrays, zero_state
+from .drc import DrcState
 from .nn import compute_gradients
 from .optim import AdamState, adam_step, clip_by_global_norm
 from .vtrace import vtrace_targets
@@ -72,23 +75,45 @@ def anneal_lr(step, config):
     return config.lr_init * max(0.0, 1.0 - step / config.anneal_horizon)
 
 
-@dataclass
-class Trajectory:
-    """One fixed-length unroll as recorded by an actor.
+class Unroll(NamedTuple):
+    """A (T, K) block, time-major: column j is row j's trajectory.
 
-    `obs` holds unroll_length + 1 observations: the final entry is the state
-    after the last transition and exists for bootstrapping. `initial_state`
-    stores the recurrent state at the start of the unroll so the learner can
-    replay the forward pass exactly under fresh parameters.
+    Every field keeps its columns on axis 1, so blocks slice and join field
+    by field. `obs` has a last entry, after the final step, to bootstrap
+    from; the learner replays from the recurrent state `initial_c/h`.
     """
 
-    obs: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    dones: np.ndarray
-    behaviour_logits: np.ndarray
-    bootstrap_value: float
-    initial_state: list
+    obs: np.ndarray  # (T + 1, K, H, W, C)
+    actions: np.ndarray  # (T, K)
+    rewards: np.ndarray  # (T, K)
+    dones: np.ndarray  # (T, K)
+    behaviour_logits: np.ndarray  # (T, K, A)
+    initial_c: np.ndarray  # (D, K, ...)
+    initial_h: np.ndarray  # (D, K, ...)
+
+    @property
+    def width(self):
+        return self.actions.shape[1]
+
+    def columns(self, lo, hi=None):
+        return Unroll(*(a[:, lo:hi] for a in self))
+
+
+def take_columns(queue, count):
+    """Pop the first `count` queued columns, in queue order, as one block.
+
+    A batch may span several unrolls; a partly taken unroll stays at the
+    head of the queue with its remaining columns.
+    """
+    parts = []
+    while count and queue:
+        head = queue.popleft()
+        if head.width > count:
+            queue.appendleft(head.columns(count))
+            head = head.columns(0, count)
+        parts.append(head)
+        count -= head.width
+    return Unroll(*(np.concatenate(field, axis=1) for field in zip(*parts)))
 
 
 def sample_action(logits, rng):
@@ -101,77 +126,87 @@ def sample_action(logits, rng):
 
 
 class ActorGroup:
-    """K lockstep actors sharing batched forward passes."""
+    """Rows of environments stepped in lockstep through one batched forward.
 
-    def __init__(self, net, sources, unroll_length, seed):
+    Each row owns an environment, an RNG, its recurrent-state row and the
+    return and length of its running episode. `next_episode(row)` returns
+    `(env, rng, noop_steps, tag)` for the row's next episode, or None when
+    its stream is empty; the first `noop_steps` actions of that episode are
+    the environment's no-op. A row whose stream is empty leaves the batch, so
+    no forward runs on finished episodes. Finished episodes are recorded as
+    `(tag, solved, return, length)`.
+    """
+
+    def __init__(self, net, next_episode, rows, unroll_length=0, greedy=False):
         self.net = net
-        self.sources = sources
+        self.next_episode = next_episode
         self.unroll_length = unroll_length
-        self.k = len(sources)
-        self.envs = [src.next_env() for src in sources]
-        self.obs = np.stack([env.reset() for env in self.envs]).astype(np.float32)
-        self.states = net.zero_state(batch=self.k)
-        self.rngs = [np.random.default_rng([seed, i]) for i in range(self.k)]
-        self.episode_return = np.zeros(self.k)
-        self.episode_length = np.zeros(self.k, dtype=np.int64)
-        self.finished = []  # (return, length, solved) tuples since last drain
+        self.greedy = greedy
+        self.episodes = [next_episode(i) for i in range(rows)]
+        self.k = rows
+        self.obs = np.stack([env.reset() for env, _, _, _ in self.episodes]).astype(np.float32)
+        self.state = net.zero_state(batch=self.k)
+        self.episode_return = [0.0] * self.k
+        self.episode_length = [0] * self.k
+        self.finished = []
 
     def drain_episode_stats(self):
         out = self.finished
         self.finished = []
         return out
 
-    def run_unroll(self, net):
-        """Collect one unroll per actor under the given parameter snapshot."""
-        t_len, k = self.unroll_length, self.k
-        obs_shape = self.obs.shape[1:]
-        action_count = net.config.action_count
-        obs_buf = np.empty((t_len + 1, k) + obs_shape, dtype=np.float32)
-        actions = np.empty((t_len, k), dtype=np.int64)
-        rewards = np.empty((t_len, k), dtype=np.float32)
-        dones = np.zeros((t_len, k), dtype=bool)
-        blogits = np.empty((t_len, k, action_count), dtype=np.float32)
-        initial_states = [slice_state(self.states, i) for i in range(k)]
-
+    def step(self):
+        """Advance every row one env step; returns (logits, actions, rewards, dones)."""
         with ad.no_grad():
-            for t in range(t_len):
-                obs_buf[t] = self.obs
-                self.states, logits, _ = net.forward(self.states, Tensor(self.obs))
-                blogits[t] = logits.data
-                for i in range(k):
-                    a = sample_action(logits.data[i], self.rngs[i])
-                    actions[t, i] = a
-                    res = self.envs[i].step(a)
-                    rewards[t, i] = res.reward
-                    self.episode_return[i] += res.reward
-                    self.episode_length[i] += 1
-                    if res.done:
-                        dones[t, i] = True
-                        self.finished.append((float(self.episode_return[i]),
-                                              int(self.episode_length[i]), bool(res.solved)))
-                        self.episode_return[i] = 0.0
-                        self.episode_length[i] = 0
-                        self.envs[i] = self.sources[i].next_env()
-                        self.obs[i] = self.envs[i].reset()
-                        for comp in self.states.c + self.states.h:
-                            comp.data[i] = 0
-                    else:
-                        self.obs[i] = res.obs
-            obs_buf[t_len] = self.obs
-            _, _, boot_values = net.forward(self.states, Tensor(self.obs))
+            self.state, logits, _ = self.net.forward(self.state, Tensor(self.obs))
+        logits = logits.data
+        actions, rewards, dones, emptied = [], [], [], []
+        for i, (env, rng, noop_steps, tag) in enumerate(self.episodes):
+            if self.episode_length[i] < noop_steps:
+                a = env.noop_action
+            elif self.greedy:
+                a = int(np.argmax(logits[i]))
+            else:
+                a = sample_action(logits[i], rng)
+            res = env.step(a)
+            actions.append(a)
+            rewards.append(res.reward)
+            dones.append(res.done)
+            self.episode_return[i] += res.reward
+            self.episode_length[i] += 1
+            if not res.done:
+                self.obs[i] = res.obs
+                continue
+            self.finished.append((tag, bool(res.solved), self.episode_return[i],
+                                  self.episode_length[i]))
+            self.episode_return[i], self.episode_length[i] = 0.0, 0
+            self.episodes[i] = self.next_episode(i)
+            if self.episodes[i] is None:
+                emptied.append(i)
+                continue
+            self.obs[i] = self.episodes[i][0].reset()
+            for comp in self.state.c + self.state.h:
+                comp.data[i] = 0
+        if emptied:  # those rows leave the batch
+            keep = np.setdiff1d(np.arange(self.k), emptied)
+            self.obs, self.state, self.k = self.obs[keep], self.state.rows(keep), len(keep)
+            for i in reversed(emptied):
+                del self.episodes[i], self.episode_return[i], self.episode_length[i]
+        return logits, actions, rewards, dones
 
-        return [
-            Trajectory(
-                obs=obs_buf[:, i].copy(),
-                actions=actions[:, i].copy(),
-                rewards=rewards[:, i].copy(),
-                dones=dones[:, i].copy(),
-                behaviour_logits=blogits[:, i].copy(),
-                bootstrap_value=float(boot_values.data[i]),
-                initial_state=initial_states[i].to_arrays(),
-            )
-            for i in range(k)
-        ]
+    def run_unroll(self):
+        """Collect one (T, K) unroll under the current parameters."""
+        initial_c = np.stack([t.data for t in self.state.c])
+        initial_h = np.stack([t.data for t in self.state.h])
+        obs = np.empty((self.unroll_length + 1,) + self.obs.shape, dtype=np.float32)
+        steps = []
+        for t in range(self.unroll_length):
+            obs[t] = self.obs
+            steps.append(self.step())
+        obs[-1] = self.obs
+        logits, actions, rewards, dones = (np.array(x) for x in zip(*steps))
+        return Unroll(obs, actions, rewards.astype(np.float32), dones,
+                      logits.astype(np.float32, copy=False), initial_c, initial_h)
 
 
 def _log_probs(logits):
@@ -229,16 +264,12 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
 
 
 def learner_update(net, batch, adam, config, env_steps):
-    """Replay a batch of trajectories, build targets, apply one Adam step."""
-    t_len = batch[0].actions.shape[0]
-    b = len(batch)
-    obs = np.stack([tr.obs for tr in batch], axis=1)  # (T+1, B, ...)
-    actions = np.stack([tr.actions for tr in batch], axis=1)
-    rewards = np.stack([tr.rewards for tr in batch], axis=1)
-    dones = np.stack([tr.dones for tr in batch], axis=1)
-    behaviour_logits = np.stack([tr.behaviour_logits for tr in batch], axis=1)
+    """Replay a (T, B) `Unroll` batch, build targets, apply one Adam step."""
+    t_len = batch.actions.shape[0]
+    obs, actions, rewards, dones = batch.obs, batch.actions, batch.rewards, batch.dones
 
-    state = concat_states([state_from_arrays(net.config, tr.initial_state) for tr in batch])
+    state = DrcState(tuple(Tensor(a) for a in batch.initial_c),
+                     tuple(Tensor(a) for a in batch.initial_h))
     logits_steps, values_steps = [], []
     for t in range(t_len):
         state, logits, value = net.forward(state, Tensor(obs[t]))
@@ -254,7 +285,7 @@ def learner_update(net, batch, adam, config, env_steps):
         _log_probs(np.stack([l.data for l in logits_steps], dtype=np.float64)),
         actions[..., None], axis=-1)[..., 0]
     behaviour_logp = np.take_along_axis(
-        _log_probs(behaviour_logits.astype(np.float64)), actions[..., None], axis=-1)[..., 0]
+        _log_probs(batch.behaviour_logits.astype(np.float64)), actions[..., None], axis=-1)[..., 0]
 
     vt = vtrace_targets(rewards, dones, behaviour_logp, target_logp, values_np,
                         boot.data, config.gamma, config.lam, config.rho_bar, config.c_bar)
@@ -286,35 +317,41 @@ class Trainer:
         self.config = config
         self.out_dir = out_dir
         sources = [source_factory(config.seed, i) for i in range(config.num_actors)]
-        self.actors = ActorGroup(net, sources, config.unroll_length, config.seed)
-        self.queue = deque()
+        rngs = [np.random.default_rng([config.seed, i]) for i in range(config.num_actors)]
+        self.actors = ActorGroup(net, lambda i: (sources[i].next_env(), rngs[i], 0, i),
+                                 config.num_actors, config.unroll_length)
+        self.queue = deque()  # Unroll column blocks, oldest first
         self.adam = AdamState(config.adam_beta1, config.adam_beta2, config.adam_eps)
         self.env_steps = 0
         self.updates = 0
 
+    @property
+    def queue_depth(self):
+        """Columns waiting in the queue."""
+        return sum(u.width for u in self.queue)
+
     def train_one_update(self):
         cfg = self.config
-        frames = cfg.unroll_length * self.actors.k
-        while len(self.queue) < cfg.batch_size:
-            if len(self.queue) + self.actors.k > cfg.queue_capacity:
+        k = self.actors.k
+        while self.queue_depth < cfg.batch_size:
+            if self.queue_depth + k > cfg.queue_capacity:
                 break  # backpressure: let the learner drain before producing more
-            for traj in self.actors.run_unroll(self.net):
-                self.queue.append(traj)
-            self.env_steps += frames
-        batch = [self.queue.popleft() for _ in range(min(cfg.batch_size, len(self.queue)))]
+            self.queue.append(self.actors.run_unroll())
+            self.env_steps += cfg.unroll_length * k
+        batch = take_columns(self.queue, cfg.batch_size)
         metrics = learner_update(self.net, batch, self.adam, cfg, self.env_steps)
         self.updates += 1
 
         episodes = self.actors.drain_episode_stats()
-        solved = sum(1 for _, _, s in episodes if s)
+        solved = sum(1 for _, s, _, _ in episodes if s)
         metrics.update({
             "update": self.updates,
             "env_steps": self.env_steps,
-            "queue_depth": len(self.queue),
+            "queue_depth": self.queue_depth,
             "episodes": len(episodes),
             "solved": solved,
-            "mean_return": float(np.mean([r for r, _, _ in episodes])) if episodes else None,
-            "mean_length": float(np.mean([l for _, l, _ in episodes])) if episodes else None,
+            "mean_return": float(np.mean([r for _, _, r, _ in episodes])) if episodes else None,
+            "mean_length": float(np.mean([l for _, _, _, l in episodes])) if episodes else None,
         })
         return metrics
 

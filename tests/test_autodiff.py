@@ -90,7 +90,7 @@ def test_gradients_match_finite_differences(name):
 
 
 def test_conv2d_identity_kernel():
-    x = np.random.default_rng(0).uniform(size=(3, 3, 1)).astype(np.float32)
+    x = np.random.default_rng(0).uniform(size=(1, 3, 3, 1)).astype(np.float32)
     w = np.zeros((1, 1, 1, 1), dtype=np.float32)
     w[0, 0, 0, 0] = 1.0
     out = ad.conv2d(Tensor(x), Tensor(w), stride=1, padding="same")
@@ -197,24 +197,28 @@ def test_elementwise_shape_mismatch_error():
         ad.mul(a, b)
 
 
+SPATIAL_POOLS = {"max": ad.spatial_max, "mean": ad.spatial_mean}
+
+
 def test_pool_spatial_constant_and_onehot():
-    const = np.full((4, 5, 3), 2.5, dtype=np.float32)
-    for mode in ("max", "mean"):
-        out = ad.pool_spatial(Tensor(const), mode).data
-        assert out.shape == (1, 1, 3)
+    const = np.full((1, 4, 5, 3), 2.5, dtype=np.float32)
+    for pool in SPATIAL_POOLS.values():
+        out = pool(Tensor(const)).data
+        assert out.shape == (1, 3)
         np.testing.assert_allclose(out.reshape(-1), 2.5)
-    onehot = np.zeros((4, 5, 1), dtype=np.float64)
-    onehot[2, 3, 0] = 1.0
-    assert ad.pool_spatial(Tensor(onehot), "max").data.item() == 1.0
-    assert ad.pool_spatial(Tensor(onehot), "mean").data.item() == pytest.approx(1 / 20)
+    onehot = np.zeros((1, 4, 5, 1), dtype=np.float64)
+    onehot[0, 2, 3, 0] = 1.0
+    assert ad.spatial_max(Tensor(onehot)).data.item() == 1.0
+    assert ad.spatial_mean(Tensor(onehot)).data.item() == pytest.approx(1 / 20)
 
 
 def test_pool_spatial_matches_scan_oracle():
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(5, 5, 3))
-    for mode in ("max", "mean"):
-        got = ad.pool_spatial(Tensor(x), mode).data.reshape(-1)
-        np.testing.assert_array_equal(got, pool_spatial_reference(x, mode))
+    x = rng.normal(size=(2, 5, 5, 3))
+    for mode, pool in SPATIAL_POOLS.items():
+        got = pool(Tensor(x)).data
+        for n in range(2):
+            np.testing.assert_array_equal(got[n], pool_spatial_reference(x[n], mode))
 
 
 def test_log_softmax_normalises():

@@ -41,8 +41,8 @@ def rand_state(net, batch=1, seed=1):
 
 def test_encode_sokoban_shape():
     net = DrcNetwork.create(preset_config("sokoban", 1, 1), seed=0)
-    out = net.encode(np.zeros((80, 80, 3), dtype=np.float32))
-    assert out.shape == (10, 10, 32)
+    out = net.encode(np.zeros((2, 80, 80, 3), dtype=np.float32))
+    assert out.shape == (2, 10, 10, 32)
 
 
 def test_encode_zero_obs_zero_weights_gives_zero():
@@ -50,7 +50,7 @@ def test_encode_zero_obs_zero_weights_gives_zero():
     for path in net.params.paths():
         if path.startswith("encoder"):
             net.params[path].data[...] = 0
-    out = net.encode(np.zeros((4, 4, 1), dtype=np.float32))
+    out = net.encode(np.zeros((1, 4, 4, 1), dtype=np.float32))
     np.testing.assert_array_equal(out.data, 0)
 
 
@@ -64,7 +64,7 @@ def test_encode_gridworld_chain_shape():
 def test_encode_rejects_wrong_shape():
     net = tiny_net()
     with pytest.raises(ValueError, match="observation shape"):
-        net.encode(np.zeros((5, 4, 1), dtype=np.float32))
+        net.encode(np.zeros((1, 5, 4, 1), dtype=np.float32))
 
 
 # -- memory modules ----------------------------------------------------------
@@ -287,11 +287,11 @@ def test_pool_and_inject_matches_composition_oracle():
 
 @pytest.mark.parametrize("hw,ones", [((3, 3), 8), ((2, 2), 4), ((10, 10), 36)])
 def test_boundary_channel_counts(hw, ones):
-    x = Tensor(np.zeros(hw + (2,), dtype=np.float32))
+    x = Tensor(np.zeros((2,) + hw + (2,), dtype=np.float32))
     out = boundary_pad_channel(x)
-    assert out.shape == hw + (3,)
-    edge = out.data[..., -1]
-    assert int(edge.sum()) == ones
+    assert out.shape == (2,) + hw + (3,)
+    for edge in out.data[..., -1]:
+        assert int(edge.sum()) == ones
     assert set(np.unique(edge)) <= {0.0, 1.0}
 
 

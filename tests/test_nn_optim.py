@@ -1,5 +1,7 @@
 """ParameterSet bookkeeping, gradient records, Adam, and checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,19 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 32)
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_truncated_checkpoint_raises_value_error_naming_the_file(tmp_path):
+    ps = ParameterSet()
+    ps.add("a.w", np.arange(6, dtype=np.float32).reshape(3, 2))
+    ps.add("a.b", np.zeros(2))
+    state = AdamState()
+    adam_step(ps, compute_gradients(ad.sum_all(ad.square(ps["a.w"])), ps), state, lr=1e-3)
+    full = tmp_path / "ck.bin"
+    save_checkpoint(full, ps, state)
+    raw = full.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: "):
+            load_checkpoint(cut)
