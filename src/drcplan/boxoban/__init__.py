@@ -1,6 +1,7 @@
 """Boxoban dataset pipeline: levels, text I/O, solving, generation, filtering."""
 
-from .filtering import filter_by_agent
+from .filtering import (CyclePolicy, SolutionReplayPolicy, UniformRandomPolicy,
+                        filter_by_agent, play_scripted)
 from .generator import generate_level, generate_level_set
 from .levels import (GRID_SIZE, LevelSet, SokobanLevel, level_hash,
                      parse_levels, serialize_levels)
@@ -13,5 +14,6 @@ __all__ = [
     "solve_bfs", "replay_solution", "Solution", "SolveResult",
     "SOLVED", "UNSOLVABLE", "BUDGET_EXHAUSTED",
     "generate_level", "generate_level_set",
-    "filter_by_agent",
+    "filter_by_agent", "play_scripted",
+    "UniformRandomPolicy", "CyclePolicy", "SolutionReplayPolicy",
 ]

@@ -13,18 +13,17 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
-import numpy as np
-
-from .boxoban import (SOLVED, filter_by_agent, generate_level_set, level_hash,
-                      parse_levels, serialize_levels, solve_bfs)
+from .boxoban import (SOLVED, CyclePolicy, UniformRandomPolicy, filter_by_agent,
+                      generate_level_set, level_hash, parse_levels, play_scripted,
+                      serialize_levels, solve_bfs)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_run_config
 from .drc import DrcNetwork, build_parameters, count_parameters, format_count_report
-from .evaluate import (evaluate, extrapolate_boxes, sokoban_factories,
+from .evaluate import (evaluate, extrapolate_boxes, run_episodes, sokoban_factories,
                        thinking_steps_eval)
 from .gradcheck import full_drc_gradcheck
-from .policies import CyclePolicy, NetworkPolicy, UniformRandomPolicy
 from .sources import source_factory
 from .train import Trainer
 
@@ -137,7 +136,8 @@ def cmd_extrapolate(args):
     net = _load_net(args, run)
     counts = tuple(int(x) for x in args.boxes.split(","))
     result = extrapolate_boxes(net, box_counts=counts, levels_per_count=args.levels_per_count,
-                               seed=args.seed, mode=args.mode, step_limit=run.step_limit)
+                               seed=args.seed, mode=args.mode, step_limit=run.step_limit,
+                               batch_size=run.eval_batch_size)
     payload = {
         "reports": {str(n): r.to_dict() for n, r in result["reports"].items()},
         "degradation_vs_base": {str(n): d for n, d in result["degradation_vs_base"].items()},
@@ -168,21 +168,18 @@ def cmd_gen_levels(args):
 
 
 def cmd_filter_levels(args):
+    run = load_run_config(args.config, seed=args.seed)
     out = _ensure_out(args)
     levels = _load_levels(args.levels)
-    if args.policy == "random":
-        policy = UniformRandomPolicy(5)
-    elif args.policy == "cycle":
-        policy = CyclePolicy()
-    elif args.policy == "network":
+    if args.policy == "network":
         if args.params is None:
             raise ValueError("filter-levels --policy network needs --params <checkpoint>")
-        run = load_run_config(args.config, seed=args.seed)
-        policy = NetworkPolicy(_load_net(args, run), mode="sample")
+        play = partial(run_episodes, _load_net(args, run), batch_size=run.eval_batch_size)
     else:
-        raise ValueError(f"unknown policy {args.policy!r}")
-    kept = filter_by_agent(levels, policy, attempts=args.attempts, seed=args.seed,
-                           tier=args.tier)
+        policy = UniformRandomPolicy(5) if args.policy == "random" else CyclePolicy()
+        play = partial(play_scripted, policy)
+    kept = filter_by_agent(levels, play, attempts=args.attempts, step_limit=run.step_limit,
+                           seed=args.seed, tier=args.tier)
     path = os.path.join(out, f"{args.tier}.txt")
     with open(path, "w") as f:
         f.write(serialize_levels(kept))
@@ -275,12 +272,13 @@ def build_parser():
     p.add_argument("--split", default="train")
     p.set_defaults(fn=cmd_gen_levels)
 
-    p = sub.add_parser("filter-levels", help="agent-based difficulty filtering")
+    p = sub.add_parser("filter-levels", help="keep the levels a probe fails in every "
+                       "attempt (env.step_limit steps; eval.batch_size attempts per forward)")
     _add_common(p)
     p.add_argument("--levels", required=True)
     p.add_argument("--policy", choices=("random", "cycle", "network"), default="random",
-                   help="probe agent; 'cycle' is a sanity probe that solves no "
-                        "generated 4-box level, so it keeps every level")
+                   help="probe agent; 'cycle' is a sanity probe that solves no generated "
+                        "4-box level, 'network' samples from the --params checkpoint")
     p.add_argument("--params", default=None)
     p.add_argument("--attempts", type=int, default=10)
     p.add_argument("--tier", default="medium")

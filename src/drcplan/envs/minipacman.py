@@ -14,7 +14,6 @@ family leaves unspecified; both are config knobs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np

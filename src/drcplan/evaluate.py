@@ -64,9 +64,10 @@ def run_episodes(net, env_factories, mode="sample", seed=0, batch_size=64,
                  force_noop_steps=0):
     """Play each environment once; returns (solved, return, length) triples.
 
-    Episode j is played with RNG [seed, j]. Up to `batch_size` episodes share
-    one forward per step; a row whose episode ends takes the next factory,
-    and leaves the batch once none is left.
+    Episode j is played with RNG [*seed, j], where `seed` is an int or a tuple
+    of ints. Up to `batch_size` episodes share one forward per step; a row
+    whose episode ends takes the next factory, and leaves the batch once none
+    is left.
 
     With `force_noop_steps` = k, the first k actions are overridden with the
     environment's no-op: the network still consumes the real observations and
@@ -77,6 +78,7 @@ def run_episodes(net, env_factories, mode="sample", seed=0, batch_size=64,
         raise ValueError(f"unknown mode {mode!r}")
     if not env_factories:
         return []
+    key = seed if isinstance(seed, tuple) else (seed,)
     stream = enumerate(env_factories)
 
     def next_episode(row):
@@ -86,7 +88,7 @@ def run_episodes(net, env_factories, mode="sample", seed=0, batch_size=64,
         env = make()
         if force_noop_steps and env.noop_action is None:
             raise ValueError("forced thinking steps need an environment with a no-op action")
-        return env, np.random.default_rng([seed, j]), force_noop_steps, j
+        return env, np.random.default_rng([*key, j]), force_noop_steps, j
 
     rows = ActorGroup(net, next_episode, min(batch_size, len(env_factories)),
                       greedy=mode == "greedy")

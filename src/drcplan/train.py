@@ -4,11 +4,12 @@ The pipeline follows a single-process multi-worker contract: K actors each
 own an environment stream and a recurrent state and produce fixed-length
 unrolls against the latest parameters (they refresh between unrolls, never
 inside one). `ActorGroup` steps the K actors in lockstep, one batched no-grad
-forward per step, and writes each unroll as (T, K) arrays. The bounded FIFO
-queue keeps those arrays as column blocks; the learner takes its B columns
-in queue order, even when a batch spans two unrolls, replays the forward
-passes from the stored initial state under the current parameters, and
-applies one Adam step per batch. Evaluation drives the same stepper, where a
+forward per step, and writes each unroll as (T, K) arrays. The FIFO queue
+keeps those arrays as column blocks; actors run only while it holds fewer
+than B columns, so it never holds more than B + K - 1. The learner takes
+its B columns in queue order, even when a batch spans two unrolls, replays
+the forward passes from the stored initial state under the current
+parameters, and applies one Adam step per batch. Evaluation drives the same stepper, where a
 row whose stream of episodes runs out leaves the batch. The whole schedule is
 deterministic: a fixed (config, seed) pair reproduces training bit for bit.
 """
@@ -51,7 +52,6 @@ class TrainConfig:
     c_bar: float = 1.0
     clip_grad_norm: float = 0.0  # 0 disables clipping
     num_actors: int = 4
-    queue_capacity: int = 64
     checkpoint_every: int = 0  # updates between checkpoints, 0 disables
     seed: int = 0
 
@@ -61,13 +61,9 @@ class TrainConfig:
         for name in ("entropy_cost", "baseline_cost", "logit_l2_cost", "head_l2_cost"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.queue_capacity < self.batch_size:
-            raise ValueError("queue capacity must hold at least one batch")
-        if self.num_actors > self.queue_capacity:
-            # one round of unrolls would overflow the queue, so backpressure
-            # would stop the first round and leave the learner an empty batch
-            raise ValueError(f"num_actors={self.num_actors} exceeds queue_capacity="
-                             f"{self.queue_capacity}: one round of unrolls must fit the queue")
+        for name in ("num_actors", "batch_size", "unroll_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def anneal_lr(step, config):
@@ -310,7 +306,7 @@ def learner_update(net, batch, adam, config, env_steps):
 
 
 class Trainer:
-    """Deterministic round-robin actor/learner loop with a bounded queue."""
+    """Deterministic round-robin actor/learner loop over a FIFO column queue."""
 
     def __init__(self, net, source_factory, config, out_dir=None):
         self.net = net
@@ -332,12 +328,9 @@ class Trainer:
 
     def train_one_update(self):
         cfg = self.config
-        k = self.actors.k
         while self.queue_depth < cfg.batch_size:
-            if self.queue_depth + k > cfg.queue_capacity:
-                break  # backpressure: let the learner drain before producing more
             self.queue.append(self.actors.run_unroll())
-            self.env_steps += cfg.unroll_length * k
+            self.env_steps += cfg.unroll_length * self.actors.k
         batch = take_columns(self.queue, cfg.batch_size)
         metrics = learner_update(self.net, batch, self.adam, cfg, self.env_steps)
         self.updates += 1
@@ -355,8 +348,8 @@ class Trainer:
         })
         return metrics
 
-    def run(self, max_env_steps, metrics_path=None, stop_fn=None, log_every=1):
-        """Train until the frame budget is exhausted or `stop_fn` fires."""
+    def run(self, max_env_steps, metrics_path=None, log_every=1):
+        """Train until the frame budget is exhausted."""
         out = open(metrics_path, "w") if metrics_path else None
         try:
             while self.env_steps < max_env_steps:
@@ -368,8 +361,6 @@ class Trainer:
                     if self.updates % self.config.checkpoint_every == 0:
                         save_checkpoint(f"{self.out_dir}/ckpt_{self.updates:06d}.bin",
                                         self.net.params, self.adam)
-                if stop_fn is not None and stop_fn(metrics):
-                    break
         finally:
             if out:
                 out.close()

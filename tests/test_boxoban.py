@@ -1,15 +1,16 @@
 """Level text format, hashing, the A* solver oracle, generation, filtering."""
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from drcplan.boxoban import (BUDGET_EXHAUSTED, SOLVED, UNSOLVABLE, LevelSet,
-                             SokobanLevel, filter_by_agent, generate_level,
-                             generate_level_set, level_hash, parse_levels,
-                             replay_solution, serialize_levels, solve_bfs)
-from drcplan.policies import SolutionReplayPolicy, UniformRandomPolicy
+                             SokobanLevel, SolutionReplayPolicy, UniformRandomPolicy,
+                             filter_by_agent, generate_level, generate_level_set,
+                             level_hash, parse_levels, play_scripted, replay_solution,
+                             serialize_levels, solve_bfs)
 
 
 def level_from(text):
@@ -238,8 +239,9 @@ def test_filter_keeps_levels_the_policy_fails():
     replays solver solutions for every third id, so it solves a known part."""
     ls = generate_level_set(11, 12)
     solvable = {i for i in ls.ids if i % 3 == 0}
-    policy = SolutionReplayPolicy({level_hash(l): solve_bfs(l).solution.actions
-                                   for i, l in zip(ls.ids, ls.levels) if i in solvable})
+    policy = partial(play_scripted, SolutionReplayPolicy(
+        {level_hash(l): solve_bfs(l).solution.actions
+         for i, l in zip(ls.ids, ls.levels) if i in solvable}))
     kept = filter_by_agent(ls, policy, attempts=10, seed=0)
     assert solvable and kept.ids == [i for i in ls.ids if i not in solvable]
     for level_id, level in zip(kept.ids, kept.levels):
@@ -251,20 +253,53 @@ def test_filter_keeps_levels_the_policy_fails():
 def test_filter_rejects_oracle_solved_levels():
     ls = generate_level_set(13, 8)
     solutions = {level_hash(l): solve_bfs(l).solution.actions for l in ls.levels}
-    oracle = SolutionReplayPolicy(solutions)
+    oracle = partial(play_scripted, SolutionReplayPolicy(solutions))
     kept = filter_by_agent(ls, oracle, attempts=10, seed=0)
     assert len(kept) == 0
 
 
 def test_filter_random_policy_keeps_most_levels():
     ls = generate_level_set(17, 15)
-    kept = filter_by_agent(ls, UniformRandomPolicy(5), attempts=2, seed=0)
+    kept = filter_by_agent(ls, partial(play_scripted, UniformRandomPolicy(5)), attempts=2, seed=0)
     assert len(kept) >= 12  # random play rarely solves these
+
+
+def test_filter_decides_each_level_on_its_own():
+    """Attempt a on a level plays RNG [seed, level_id, a], so a level's fate
+    does not depend on the other levels of the set."""
+    ls = generate_level_set(29, 12, boxes=1)
+    play = partial(play_scripted, UniformRandomPolicy(5))
+    kept = filter_by_agent(ls, play, attempts=3, step_limit=40, seed=5)
+    alone = [i for i, l in zip(ls.ids, ls.levels)
+             if len(filter_by_agent(LevelSet(levels=[l], ids=[i]), play, attempts=3,
+                                    step_limit=40, seed=5))]
+    assert kept.ids == alone
+    assert 0 < len(kept) < len(ls)  # both decisions occur
+
+
+def test_filter_plays_attempt_a_on_stream_seed_level_id_a():
+    ls = generate_level_set(31, 3, boxes=1)
+    ls = LevelSet(levels=ls.levels, ids=[4, 9, 17])
+    first_draws = []
+
+    class Spy:
+        def begin_episode(self, env):
+            first_draws.append(None)
+
+        def __call__(self, obs, rng):
+            if first_draws[-1] is None:
+                first_draws[-1] = rng.random()
+            return 4  # the no-op never solves, so every attempt is played
+
+    kept = filter_by_agent(ls, partial(play_scripted, Spy()), attempts=2, step_limit=3, seed=5)
+    assert kept.ids == [4, 9, 17]
+    assert first_draws == [np.random.default_rng([5, i, a]).random()
+                           for i in ls.ids for a in (0, 1)]
 
 
 def test_filter_zero_attempts_empty_by_convention():
     ls = generate_level_set(19, 3)
-    kept = filter_by_agent(ls, UniformRandomPolicy(5), attempts=0)
+    kept = filter_by_agent(ls, partial(play_scripted, UniformRandomPolicy(5)), attempts=0)
     assert len(kept) == 0
 
 
@@ -277,8 +312,9 @@ def test_filtered_set_is_strictly_harder_for_the_probe_policy():
     such probe: it solves no generated 4-box level, see `CyclePolicy`.)"""
     ls = generate_level_set(23, 25)
     solvable = [i for i in ls.ids if i % 2 == 0]
-    policy = SolutionReplayPolicy({level_hash(l): solve_bfs(l).solution.actions
-                                   for i, l in zip(ls.ids, ls.levels) if i in solvable})
+    policy = partial(play_scripted, SolutionReplayPolicy(
+        {level_hash(l): solve_bfs(l).solution.actions
+         for i, l in zip(ls.ids, ls.levels) if i in solvable}))
     kept = filter_by_agent(ls, policy, attempts=4, seed=1)
     solved_src = len(ls) - len(kept)
     assert solved_src == len(solvable)

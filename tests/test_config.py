@@ -19,7 +19,7 @@ drc.depth = 2
 drc.pool_and_inject = false
 train.lr_init = 1e-3
 train.batch_size = 4
-train.queue_capacity = 8
+train.unroll_length = 8
 gridworld.obstacle_count = 1,3
 minipacman.ghost_move_prob = 0.5
 env.step_limit = 40
@@ -28,7 +28,7 @@ eval.batch_size = 16
     assert run.game == "gridworld12"
     assert (run.drc.depth, run.drc.repeats, run.drc.obs_shape) == (2, 3, (12, 12, 1))
     assert run.drc.pool_and_inject is False
-    assert run.train.lr_init == 1e-3 and run.train.batch_size == 4
+    assert (run.train.lr_init, run.train.batch_size, run.train.unroll_length) == (1e-3, 4, 8)
     assert run.train.seed == 9
     assert run.gridworld.obstacle_count == (1, 3)
     assert run.gridworld.size == GRIDWORLD12.size
@@ -43,7 +43,7 @@ def test_encoder_spec(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["drc.depht", "eval.mode", "eval.episodes_per_level",
-                                 "data.eval_levels"])
+                                 "data.eval_levels", "train.queue_capacity"])
 def test_unknown_key_is_rejected(tmp_path, key):
     with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
         _load(tmp_path, f"{key} = 1\n")

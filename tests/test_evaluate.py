@@ -73,3 +73,20 @@ def test_rejects_unknown_mode_and_noops_without_a_noop_action(levels, net):
     factories = [lambda s=s: GridworldEnv(s, GRIDWORLD12) for s in range(2)]
     with pytest.raises(ValueError, match="no-op"):
         run_episodes(grid, factories, force_noop_steps=1)
+
+
+def test_an_int_seed_is_the_one_part_stream_key(levels, net):
+    """Episode j samples from RNG [*seed, j]: seed s plays the streams of the
+    key (s,), and the key (s, 0) plays other streams."""
+    def actions(seed):
+        envs = []
+
+        def make(lv):
+            envs.append(SpyEnv(lv, step_limit=15))
+            return envs[-1]
+
+        run_episodes(net, [lambda lv=lv: make(lv) for lv in levels], seed=seed, batch_size=1)
+        return [env.executed for env in envs]
+
+    for s in (0, 7, 12):
+        assert actions(s) == actions((s,)) != actions((s, 0))

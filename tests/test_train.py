@@ -6,26 +6,46 @@ from collections import deque
 import numpy as np
 import pytest
 
-from drcplan import cli
+from drcplan import cli, train
 from drcplan.autodiff import Tensor
 from drcplan.drc import DrcNetwork, preset_config
 from drcplan.sources import source_factory
 from drcplan.train import TrainConfig, Trainer, Unroll, compute_loss, take_columns
 
 
-def test_config_rejects_more_actors_than_queue_slots():
-    with pytest.raises(ValueError, match="num_actors=9.*queue_capacity=8"):
-        TrainConfig(num_actors=9, queue_capacity=8, batch_size=8)
+@pytest.mark.parametrize("name", ["num_actors", "batch_size", "unroll_length"])
+def test_config_rejects_counts_below_one(name):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+        TrainConfig(**{name: 0})
 
 
 def test_actors_filling_the_queue_exactly_still_train():
-    """At num_actors == queue_capacity one round of unrolls fits the queue,
-    so the learner gets a full batch."""
+    """With num_actors == batch_size one round of unrolls is exactly one
+    full batch, and the queue is empty after the update."""
     net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0)
-    config = TrainConfig(num_actors=4, queue_capacity=4, batch_size=4, unroll_length=3)
+    config = TrainConfig(num_actors=4, batch_size=4, unroll_length=3)
     metrics = Trainer(net, source_factory("gridworld12"), config).train_one_update()
     assert metrics["env_steps"] == 12 and metrics["queue_depth"] == 0
     assert np.isfinite(metrics["loss"])
+
+
+@pytest.mark.parametrize("actors", [3, 5])
+def test_every_learner_batch_is_batch_size_columns(monkeypatch, actors):
+    """Actors refill the queue until it holds a batch, so no batch is cut
+    short, and the queue never holds more than B + K - 1 columns."""
+    widths, learner_update = [], train.learner_update
+
+    def spy(net, batch, *args):
+        widths.append(batch.width)
+        return learner_update(net, batch, *args)
+
+    monkeypatch.setattr(train, "learner_update", spy)
+    net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0)
+    trainer = Trainer(net, source_factory("gridworld12"),
+                      TrainConfig(num_actors=actors, batch_size=4, unroll_length=3))
+    depths = [trainer.train_one_update()["queue_depth"] for _ in range(5)]
+    assert widths == [4] * 5
+    assert max(depths) <= actors - 1  # what is left of at most B + K - 1 columns
 
 
 def _block(first, width, t_len=2):
@@ -75,7 +95,6 @@ drc.depth = 1
 drc.repeats = 1
 train.num_actors = 3
 train.batch_size = {batch}
-train.queue_capacity = 8
 train.unroll_length = 5
 """
 
