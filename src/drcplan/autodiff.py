@@ -488,9 +488,12 @@ def tile_spatial(a, h, w):
 def backward(root):
     """Run reverse-mode accumulation from a scalar `root`.
 
-    Gradients land in the `.grad` field of every tensor on the tape that
-    `requires_grad`. Uses an explicit stack: unroll graphs are deeper than
-    the default recursion limit.
+    Gradients land in the `.grad` field of every leaf on the tape that
+    `requires_grad`. Each interior node drops its gradient, closure and
+    parents as soon as its own backward has run, so the tape is freed as the
+    pass goes instead of holding every intermediate gradient until it ends.
+    Uses an explicit stack: unroll graphs are deeper than the default
+    recursion limit.
     """
     if root.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
@@ -514,6 +517,10 @@ def backward(root):
                 stack.append((p, False))
 
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, None, ()

@@ -148,3 +148,22 @@ def pool_spatial_reference(x, mode):
         vals = [x[i, j, ci] for i in range(h) for j in range(w)]
         out[ci] = max(vals) if mode == "max" else sum(vals) / len(vals)
     return out
+
+
+def backward_reference(root):
+    """Reverse-mode accumulation that keeps the whole tape: the same
+    depth-first order as `autodiff.backward` (so gradients sum in the same
+    order), but no node releases its gradient, closure or parents."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if p.requires_grad and id(p) not in seen)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)

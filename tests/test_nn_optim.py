@@ -8,10 +8,12 @@ import pytest
 from drcplan import autodiff as ad
 from drcplan.autodiff import Tensor
 from drcplan.checkpoint import load_checkpoint, save_checkpoint
+from drcplan.drc import DrcNetwork
+from drcplan.gradcheck import drc_episode_loss, tiny_drc_config
 from drcplan.nn import Initializer, ParameterSet, compute_gradients
 from drcplan.optim import AdamState, adam_step, clip_by_global_norm
 
-from oracles import adam_reference
+from oracles import adam_reference, backward_reference
 
 
 def _params():
@@ -49,6 +51,39 @@ def test_gradient_record_skips_untouched_and_frozen():
     ps = _params()
     rec = compute_gradients(ad.sum_all(ps["a.w"]), ps)
     assert set(rec) == {"a.w"}  # a.b untouched, frozen not trainable
+
+
+def _interior_nodes(root):
+    """Every tape node reachable from `root` that has a backward closure."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._backward is not None:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+def test_backward_frees_the_tape_and_keeps_parameter_gradients():
+    """After compute_gradients no interior node of a DRC(2, 2) episode loss
+    holds a gradient, closure or parents, and every parameter gradient equals
+    the one a backward pass that keeps the whole tape computes."""
+    net = DrcNetwork.create(tiny_drc_config(), seed=0, dtype=np.float64)
+    loss_fn = drc_episode_loss(net, seed=1)
+    net.params.zero_grads()
+    backward_reference(loss_fn())
+    want = {path: t.grad for path, t in net.params.trainable_items()}
+
+    loss = loss_fn()
+    interior = _interior_nodes(loss)
+    assert len(interior) > 100
+    got = compute_gradients(loss, net.params)
+    for node in interior:
+        assert node.grad is None and node._backward is None and node._parents == ()
+    assert set(got) == set(want)
+    for path in want:
+        np.testing.assert_array_equal(got[path], want[path])
 
 
 def test_non_finite_loss_raises():
