@@ -239,7 +239,10 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
 
     xp = x.data
     if pad_top or pad_bot or pad_left or pad_right:
-        xp = np.pad(x.data, ((0, 0), (pad_top, pad_bot), (pad_left, pad_right), (0, 0)))
+        # a zeroed buffer and one slice assignment: np.pad costs far more
+        # per call at these sizes
+        xp = np.zeros((n, h + pad_top + pad_bot, width + pad_left + pad_right, cin), dtype=x.dtype)
+        xp[:, pad_top:pad_top + h, pad_left:pad_left + width, :] = x.data
 
     w2 = w.data.reshape(k * k * cin, cout)
     rows_out = n * out_h * out_w
@@ -280,6 +283,49 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
     return _node(out_data, parents, backward)
 
 
+def _tap_matrix(grid, k):
+    """(H*W, K*K) matrix of what each tap of a "same", stride-1 K x K window
+    reads from the zero-padded (H, W) map `grid`, row y*W + x, column i*K + j."""
+    h, w = grid.shape
+    _, top, bot = _same_pad(h, k, 1)
+    _, left, right = _same_pad(w, k, 1)
+    gp = np.zeros((h + top + bot, w + left + right), dtype=grid.dtype)
+    gp[top:top + h, left:left + w] = grid
+    st = gp.strides
+    view = np.lib.stride_tricks.as_strided(gp, shape=(h, w, k, k), strides=st + st)
+    return view.reshape(h * w, k * k)
+
+
+def tiled_conv2d(v, w, grid):
+    """conv2d(x, w, padding="same") of the input x[n, y, x, c] = grid[y, x] * v[n, c],
+    without building x.
+
+    `v` is (N, Cin), `w` a (K, K, Cin, Cout) kernel and `grid` a constant
+    (H, W) numpy map; the result is (N, H, W, Cout). Each output pixel sums
+    the taps that land inside the grid, so the work is one (N, Cin) x
+    (Cin, K*K*Cout) product per tap and one (H*W, K*K) tap matrix product,
+    independent of H*W*Cin.
+    """
+    if v.ndim != 2 or w.ndim != 4 or w.shape[0] != w.shape[1] or v.shape[1] != w.shape[2]:
+        raise ShapeError(f"tiled_conv2d: vector {v.shape} does not fit kernel {w.shape}")
+    n, cin = v.shape
+    k, _, _, cout = w.shape
+    h, width = grid.shape
+    taps = _tap_matrix(np.asarray(grid, dtype=v.dtype), k)
+    wt = w.data.transpose(2, 0, 1, 3).reshape(cin, k * k * cout)
+    per_tap = (v.data @ wt).reshape(n, k * k, cout)
+    out_data = (taps @ per_tap).reshape(n, h, width, cout)
+
+    def backward(g):
+        d_tap = (taps.T @ g.reshape(n, h * width, cout)).reshape(n, k * k * cout)
+        if v.requires_grad:
+            _accumulate(v, d_tap @ wt.T)
+        if w.requires_grad:
+            _accumulate(w, (v.data.T @ d_tap).reshape(cin, k, k, cout).transpose(1, 2, 0, 3))
+
+    return _node(out_data, (v, w), backward)
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -311,6 +357,43 @@ def tanh(a):
         _accumulate(a, g * (1.0 - out_data * out_data))
 
     return _node(out_data, (a,), backward)
+
+
+def convlstm_cell(raw, c_prev):
+    """Fused LSTM cell on gate preactivations `raw` = [f, i, o, g] (last axis):
+
+        c = sigmoid(f) * c_prev + sigmoid(i) * tanh(g)
+        h = sigmoid(o) * tanh(c)
+
+    Returns (c, h) as two tape nodes with a hand-written backward; h's
+    parent is c, so h's backward always runs first and leaves the o-gate
+    gradient for c's backward, which writes all four gate gradients at once.
+    """
+    if raw.shape[-1] != 4 * c_prev.shape[-1] or raw.shape[:-1] != c_prev.shape[:-1]:
+        raise ShapeError(f"convlstm_cell: gates {raw.shape} do not fit cell {c_prev.shape}")
+    sig = lambda z: 0.5 * (1.0 + np.tanh(0.5 * z))
+    f, i, o, g = np.split(raw.data, 4, axis=-1)
+    sf, si, so, tg = sig(f), sig(i), sig(o), np.tanh(g)
+    c_data = sf * c_prev.data + si * tg
+    tc = np.tanh(c_data)
+    d_o = []
+
+    def backward_c(gc):
+        draw = np.empty(raw.shape, dtype=gc.dtype)
+        df, di, do, dg = np.split(draw, 4, axis=-1)
+        df[...] = gc * c_prev.data * sf * (1.0 - sf)
+        di[...] = gc * tg * si * (1.0 - si)
+        do[...] = d_o[0] if d_o else 0.0
+        dg[...] = gc * si * (1.0 - tg * tg)
+        _accumulate(raw, draw)
+        _accumulate(c_prev, gc * sf)
+
+    def backward_h(gh):
+        d_o.append(gh * tc * so * (1.0 - so))
+        _accumulate(c, gh * so * (1.0 - tc * tc))
+
+    c = _node(c_data, (raw, c_prev), backward_c)
+    return c, _node(so * tc, (c,), backward_h)
 
 
 def exp(a):
@@ -380,30 +463,25 @@ def concat(tensors, axis=-1):
     return _node(out_data, tuple(tensors), backward)
 
 
+def slice_axis(a, lo, hi, axis=-1):
+    """Entries lo:hi along `axis`, as a contiguous array."""
+    idx = (slice(None),) * (axis % a.ndim) + (slice(lo, hi),)
+
+    def backward(g):
+        dg = np.zeros(a.shape, dtype=g.dtype)
+        dg[idx] = g
+        _accumulate(a, dg)
+
+    return _node(np.ascontiguousarray(a.data[idx]), (a,), backward)
+
+
 def split(a, sections, axis=-1):
     """Split into `sections` equal chunks along `axis`."""
     dim = a.shape[axis]
     if dim % sections:
         raise ShapeError(f"split: axis size {dim} not divisible into {sections} chunks")
     step = dim // sections
-    outs = []
-    for i in range(sections):
-        lo = i * step
-
-        def make_backward(lo):
-            def backward(g):
-                dg = np.zeros(a.shape, dtype=g.dtype)
-                idx = [slice(None)] * a.ndim
-                idx[axis] = slice(lo, lo + step)
-                dg[tuple(idx)] = g
-                _accumulate(a, dg)
-
-            return backward
-
-        idx = [slice(None)] * a.ndim
-        idx[axis] = slice(lo, lo + step)
-        outs.append(_node(np.ascontiguousarray(a.data[tuple(idx)]), (a,), make_backward(lo)))
-    return outs
+    return [slice_axis(a, i * step, (i + 1) * step, axis) for i in range(sections)]
 
 
 def gather_last(a, index):
@@ -466,17 +544,6 @@ def spatial_mean(a):
 
     def backward(g):
         _accumulate(a, np.broadcast_to(g[:, None, None, :] * scale, a.shape).astype(g.dtype, copy=False))
-
-    return _node(out_data, (a,), backward)
-
-
-def tile_spatial(a, h, w):
-    """Broadcast (N, C) across space to (N, H, W, C)."""
-    n, c = a.shape
-    out_data = np.broadcast_to(a.data[:, None, None, :], (n, h, w, c)).copy()
-
-    def backward(g):
-        _accumulate(a, g.sum(axis=(1, 2)))
 
     return _node(out_data, (a,), backward)
 

@@ -6,20 +6,38 @@ encoded observation at every tick and depth. The deepest module's hidden
 state after the last tick feeds a flat MLP that produces action logits and a
 state value.
 
-Wiring of one tick, bottom to top (depth d = 1..D):
+Wiring of one tick, bottom to top (depth d = 1..D): the gate convolution
+reads the channels
 
-    gate input = [encoded obs, h below (this tick), own h (previous tick),
-                  pooled summary of own h (previous tick), boundary channel]
+    [encoded obs, h below (this tick), own h (previous tick),
+     pooled summary of own h (previous tick), boundary channel]
 
 For d = 1 the "below" input is the deepest hidden state from the previous
 tick (top-down skip). All state components keep the encoder's output spatial
 shape. Each of the optional inputs is controlled by a config flag so ablated
 variants can be built.
+
+A convolution is linear in its input channels, so the gate preactivation is
+computed as a sum of four terms, each with its slice of the one gate kernel
+`core.dK.gates.w` (the parameter keeps the channel order above):
+
+- observation term, conv(i_t, w_obs) + bias: once per step and depth, since
+  i_t is the same at every tick (`gate_terms`);
+- boundary term: the boundary channel is a fixed map, so its term is a fixed
+  (H, W, Cout) map, also once per step and depth;
+- recurrent term, conv([h below, own h], w_rec): per tick;
+- pool term: the pooled projection is spatially constant, so per tick it is
+  a (B, C) x (C, K*K*Cout) product spread over the pixels by which kernel
+  taps fall inside the grid (`autodiff.tiled_conv2d`), never tiled.
+
+The ConvLSTM cell on the summed preactivation is one fused op
+(`autodiff.convlstm_cell`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,36 +147,30 @@ def zero_state(config, batch=1, dtype=np.float32):
     return DrcState(tuple(zeros() for _ in range(config.depth)), tuple(zeros() for _ in range(config.depth)))
 
 
-def boundary_pad_channel(x):
-    """Append a channel that is 1 on the spatial edges and 0 inside (NHWC)."""
-    n, h, w, _ = x.shape
-    mask = _boundary_mask(h, w, x.dtype)
-    edge = ad.constant(np.broadcast_to(mask, (n, h, w, 1)).copy(), dtype=x.dtype)
-    return ad.concat([x, edge], axis=-1)
-
-
-_BOUNDARY_CACHE = {}
-
-
-def _boundary_mask(h, w, dtype):
-    key = (h, w, np.dtype(dtype).str)
-    if key not in _BOUNDARY_CACHE:
-        m = np.zeros((h, w, 1), dtype=dtype)
-        m[0, :, 0] = 1
-        m[-1, :, 0] = 1
-        m[:, 0, 0] = 1
-        m[:, -1, 0] = 1
-        _BOUNDARY_CACHE[key] = m
-    return _BOUNDARY_CACHE[key]
-
-
 def pool_and_inject(h, w_p, b_p):
-    """Spatial max+mean pooling, linear projection, tiled back over space."""
+    """Spatial max+mean pooling and a linear projection: (B, H, W, C) -> (B, C).
+
+    The gate conv sees the projection tiled over space; `gate_terms` and
+    `tick` apply it untiled through `autodiff.tiled_conv2d`.
+    """
     mx = ad.spatial_max(h)
     mn = ad.spatial_mean(h)
-    proj = ad.dense(ad.concat([mx, mn], axis=-1), w_p, b_p)
-    _, hh, ww, _ = h.shape
-    return ad.tile_spatial(proj, hh, ww)
+    return ad.dense(ad.concat([mx, mn], axis=-1), w_p, b_p)
+
+
+def _edge_map(h, w):
+    """The boundary channel: 1 on the spatial edges, 0 inside, (H, W)."""
+    m = np.ones((h, w))
+    m[1:-1, 1:-1] = 0
+    return m
+
+
+class GateTerms(NamedTuple):
+    """One depth's gate inputs that stay fixed over the N ticks of a step."""
+
+    base: Tensor  # observation term + bias + boundary term
+    w_rec: Tensor  # kernel slice for [h below, own h]
+    w_pool: Tensor | None  # kernel slice for the pooled projection
 
 
 class DrcNetwork:
@@ -202,69 +214,91 @@ class DrcNetwork:
 
     # -- memory stack -------------------------------------------------------
 
-    def memory_step(self, depth, i_t, c_prev, h_prev, h_below, pool_in):
-        """One memory module update at the given depth (0-based)."""
+    def _linear(self, x, w, b=None):
+        if self.config.memory_kind == "vector_lstm":
+            return ad.dense(x, w, b)
+        return ad.conv2d(x, w, b, stride=1, padding="same")
+
+    def gate_terms(self, depth, i_t):
+        """The gate terms of `depth` (0-based) that do not change across ticks.
+
+        `i_t` is the encoded observation, or None for a depth that does not
+        see it (its observation term is then the bias alone).
+        """
         cfg = self.config
-        parts = [i_t, h_below, h_prev]
-        if pool_in is not None:
-            parts.append(pool_in)
-        x = ad.concat(parts, axis=-1)
         w = self.params[f"core.d{depth + 1}.gates.w"]
         b = self.params[f"core.d{depth + 1}.gates.b"]
-        if cfg.memory_kind == "vector_lstm":
-            raw = ad.dense(x, w, b)
-        else:
-            if cfg.boundary_padding:
-                x = boundary_pad_channel(x)
-            raw = ad.conv2d(x, w, b, stride=1, padding="same")
+        spatial = cfg.memory_kind != "vector_lstm"
+        pool = spatial and cfg.pool_and_inject
+        boundary = spatial and cfg.boundary_padding
+        obs, hc = (cfg.encoder[-1][0], cfg.hidden_channels) if spatial else (cfg.lstm_units,) * 2
+        # input-channel offsets: obs | h below, own h | pool | boundary
+        ends = np.cumsum([0, obs, 2 * hc, hc * pool, int(boundary)])
+        part = lambda j: ad.slice_axis(w, ends[j], ends[j + 1], axis=-2)
+        base = b if i_t is None else self._linear(i_t, part(0), b)
+        if boundary:
+            eh, ew, _ = cfg.encoded_shape
+            ones = ad.constant(np.ones((1, 1)), dtype=self.dtype)
+            base = ad.add(base, ad.tiled_conv2d(ones, part(3), _edge_map(eh, ew)))
+        return GateTerms(base, part(1), part(2) if pool else None)
 
-        kind = cfg.memory_kind
-        if kind in ("convlstm", "vector_lstm"):
-            f, i, o, g = ad.split(raw, 4, axis=-1)
-            c = ad.add(ad.mul(ad.sigmoid(f), c_prev), ad.mul(ad.sigmoid(i), ad.tanh(g)))
-            h = ad.mul(ad.sigmoid(o), ad.tanh(c))
-        elif kind == "gated_convrnn":
-            o, g = ad.split(raw, 2, axis=-1)
-            c = c_prev
-            h = ad.mul(ad.sigmoid(o), ad.tanh(g))
-        else:  # simple_convrnn
-            c = c_prev
-            h = ad.tanh(raw)
-        return c, h
-
-    def tick(self, state, i_t):
-        """Run the full depth stack once (bottom to top)."""
+    def step_terms(self, i_t):
+        """`gate_terms` for every depth, honouring `obs_skip_all_depths`."""
         cfg = self.config
+        return [self.gate_terms(d, i_t if d == 0 or cfg.obs_skip_all_depths else None)
+                for d in range(cfg.depth)]
+
+    def update(self, depth, terms, c_prev, h_prev, h_below, pool):
+        """One memory module update at `depth` from its fixed `terms`, the
+        per-tick inputs and the (B, C) pooled projection (None without)."""
+        raw = ad.add(self._linear(ad.concat([h_below, h_prev], axis=-1), terms.w_rec), terms.base)
+        if pool is not None:
+            _, hh, ww, _ = h_prev.shape
+            raw = ad.add(raw, ad.tiled_conv2d(pool, terms.w_pool, np.ones((hh, ww))))
+
+        kind = self.config.memory_kind
+        if kind in ("convlstm", "vector_lstm"):
+            return ad.convlstm_cell(raw, c_prev)
+        if kind == "gated_convrnn":
+            o, g = ad.split(raw, 2, axis=-1)
+            return c_prev, ad.mul(ad.sigmoid(o), ad.tanh(g))
+        return c_prev, ad.tanh(raw)  # simple_convrnn
+
+    def memory_step(self, depth, i_t, c_prev, h_prev, h_below, pool_in):
+        """One memory module update at `depth` (0-based) from raw inputs:
+        `i_t` the encoded observation, `pool_in` the (B, C) pooled projection."""
+        return self.update(depth, self.gate_terms(depth, i_t), c_prev, h_prev, h_below, pool_in)
+
+    def tick(self, state, i_t, terms=None):
+        """Run the full depth stack once (bottom to top); `terms` are
+        `step_terms(i_t)`, computed here when not given."""
+        cfg = self.config
+        if terms is None:
+            terms = self.step_terms(i_t)
         prev_c, prev_h = state.c, state.h
-        zeros_h = None
         new_c, new_h = [], []
         for d in range(cfg.depth):
-            if d == 0:
-                if cfg.top_down_skip:
-                    h_below = prev_h[-1]
-                else:
-                    if zeros_h is None:
-                        zeros_h = Tensor(np.zeros_like(prev_h[0].data))
-                    h_below = zeros_h
-            else:
+            if d > 0:
                 h_below = new_h[d - 1]
-            if d == 0 or cfg.obs_skip_all_depths:
-                obs_in = i_t
+            elif cfg.top_down_skip:
+                h_below = prev_h[-1]
             else:
-                obs_in = Tensor(np.zeros_like(i_t.data))
-            pool_in = None
-            if cfg.pool_and_inject and cfg.memory_kind != "vector_lstm":
-                pool_in = pool_and_inject(prev_h[d], self.params[f"core.d{d + 1}.pool.w"],
-                                          self.params[f"core.d{d + 1}.pool.b"])
-            c, h = self.memory_step(d, obs_in, prev_c[d], prev_h[d], h_below, pool_in)
+                h_below = Tensor(np.zeros_like(prev_h[0].data))
+            pool = None
+            if terms[d].w_pool is not None:
+                pool = pool_and_inject(prev_h[d], self.params[f"core.d{d + 1}.pool.w"],
+                                       self.params[f"core.d{d + 1}.pool.b"])
+            c, h = self.update(d, terms[d], prev_c[d], prev_h[d], h_below, pool)
             new_c.append(c)
             new_h.append(h)
         return DrcState(tuple(new_c), tuple(new_h))
 
     def step_state(self, state, i_t):
-        """Apply the stack N times on the same encoded observation."""
+        """Apply the stack N times on the same encoded observation, with the
+        fixed gate terms computed once."""
+        terms = self.step_terms(i_t)
         for _ in range(self.config.repeats):
-            state = self.tick(state, i_t)
+            state = self.tick(state, i_t, terms)
         return state, state.h[-1]
 
     # -- output heads ---------------------------------------------------------

@@ -66,6 +66,53 @@ def conv2d_backward_reference(x, w, g, stride=1, padding="same"):
     return dxp[:, top:top + h, left:left + wd, :], dw
 
 
+def conv_same_reference(x, w):
+    """Stride-1 "same" convolution as a sum of K*K shifted matmuls, NHWC."""
+    n, h, wd, cin = x.shape
+    k = w.shape[0]
+    _, _, top, left = _conv_geometry(h, wd, k, 1, "same")
+    xp = np.zeros((n, h + k - 1, wd + k - 1, cin), dtype=x.dtype)
+    xp[:, top:top + h, left:left + wd, :] = x
+    return sum(xp[:, i:i + h, j:j + wd, :] @ w[i, j] for i in range(k) for j in range(k))
+
+
+def boundary_channel_reference(x):
+    """Append a channel that is 1 on the spatial edges and 0 inside (NHWC)."""
+    n, h, w, _ = x.shape
+    edge = np.zeros((n, h, w, 1), dtype=x.dtype)
+    edge[:, 0] = edge[:, -1] = edge[:, :, 0] = edge[:, :, -1] = 1
+    return np.concatenate([x, edge], axis=-1)
+
+
+def pool_projection_reference(h, w_p, b_p):
+    """Per-channel spatial max and mean of (B, H, W, C), projected to (B, C)."""
+    return np.concatenate([h.max(axis=(1, 2)), h.mean(axis=(1, 2))], axis=-1) @ w_p + b_p
+
+
+def unsplit_memory_step_reference(net, depth, i_t, c_prev, h_prev, h_below, pool):
+    """One ConvLSTM module update with the whole gate input built and
+    convolved at once, in float64 numpy: [i_t, h_below, h_prev, the (B, C)
+    pooled projection `pool` tiled over space (if not None), the boundary
+    channel (if configured)], one conv over all of it plus bias, then the
+    LSTM cell. Returns (c, h)."""
+    i_t, c_prev, h_prev, h_below = (np.asarray(a, dtype=np.float64)
+                                    for a in (i_t, c_prev, h_prev, h_below))
+    parts = [i_t, h_below, h_prev]
+    if pool is not None:
+        parts.append(np.broadcast_to(np.asarray(pool, np.float64)[:, None, None, :],
+                                     h_prev.shape[:3] + pool.shape[-1:]))
+    x = np.concatenate(parts, axis=-1)
+    if net.config.boundary_padding:
+        x = boundary_channel_reference(x)
+    w = net.params[f"core.d{depth + 1}.gates.w"].data.astype(np.float64)
+    b = net.params[f"core.d{depth + 1}.gates.b"].data.astype(np.float64)
+    raw = conv_same_reference(x, w) + b
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+    f, i, o, g = np.split(raw, 4, axis=-1)
+    c = sig(f) * c_prev + sig(i) * np.tanh(g)
+    return c, sig(o) * np.tanh(c)
+
+
 def lambda_return_reference(rewards, values, bootstrap, dones, gamma, lam):
     """Brute-force lambda returns via the explicit n-step mixture.
 

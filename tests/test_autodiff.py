@@ -1,6 +1,8 @@
 """Op-level checks for the autodiff core: forward semantics against naive
 oracles, and analytic gradients against central finite differences."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,12 +49,16 @@ def _rng_arrays(seed, shapes):
     return [rng.normal(size=s).astype(np.float64) for s in shapes]
 
 
+GRID = np.random.default_rng(99).normal(size=(3, 5))
+
 OPS = {
     "add": (lambda a, b: ad.add(a, b), [(2, 3), (2, 3)]),
     "add_broadcast": (lambda a, b: ad.add(a, b), [(2, 3), (3,)]),
     "sub": (lambda a, b: ad.sub(a, b), [(2, 3), (2, 3)]),
     "mul": (lambda a, b: ad.mul(a, b), [(2, 3), (2, 3)]),
+    "square": (ad.square, [(2, 3)]),
     "matmul": (lambda a, b: ad.matmul(a, b), [(3, 4), (4, 2)]),
+    "dense": (lambda x, w, b: ad.dense(x, w, b), [(3, 4), (4, 2), (2,)]),
     "conv_same": (lambda x, w, b: ad.conv2d(x, w, b, stride=1, padding="same"),
                   [(2, 4, 4, 2), (3, 3, 2, 3), (3,)]),
     "conv_stride2_valid": (lambda x, w: ad.conv2d(x, w, stride=2, padding="valid"),
@@ -64,10 +70,16 @@ OPS = {
     # the last input row and column lie in no window
     "conv_stride3_valid_remainder": (lambda x, w: ad.conv2d(x, w, stride=3, padding="valid"),
                                      [(1, 7, 7, 2), (3, 3, 2, 2)]),
+    # conv2d of the tiled vector grid[y, x] * v[n, c] on a non-square grid
+    "tiled_conv2d_k3": (lambda v, w: ad.tiled_conv2d(v, w, GRID), [(2, 3), (3, 3, 3, 2)]),
+    "tiled_conv2d_even_k": (lambda v, w: ad.tiled_conv2d(v, w, GRID), [(2, 3), (4, 4, 3, 2)]),
     "relu": (ad.relu, [(3, 4)]),
     "sigmoid": (ad.sigmoid, [(3, 4)]),
     "tanh": (ad.tanh, [(3, 4)]),
+    # c * h puts both outputs in the loss, and h's path through c
+    "convlstm_cell": (lambda raw, c: ad.mul(*ad.convlstm_cell(raw, c)), [(2, 3, 8), (2, 3, 2)]),
     "exp": (ad.exp, [(3, 4)]),
+    "sum_all": (ad.sum_all, [(3, 4)]),
     "log_softmax": (ad.log_softmax, [(4, 5)]),
     "mean_all": (ad.mean_all, [(3, 4)]),
     "sum_axis": (lambda a: ad.sum_axis(a, -1), [(3, 4)]),
@@ -76,9 +88,21 @@ OPS = {
     "split": (lambda a: ad.mul(*ad.split(a, 2, axis=-1)), [(2, 4)]),
     "spatial_max": (ad.spatial_max, [(2, 3, 3, 2)]),
     "spatial_mean": (ad.spatial_mean, [(2, 3, 3, 2)]),
-    "tile_spatial": (lambda a: ad.tile_spatial(a, 3, 4), [(2, 5)]),
+    "slice_axis": (lambda w: ad.slice_axis(w, 1, 3, axis=-2), [(2, 2, 4, 3)]),
     "gather": (lambda a: ad.gather_last(a, np.array([1, 0, 2])), [(3, 4)]),
 }
+
+
+def test_every_tape_building_function_has_an_ops_row():
+    """Each public autodiff function that records tape nodes is named by
+    some OPS row, so its gradient is finite-difference checked."""
+    not_ops = {"constant", "backward"}  # a leaf, and the driver that runs the tape
+    public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+              if fn.__module__ == ad.__name__ and not name.startswith("_")} - not_ops
+    named = set()
+    for op, _ in OPS.values():
+        named |= set(op.__code__.co_names) if op.__name__ == "<lambda>" else {op.__name__}
+    assert sorted(public - named) == []
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -167,6 +191,29 @@ def test_conv2d_matches_loop_oracles(case, dtype):
     assert x.grad.shape == shape and w.grad.shape == w_np.shape
     assert _rel_err(x.grad, dx) < tol
     assert _rel_err(w.grad, dw) < tol
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tiled_conv2d_matches_conv_of_the_tiled_input(k):
+    rng = np.random.default_rng(k)
+    v, w = rng.normal(size=(2, 3)), rng.normal(size=(k, k, 3, 2))
+    for grid in (GRID, np.ones((4, 2)), rng.normal(size=(1, 3))):
+        x = grid[None, :, :, None] * v[:, None, None, :]
+        got = ad.tiled_conv2d(Tensor(v), Tensor(w), grid).data
+        assert _rel_err(got, conv2d_reference(x, w, stride=1, padding="same")) < 1e-12
+
+
+def test_convlstm_cell_matches_gate_formula():
+    rng = np.random.default_rng(4)
+    raw, c_prev = rng.normal(size=(2, 3, 3, 8)), rng.normal(size=(2, 3, 3, 2))
+    c, h = ad.convlstm_cell(Tensor(raw), Tensor(c_prev))
+    sig = lambda z: 1 / (1 + np.exp(-z))
+    f, i, o, g = np.split(raw, 4, axis=-1)
+    c_ref = sig(f) * c_prev + sig(i) * np.tanh(g)
+    np.testing.assert_allclose(c.data, c_ref, rtol=1e-12)
+    np.testing.assert_allclose(h.data, sig(o) * np.tanh(c_ref), rtol=1e-12)
+    with pytest.raises(ShapeError):
+        ad.convlstm_cell(Tensor(raw), Tensor(rng.normal(size=(2, 3, 3, 3))))
 
 
 def test_conv2d_channel_mismatch_error():

@@ -1,18 +1,20 @@
 """Architecture tests: encoder shapes, memory-module math against scalar and
 compositional oracles, recurrence equivalences, heads, parameter counts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from drcplan import autodiff as ad
 from drcplan.autodiff import Tensor
-from drcplan.drc import (DrcConfig, DrcNetwork, boundary_pad_channel,
-                         count_parameters, pool_and_inject, preset_config,
-                         zero_state)
-from drcplan.gradcheck import full_drc_gradcheck, tiny_drc_config
+from drcplan.drc import (DrcConfig, DrcNetwork, _edge_map, count_parameters,
+                         pool_and_inject, preset_config)
+from drcplan.gradcheck import full_drc_gradcheck
 from drcplan.nn import compute_gradients
 
-from oracles import scalar_convlstm_reference
+from oracles import (boundary_channel_reference, pool_projection_reference,
+                     scalar_convlstm_reference, unsplit_memory_step_reference)
 
 
 def tiny_net(depth=2, repeats=2, seed=0, **overrides):
@@ -74,7 +76,8 @@ def test_convlstm_zero_weights_and_inputs():
     for path in ("core.d1.gates.w", "core.d1.gates.b"):
         net.params[path].data[...] = 0
     z = Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32))
-    c, h = net.memory_step(0, z, z, z, z, z)
+    pool = Tensor(np.zeros((1, 4), dtype=np.float32))
+    c, h = net.memory_step(0, z, z, z, z, pool)
     # all-zero preactivations: every gate sits at 0.5, candidate tanh at 0
     np.testing.assert_array_equal(c.data, 0)
     np.testing.assert_array_equal(h.data, 0)
@@ -105,7 +108,8 @@ def test_convlstm_matches_scalar_hand_recurrence():
 
     i_t, c0, h0, below, pool = 0.8, -0.3, 0.25, 0.6, -0.45
     mk = lambda v: Tensor(np.full((1, 1, 1, 1), v, dtype=np.float64))
-    c, h = net.memory_step(0, mk(i_t), mk(c0), mk(h0), mk(below), mk(pool))
+    pool_proj = Tensor(np.full((1, 1), pool, dtype=np.float64))  # (B, C), untiled
+    c, h = net.memory_step(0, mk(i_t), mk(c0), mk(h0), mk(below), pool_proj)
     c_ref, h_ref = scalar_convlstm_reference(weights, i_t, c0, h0, below, pool)
     assert c.data.item() == pytest.approx(c_ref, abs=1e-12)
     assert h.data.item() == pytest.approx(h_ref, abs=1e-12)
@@ -136,32 +140,62 @@ def test_memory_kind_gate_channel_multiples():
 
 # -- tick wiring ------------------------------------------------------------
 
+# the split tick against the unsplit gate (one conv over the whole gate
+# input) on Sokoban DRC(3, 3) shapes, with each optional input switched off
+TICK_TOL = {np.float64: 1e-12, np.float32: 1e-6}
+ABLATIONS = ({}, {"pool_and_inject": False}, {"boundary_padding": False},
+             {"top_down_skip": False}, {"obs_skip_all_depths": False})
+
+
+def _sokoban_tick_case(depth, dtype, flags, seed):
+    net = DrcNetwork.create(preset_config("sokoban", depth, 3, **flags), seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed + 1)
+    state = net.zero_state(2)
+    for t in state.c + state.h:
+        t.data[...] = rng.normal(scale=0.5, size=t.shape)
+    i_t = Tensor(np.abs(rng.normal(size=(2,) + net.config.encoded_shape)).astype(dtype))
+    return net, state, i_t
+
+
+def _pool_reference(net, h, d):
+    if not net.config.pool_and_inject:
+        return None
+    w_p, b_p = (net.params[f"core.d{d + 1}.pool.{n}"].data.astype(np.float64) for n in "wb")
+    return pool_projection_reference(h.astype(np.float64), w_p, b_p)
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 def test_depth1_tick_equals_single_memory_step_with_self_topdown():
-    net = tiny_net(depth=1, repeats=1)
-    state = rand_state(net)
-    i_t = net.encode(Tensor(rand_obs(net)))
-    pool = pool_and_inject(state.h[0], net.params["core.d1.pool.w"],
-                           net.params["core.d1.pool.b"])
-    c_ref, h_ref = net.memory_step(0, i_t, state.c[0], state.h[0], state.h[0], pool)
-    ticked = net.tick(state, i_t)
-    np.testing.assert_array_equal(ticked.c[0].data, c_ref.data)
-    np.testing.assert_array_equal(ticked.h[0].data, h_ref.data)
+    for dtype, flags in itertools.product(TICK_TOL, ABLATIONS):
+        net, state, i_t = _sokoban_tick_case(1, dtype, flags, seed=0)
+        h0 = state.h[0].data
+        below = h0 if net.config.top_down_skip else np.zeros_like(h0)
+        want = unsplit_memory_step_reference(net, 0, i_t.data, state.c[0].data, h0, below,
+                                             _pool_reference(net, h0, 0))
+        ticked = net.tick(state, i_t)
+        for got, ref in zip((ticked.c[0], ticked.h[0]), want):
+            assert got.dtype == dtype
+            assert _rel_err(got.data, ref) < TICK_TOL[dtype], (dtype, flags)
 
 
 def test_depth3_tick_matches_hand_wired_composition():
-    net = tiny_net(depth=3, repeats=1, seed=5)
-    state = rand_state(net, seed=7)
-    i_t = net.encode(Tensor(rand_obs(net, seed=8)))
+    for dtype, flags in itertools.product(TICK_TOL, ABLATIONS):
+        net, state, i_t = _sokoban_tick_case(3, dtype, flags, seed=5)
+        cfg = net.config
+        c, h = [t.data for t in state.c], [t.data for t in state.h]
+        pools = [_pool_reference(net, h[d], d) for d in range(3)]
+        top_down = h[2] if cfg.top_down_skip else np.zeros_like(h[2])
+        deep_obs = i_t.data if cfg.obs_skip_all_depths else np.zeros_like(i_t.data)
+        c1, h1 = unsplit_memory_step_reference(net, 0, i_t.data, c[0], h[0], top_down, pools[0])
+        c2, h2 = unsplit_memory_step_reference(net, 1, deep_obs, c[1], h[1], h1, pools[1])
+        c3, h3 = unsplit_memory_step_reference(net, 2, deep_obs, c[2], h[2], h2, pools[2])
 
-    pools = [pool_and_inject(state.h[d], net.params[f"core.d{d + 1}.pool.w"],
-                             net.params[f"core.d{d + 1}.pool.b"]) for d in range(3)]
-    c1, h1 = net.memory_step(0, i_t, state.c[0], state.h[0], state.h[2], pools[0])
-    c2, h2 = net.memory_step(1, i_t, state.c[1], state.h[1], h1, pools[1])
-    c3, h3 = net.memory_step(2, i_t, state.c[2], state.h[2], h2, pools[2])
-
-    ticked = net.tick(state, i_t)
-    for got, want in zip(ticked.c + ticked.h, (c1, c2, c3, h1, h2, h3)):
-        np.testing.assert_array_equal(got.data, want.data)
+        ticked = net.tick(state, i_t)
+        for got, want in zip(ticked.c + ticked.h, (c1, c2, c3, h1, h2, h3)):
+            assert _rel_err(got.data, want) < TICK_TOL[dtype], (dtype, flags)
 
 
 def test_obs_skip_ablation_changes_deep_outputs():
@@ -263,6 +297,7 @@ def test_pool_and_inject_constant_input():
     w = np.zeros((2 * c, c), dtype=np.float32)
     w[:c] = np.eye(c)  # pick out the max-pool half
     out = pool_and_inject(h, Tensor(w), Tensor(np.zeros(c, dtype=np.float32)))
+    assert out.shape == (1, c)
     np.testing.assert_allclose(out.data, 1.5)
 
 
@@ -270,6 +305,7 @@ def test_pool_and_inject_zero_input_zero_bias():
     h = Tensor(np.zeros((2, 3, 3, 4), dtype=np.float32))
     w = Tensor(np.ones((8, 4), dtype=np.float32))
     out = pool_and_inject(h, w, Tensor(np.zeros(4, dtype=np.float32)))
+    assert out.shape == (2, 4)
     np.testing.assert_array_equal(out.data, 0)
 
 
@@ -280,18 +316,17 @@ def test_pool_and_inject_matches_composition_oracle():
     b = rng.normal(size=3)
     out = pool_and_inject(Tensor(h), Tensor(w), Tensor(b)).data
     pooled = np.concatenate([h.max(axis=(1, 2)), h.mean(axis=(1, 2))], axis=-1)
-    want = np.broadcast_to((pooled @ w + b)[:, None, None, :], out.shape)
-    np.testing.assert_array_equal(out, want)
-    assert np.all(out == out[:, :1, :1, :])  # spatially constant
+    np.testing.assert_array_equal(out, pooled @ w + b)
 
 
 @pytest.mark.parametrize("hw,ones", [((3, 3), 8), ((2, 2), 4), ((10, 10), 36)])
 def test_boundary_channel_counts(hw, ones):
-    x = Tensor(np.zeros((2,) + hw + (2,), dtype=np.float32))
-    out = boundary_pad_channel(x)
+    x = np.zeros((2,) + hw + (2,), dtype=np.float32)
+    out = boundary_channel_reference(x)
     assert out.shape == (2,) + hw + (3,)
-    for edge in out.data[..., -1]:
+    for edge in out[..., -1]:
         assert int(edge.sum()) == ones
+        np.testing.assert_array_equal(edge, _edge_map(*hw))  # the map the network convolves
     assert set(np.unique(edge)) <= {0.0, 1.0}
 
 
