@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 This is not a general autodiff system: it implements exactly the op set the
-rest of the library needs (dense layers, 2D convolution, gate nonlinearities,
-spatial pooling, softmax losses). Image tensors are batched NHWC arrays,
+rest of the library needs (dense layers, 2D convolution, gate nonlinearities
+and a fused LSTM cell, spatial pooling, softmax losses). Image tensors are batched NHWC arrays,
 (N, H, W, C).
 
 Training runs in float32; gradient verification runs in float64 (central
@@ -302,9 +302,9 @@ def tiled_conv2d(v, w, grid):
 
     `v` is (N, Cin), `w` a (K, K, Cin, Cout) kernel and `grid` a constant
     (H, W) numpy map; the result is (N, H, W, Cout). Each output pixel sums
-    the taps that land inside the grid, so the work is one (N, Cin) x
-    (Cin, K*K*Cout) product per tap and one (H*W, K*K) tap matrix product,
-    independent of H*W*Cin.
+    what its taps read from the zero-padded grid times v @ w[tap], so the
+    work is one (N, Cin) x (Cin, K*K*Cout) product and one (H*W, K*K) x
+    (K*K, Cout) product per row, and x is never built.
     """
     if v.ndim != 2 or w.ndim != 4 or w.shape[0] != w.shape[1] or v.shape[1] != w.shape[2]:
         raise ShapeError(f"tiled_conv2d: vector {v.shape} does not fit kernel {w.shape}")

@@ -150,8 +150,8 @@ def zero_state(config, batch=1, dtype=np.float32):
 def pool_and_inject(h, w_p, b_p):
     """Spatial max+mean pooling and a linear projection: (B, H, W, C) -> (B, C).
 
-    The gate conv sees the projection tiled over space; `gate_terms` and
-    `tick` apply it untiled through `autodiff.tiled_conv2d`.
+    The gate conv sees the projection tiled over space; `update` adds its
+    term untiled, through `autodiff.tiled_conv2d`.
     """
     mx = ad.spatial_max(h)
     mn = ad.spatial_mean(h)
