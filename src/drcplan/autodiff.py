@@ -372,7 +372,9 @@ def convlstm_cell(raw, c_prev):
     if raw.shape[-1] != 4 * c_prev.shape[-1] or raw.shape[:-1] != c_prev.shape[:-1]:
         raise ShapeError(f"convlstm_cell: gates {raw.shape} do not fit cell {c_prev.shape}")
     sig = lambda z: 0.5 * (1.0 + np.tanh(0.5 * z))
-    f, i, o, g = np.split(raw.data, 4, axis=-1)
+    n = c_prev.shape[-1]
+    gates = lambda a: [a[..., j * n:(j + 1) * n] for j in range(4)]  # views, cheaper than np.split
+    f, i, o, g = gates(raw.data)
     sf, si, so, tg = sig(f), sig(i), sig(o), np.tanh(g)
     c_data = sf * c_prev.data + si * tg
     tc = np.tanh(c_data)
@@ -380,7 +382,7 @@ def convlstm_cell(raw, c_prev):
 
     def backward_c(gc):
         draw = np.empty(raw.shape, dtype=gc.dtype)
-        df, di, do, dg = np.split(draw, 4, axis=-1)
+        df, di, do, dg = gates(draw)
         df[...] = gc * c_prev.data * sf * (1.0 - sf)
         di[...] = gc * tg * si * (1.0 - si)
         do[...] = d_o[0] if d_o else 0.0

@@ -150,7 +150,7 @@ def zero_state(config, batch=1, dtype=np.float32):
 def pool_and_inject(h, w_p, b_p):
     """Spatial max+mean pooling and a linear projection: (B, H, W, C) -> (B, C).
 
-    The gate conv sees the projection tiled over space; `update` adds its
+    The gate conv sees the projection tiled over space; `_module_update` adds its
     term untiled, through `autodiff.tiled_conv2d`.
     """
     mx = ad.spatial_max(h)
@@ -248,7 +248,7 @@ class DrcNetwork:
         return [self.gate_terms(d, i_t if d == 0 or cfg.obs_skip_all_depths else None)
                 for d in range(cfg.depth)]
 
-    def update(self, depth, terms, c_prev, h_prev, h_below, pool):
+    def _module_update(self, depth, terms, c_prev, h_prev, h_below, pool):
         """One memory module update at `depth` from its fixed `terms`, the
         per-tick inputs and the (B, C) pooled projection (None without)."""
         raw = ad.add(self._linear(ad.concat([h_below, h_prev], axis=-1), terms.w_rec), terms.base)
@@ -267,7 +267,7 @@ class DrcNetwork:
     def memory_step(self, depth, i_t, c_prev, h_prev, h_below, pool_in):
         """One memory module update at `depth` (0-based) from raw inputs:
         `i_t` the encoded observation, `pool_in` the (B, C) pooled projection."""
-        return self.update(depth, self.gate_terms(depth, i_t), c_prev, h_prev, h_below, pool_in)
+        return self._module_update(depth, self.gate_terms(depth, i_t), c_prev, h_prev, h_below, pool_in)
 
     def tick(self, state, i_t, terms=None):
         """Run the full depth stack once (bottom to top); `terms` are
@@ -288,7 +288,7 @@ class DrcNetwork:
             if terms[d].w_pool is not None:
                 pool = pool_and_inject(prev_h[d], self.params[f"core.d{d + 1}.pool.w"],
                                        self.params[f"core.d{d + 1}.pool.b"])
-            c, h = self.update(d, terms[d], prev_c[d], prev_h[d], h_below, pool)
+            c, h = self._module_update(d, terms[d], prev_c[d], prev_h[d], h_below, pool)
             new_c.append(c)
             new_h.append(h)
         return DrcState(tuple(new_c), tuple(new_h))
