@@ -96,7 +96,7 @@ OPS = {
 def test_every_tape_building_function_has_an_ops_row():
     """Each public autodiff function that records tape nodes is named by
     some OPS row, so its gradient is finite-difference checked."""
-    not_ops = {"constant", "backward"}  # a leaf, and the driver that runs the tape
+    not_ops = {"constant", "backward"}  # a leaf, and the pass that runs the tape
     public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
               if fn.__module__ == ad.__name__ and not name.startswith("_")} - not_ops
     named = set()
