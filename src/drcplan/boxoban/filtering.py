@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from ..envs.sokoban_env import SokobanEnv
+from ..envs.sokoban_env import ACTION_NOOP, SokobanEnv
 from .levels import LevelSet, level_hash
 
 
@@ -42,8 +42,9 @@ class CyclePolicy:
     level.
     """
 
-    def __init__(self, actions=(0, 3, 1, 2)):
-        self.actions = tuple(actions)
+    actions = (0, 3, 1, 2)
+
+    def __init__(self):
         self._i = 0
 
     def begin_episode(self, env):
@@ -58,9 +59,8 @@ class CyclePolicy:
 class SolutionReplayPolicy:
     """Replays known solutions keyed by level hash; no-ops once exhausted."""
 
-    def __init__(self, solutions, fallback_action=4):
+    def __init__(self, solutions):
         self.solutions = solutions  # level_hash -> action list
-        self.fallback = fallback_action
         self._plan = []
         self._i = 0
 
@@ -73,7 +73,7 @@ class SolutionReplayPolicy:
             a = self._plan[self._i]
             self._i += 1
             return a
-        return self.fallback
+        return ACTION_NOOP
 
 
 def play_scripted(policy, env_factories, seed=0):
@@ -98,7 +98,7 @@ def play_scripted(policy, env_factories, seed=0):
     return outcomes
 
 
-def filter_by_agent(level_set, play, attempts=10, step_limit=120, seed=0, tier="medium"):
+def filter_by_agent(level_set, play, attempts=10, step_limit=None, seed=0, tier="medium"):
     """Keep exactly the levels `play` solves in none of `attempts` episodes.
 
     `attempts=0` returns an empty set by convention.

@@ -19,7 +19,7 @@ from .solver import SOLVED, solve_bfs
 _DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
-def generate_level(seed, boxes=4, max_tries=100, node_budget=None, rng=None):
+def generate_level(seed, boxes=4, max_tries=100, node_budget=None):
     """One certified-solvable level with the given box count.
 
     Reverse play guarantees solvability, but certification is still run and
@@ -31,8 +31,7 @@ def generate_level(seed, boxes=4, max_tries=100, node_budget=None, rng=None):
     """
     if node_budget is None:
         node_budget = 25000 if boxes <= 5 else 150000
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     degenerate = 0
     for _ in range(max_tries):
         level = _reverse_play_sample(rng, boxes)
@@ -146,8 +145,7 @@ def _carve_floor(rng, min_floor=40, max_floor=54):
     return floor
 
 
-def generate_level_set(seed, count, boxes=4, tier="unfiltered", split="train",
-                       node_budget=None):
+def generate_level_set(seed, count, boxes=4, tier="unfiltered", split="train"):
     """A deduplicated set of `count` certified levels.
 
     Each level owns its RNG stream (seed = base seed xor level index); hash
@@ -159,7 +157,7 @@ def generate_level_set(seed, count, boxes=4, tier="unfiltered", split="train",
         attempt = 0
         while True:
             level_seed = (seed ^ i) + 1000003 * attempt
-            level = generate_level(level_seed, boxes=boxes, node_budget=node_budget)
+            level = generate_level(level_seed, boxes=boxes)
             h = level_hash(level)
             if h not in seen:
                 break

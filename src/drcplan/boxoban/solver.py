@@ -269,11 +269,11 @@ def _walk(board, boxes, start, goal):
     return path
 
 
-def replay_solution(level, actions, step_limit=None):
+def replay_solution(level, actions):
     """Check a move sequence solves a level; returns True/False."""
     from ..envs.sokoban_env import SokobanEnv
 
-    env = SokobanEnv(level, step_limit=step_limit or max(len(actions), 1) + 1)
+    env = SokobanEnv(level, step_limit=max(len(actions), 1) + 1)
     for a in actions:
         res = env.step(a)
         if res.done:

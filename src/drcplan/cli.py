@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: train, eval, think-eval, extrapolate, gen-levels, filter-levels,
-verify-levels, gradcheck, param-count. Shared flags: --config, --seed, --out.
-Reports are written as JSON, training metrics as JSONL (one object per
-update); identical config and seed reproduce outputs byte for byte.
+verify-levels, gradcheck, param-count. Shared flags: --config, --seed, --out,
+each only on the subcommands whose handler reads it; --seed is a run's only
+seed (a run config may not set `train.seed`). Reports are written as JSON,
+training metrics as JSONL (one object per update); identical config and seed
+reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from .sources import source_factory
 from .train import Trainer
 
 
-def _add_common(p):
-    p.add_argument("--config", default=None, help="run config file (key = value)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out", help="output directory")
+def _add_common(p, flags=("--config", "--seed", "--out")):
+    settings = {"--config": dict(help="run config file (key = value)"),
+                "--seed": dict(type=int, default=0),
+                "--out": dict(default="out", help="output directory")}
+    for flag in flags:
+        p.add_argument(flag, **settings[flag])
 
 
 def _ensure_out(args):
@@ -39,7 +43,7 @@ def _ensure_out(args):
     return args.out
 
 
-def _load_levels(path, tier="unfiltered", split="test"):
+def _load_levels(path):
     """Read one level file or every .txt under a directory, sorted."""
     if os.path.isdir(path):
         paths = sorted(
@@ -54,7 +58,7 @@ def _load_levels(path, tier="unfiltered", split="test"):
     offset = 0
     for p in paths:
         with open(p) as f:
-            ls = parse_levels(f.read(), tier=tier, split=split)
+            ls = parse_levels(f.read())
         if merged is None:
             merged = ls
         else:
@@ -87,7 +91,7 @@ def cmd_train(args):
     run = load_run_config(args.config, seed=args.seed)
     out = _ensure_out(args)
     net = DrcNetwork.create(run.drc, seed=run.train.seed)
-    levels = _load_levels(run.levels_path, split="train") if run.levels_path else None
+    levels = _load_levels(run.levels_path) if run.levels_path else None
     factory = source_factory(run.game, levels=levels, gridworld_config=run.gridworld,
                              minipacman_config=run.minipacman, step_limit=run.step_limit)
     trainer = Trainer(net, factory, run.train, out_dir=out)
@@ -201,17 +205,13 @@ def cmd_verify_levels(args):
         sys.exit(1)
 
 
-def _gradcheck_one(seed):
-    return full_drc_gradcheck(seed=seed)
-
-
 def cmd_gradcheck(args):
     seeds = list(range(args.seeds))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            errs = list(pool.map(_gradcheck_one, seeds))
+            errs = list(pool.map(full_drc_gradcheck, seeds))
     else:
-        errs = [_gradcheck_one(s) for s in seeds]
+        errs = [full_drc_gradcheck(s) for s in seeds]
     worst = max(errs)
     for s, e in zip(seeds, errs):
         print(f"seed {s}: max rel err {e:.3e}")
@@ -221,7 +221,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_param_count(args):
-    run = load_run_config(args.config, seed=args.seed)
+    run = load_run_config(args.config)
     counts = count_parameters(run.drc)
     if args.json:
         print(json.dumps(counts, indent=2, sort_keys=True))
@@ -265,7 +265,7 @@ def build_parser():
     p.set_defaults(fn=cmd_extrapolate)
 
     p = sub.add_parser("gen-levels", help="generate certified level files")
-    _add_common(p)
+    _add_common(p, ("--seed", "--out"))
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--boxes", type=int, default=4)
     p.add_argument("--tier", default="unfiltered")
@@ -285,19 +285,17 @@ def build_parser():
     p.set_defaults(fn=cmd_filter_levels)
 
     p = sub.add_parser("verify-levels", help="certify a level file with the push-optimal solver")
-    _add_common(p)
     p.add_argument("--levels", required=True)
     p.add_argument("--budget", type=int, default=200000)
     p.set_defaults(fn=cmd_verify_levels)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    _add_common(p)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--workers", type=int, default=2)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("param-count", help="itemized trainable parameter counts")
-    _add_common(p)
+    _add_common(p, ("--config",))
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_param_count)
 

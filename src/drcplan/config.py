@@ -3,6 +3,10 @@
 Unknown keys are rejected so typos fail loudly. Booleans accept true/false,
 tuples are comma-separated, and the encoder spec uses
 `channels:kernel:stride` groups, e.g. `encoder = 32:8:4,32:4:2`.
+
+`env.step_limit` caps every game's episodes (unset: 500 steps for MiniPacman,
+120 for the others). The seed comes only from the command line's `--seed`: a
+file that sets `train.seed` is rejected.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ class RunConfig:
     game: str = "sokoban"
     drc: DrcConfig = None
     train: TrainConfig = None
-    step_limit: int = 120
+    step_limit: int = None  # None: each game's own episode cap
     levels_path: str = ""  # training level file/directory (Sokoban)
     eval_batch_size: int = 64
     gridworld: GridworldConfig = None
@@ -71,8 +75,8 @@ def _parse_encoder(value):
     return tuple(layers)
 
 
-def load_run_config(path=None, overrides=None, seed=None):
-    """Build a RunConfig from an optional file plus CLI overrides.
+def load_run_config(path=None, seed=0):
+    """Build a RunConfig from an optional file and the run's seed.
 
     Keys `<section>.<field>` override one field of the section's dataclass,
     coerced to the type of the field's default.
@@ -81,13 +85,13 @@ def load_run_config(path=None, overrides=None, seed=None):
     if path:
         with open(path) as f:
             raw.update(parse_config_text(f.read()))
-    if overrides:
-        raw.update(overrides)
+    if "train.seed" in raw:
+        raise ValueError("train.seed cannot be set in a run config: pass the seed with --seed")
 
     game = raw.pop("game", "sokoban")
     sections = {}
     for prefix, defaults in (("drc", preset_config(game)),
-                             ("train", TrainConfig()),
+                             ("train", TrainConfig(seed=seed)),
                              ("gridworld", GRIDWORLD12 if game == "gridworld12" else GridworldConfig()),
                              ("minipacman", MiniPacmanConfig())):
         over = {}
@@ -98,16 +102,18 @@ def load_run_config(path=None, overrides=None, seed=None):
                 over[f_.name] = (_parse_encoder(value) if key == "drc.encoder"
                                  else _coerce(value, getattr(defaults, f_.name)))
         sections[prefix] = replace(defaults, **over)
-    if seed is not None:
-        sections["train"] = replace(sections["train"], seed=seed)
 
+    step_limit = raw.pop("env.step_limit", None)
     run = RunConfig(
         game=game,
-        step_limit=int(raw.pop("env.step_limit", 120)),
+        step_limit=None if step_limit is None else int(step_limit),
         levels_path=raw.pop("data.levels", ""),
         eval_batch_size=int(raw.pop("eval.batch_size", 64)),
         **sections,
     )
     if raw:
         raise ValueError(f"unknown config keys: {sorted(raw)}")
+    for key, value in (("env.step_limit", run.step_limit), ("eval.batch_size", run.eval_batch_size)):
+        if value is not None and value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
     return run

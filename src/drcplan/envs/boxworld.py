@@ -138,9 +138,9 @@ class BoxworldEnv(Env):
     noop_action = None
     obs_shape = (SIZE, SIZE, 3)
 
-    def __init__(self, level, step_limit=120):
+    def __init__(self, level, step_limit=None):
         self.level = level
-        self.step_limit = step_limit
+        self.step_limit = self.step_limit if step_limit is None else step_limit
         self.reset()
 
     def reset(self):
@@ -241,9 +241,9 @@ def _bfs_path(blocked, start, goal):
     return None
 
 
-def solve_scripted(level, step_limit=120):
+def solve_scripted(level):
     """Follow the solution chain; returns the action list or None if stuck."""
-    env = BoxworldEnv(level, step_limit=step_limit)
+    env = BoxworldEnv(level)
     actions = []
 
     def walk_to(goal):

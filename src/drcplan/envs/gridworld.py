@@ -27,7 +27,6 @@ class GridworldConfig:
     size: int = 32
     obstacle_count: tuple = (12, 24)  # inclusive range
     obstacle_side: tuple = (2, 10)  # inclusive range
-    step_limit: int = 120
     max_generation_tries: int = 1000
 
 
@@ -87,8 +86,9 @@ class GridworldEnv(Env):
     action_count = 4
     noop_action = None
 
-    def __init__(self, seed, config=GridworldConfig()):
+    def __init__(self, seed, config=GridworldConfig(), step_limit=None):
         self.config = config
+        self.step_limit = self.step_limit if step_limit is None else step_limit
         self.layout = generate_gridworld(seed, config)
         self.obs_shape = (config.size, config.size, 1)
         self._base = np.full((config.size, config.size, 1), EMPTY_VALUE, dtype=np.float32)
@@ -124,7 +124,7 @@ class GridworldEnv(Env):
             self.done = True
         else:
             reward = -0.01
-            if self.steps >= self.config.step_limit:
+            if self.steps >= self.step_limit:
                 self.done = True
         return StepResult(self.render(), reward, self.done, self.solved)
 

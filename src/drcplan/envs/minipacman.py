@@ -57,7 +57,6 @@ class MiniPacmanConfig:
     n_pills: int = 4
     ghost_move_prob: float = 0.95
     edible_steps: int = 20
-    step_limit: int = 500
 
 
 def _corridors():
@@ -81,9 +80,11 @@ class MiniPacmanEnv(Env):
     action_count = 5  # four directions + stay
     noop_action = ACTION_STAY
     obs_shape = (HEIGHT, WIDTH, 3)
+    step_limit = 500
 
-    def __init__(self, seed, config=MiniPacmanConfig()):
+    def __init__(self, seed, config=MiniPacmanConfig(), step_limit=None):
         self.config = config
+        self.step_limit = self.step_limit if step_limit is None else step_limit
         self.seed = seed
         self.reset()
 
@@ -182,7 +183,7 @@ class MiniPacmanEnv(Env):
         self.steps += 1
         if not self.done and not self.food:
             self._populate(first=False)
-        if self.steps >= cfg.step_limit:
+        if self.steps >= self.step_limit:
             self.done = True
         return StepResult(self.render(), reward, self.done, self.solved)
 

@@ -3,7 +3,7 @@
 Rules: the player moves in four directions or does nothing; a single box is
 pushed when the destination behind it is free; walls block. Rewards per step:
 -0.01 time cost, +1 when a box lands on a target, -1 when a box leaves one,
-and +10 on completing the level. Episodes are capped at 120 steps.
+and +10 on completing the level. Episodes are capped at `step_limit` (120) steps.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class SokobanEnv(Env):
     action_count = 5
     noop_action = ACTION_NOOP
 
-    def __init__(self, level, step_limit=120):
+    def __init__(self, level, step_limit=None):
         self.level = level
-        self.step_limit = step_limit
+        self.step_limit = self.step_limit if step_limit is None else step_limit
         self.obs_shape = (level.height * SPRITE, level.width * SPRITE, 3)
         self._wall_grid = np.array(level.walls, dtype=bool)
         self.reset()

@@ -124,8 +124,7 @@ def thinking_steps_eval(net, env_factories, k_max=10, episodes_per_level=1,
 
 
 def extrapolate_boxes(net, box_counts=(4, 5, 6, 7), levels_per_count=100, seed=0,
-                      mode="sample", episodes_per_level=1, step_limit=120,
-                      batch_size=64):
+                      mode="sample", step_limit=None, batch_size=64):
     """Solve rates on freshly generated certified levels per box count.
 
     Reports include the degradation relative to the 4-box baseline.
@@ -135,13 +134,12 @@ def extrapolate_boxes(net, box_counts=(4, 5, 6, 7), levels_per_count=100, seed=0
         level_set = generate_level_set(seed ^ (n * 0x9E3779B9), levels_per_count, boxes=n,
                                        tier=f"extrapolate-{n}box", split="eval")
         factories = sokoban_factories(level_set, step_limit=step_limit)
-        reports[n] = evaluate(net, factories, episodes_per_level=episodes_per_level,
-                              mode=mode, seed=seed, batch_size=batch_size,
+        reports[n] = evaluate(net, factories, mode=mode, seed=seed, batch_size=batch_size,
                               level_set_id=f"{n}-box generated")
     base = reports[box_counts[0]].solved_fraction
     degradation = {n: base - reports[n].solved_fraction for n in box_counts}
     return {"reports": reports, "degradation_vs_base": degradation}
 
 
-def sokoban_factories(level_set, step_limit=120):
+def sokoban_factories(level_set, step_limit=None):
     return [lambda lv=lv: SokobanEnv(lv, step_limit=step_limit) for lv in level_set.levels]

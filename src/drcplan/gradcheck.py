@@ -15,7 +15,7 @@ from .nn import compute_gradients
 from .train import TrainConfig, compute_loss
 
 
-def finite_difference_check(loss_fn, params, eps=1e-5, entries_per_param=0):
+def finite_difference_check(loss_fn, params, entries_per_param=0):
     """Max relative error between analytic and numeric gradients.
 
     `loss_fn` rebuilds the scalar loss graph on every call. With
@@ -23,6 +23,7 @@ def finite_difference_check(loss_fn, params, eps=1e-5, entries_per_param=0):
     checked; otherwise a deterministic subsample per parameter.
     """
     record = compute_gradients(loss_fn(), params)
+    eps = 1e-5
 
     def value():
         with ad.no_grad():
@@ -49,17 +50,17 @@ def finite_difference_check(loss_fn, params, eps=1e-5, entries_per_param=0):
     return worst
 
 
-def tiny_drc_config(depth=2, repeats=2, spatial=4, channels=4):
+def tiny_drc_config():
     return DrcConfig(
-        depth=depth, repeats=repeats,
-        obs_shape=(spatial, spatial, 1), action_count=5,
-        encoder=((channels, 3, 1),), hidden_channels=channels,
+        depth=2, repeats=2,
+        obs_shape=(4, 4, 1), action_count=5,
+        encoder=((4, 3, 1),), hidden_channels=4,
         head_hidden=8,
     )
 
 
-def drc_episode_loss(net, seed, episode_len=2):
-    """Closure computing an actor-critic loss on a synthetic episode.
+def drc_episode_loss(net, seed):
+    """Closure computing an actor-critic loss on a synthetic 2-step episode.
 
     Observations, actions, advantages and value targets are fixed random
     numbers; the loss exercises the full network including BPTT across the
@@ -67,6 +68,7 @@ def drc_episode_loss(net, seed, episode_len=2):
     """
     rng = np.random.default_rng(seed)
     cfg = net.config
+    episode_len = 2
     obs = rng.uniform(0.0, 1.0, (episode_len, 1) + tuple(cfg.obs_shape))
     actions = rng.integers(0, cfg.action_count, size=episode_len)
     advantages = rng.normal(size=episode_len)
@@ -88,11 +90,8 @@ def drc_episode_loss(net, seed, episode_len=2):
     return loss_fn
 
 
-def full_drc_gradcheck(seed, depth=2, repeats=2, spatial=4, channels=4,
-                       episode_len=2, eps=1e-5, entries_per_param=0):
+def full_drc_gradcheck(seed, entries_per_param=0):
     """Finite-difference check of the whole DRC stack; returns max rel error."""
-    net = DrcNetwork.create(tiny_drc_config(depth, repeats, spatial, channels),
-                            seed=seed, dtype=np.float64)
-    loss_fn = drc_episode_loss(net, seed=seed + 1, episode_len=episode_len)
-    return finite_difference_check(loss_fn, net.params, eps=eps,
-                                   entries_per_param=entries_per_param)
+    net = DrcNetwork.create(tiny_drc_config(), seed=seed, dtype=np.float64)
+    loss_fn = drc_episode_loss(net, seed=seed + 1)
+    return finite_difference_check(loss_fn, net.params, entries_per_param=entries_per_param)

@@ -1,8 +1,8 @@
 """Named parameter collections, initialization, and gradient extraction.
 
 Parameters live in a `ParameterSet`: an ordered map from a dotted path to a
-`Tensor` plus a trainable flag. Paths are stable across save/load and are the
-join key for optimizer state and checkpoints.
+`Tensor`, trainable when the tensor requires a gradient. Paths are stable
+across save/load and are the join key for optimizer state and checkpoints.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ class ParameterSet:
 
     def __init__(self):
         self._params = {}
-        self._trainable = {}
 
     def add(self, path, array, trainable=True):
         if path in self._params:
             raise ValueError(f"duplicate parameter path {path!r}")
         t = Tensor(np.asarray(array), requires_grad=trainable)
         self._params[path] = t
-        self._trainable[path] = bool(trainable)
         return t
 
     def __getitem__(self, path):
@@ -46,10 +44,10 @@ class ParameterSet:
         return list(self._params)
 
     def is_trainable(self, path):
-        return self._trainable[path]
+        return self._params[path].requires_grad
 
     def trainable_items(self):
-        return [(p, t) for p, t in self._params.items() if self._trainable[p]]
+        return [(p, t) for p, t in self._params.items() if t.requires_grad]
 
     def count(self, prefix=""):
         """Number of scalars stored under `prefix` (all parameters if empty)."""

@@ -17,7 +17,7 @@ from .envs.gridworld import GRIDWORLD12
 class SokobanSource:
     """Cycles through a level set in a reshuffled order per epoch."""
 
-    def __init__(self, levels, seed, step_limit=120):
+    def __init__(self, levels, seed, step_limit=None):
         if len(levels) == 0:
             raise ValueError("empty level set")
         self.levels = list(levels.levels)
@@ -32,34 +32,36 @@ class SokobanSource:
 
 
 class GridworldSource:
-    def __init__(self, seed, config=GridworldConfig()):
+    def __init__(self, seed, config=GridworldConfig(), step_limit=None):
         self.rng = np.random.default_rng(seed)
         self.config = config
+        self.step_limit = step_limit
 
     def next_env(self):
-        return GridworldEnv(int(self.rng.integers(0, 2 ** 62)), self.config)
+        return GridworldEnv(int(self.rng.integers(0, 2 ** 62)), self.config, self.step_limit)
 
 
 class BoxworldSource:
-    def __init__(self, seed, **gen_kwargs):
+    def __init__(self, seed, step_limit=None):
         self.rng = np.random.default_rng(seed)
-        self.gen_kwargs = gen_kwargs
+        self.step_limit = step_limit
 
     def next_env(self):
-        return BoxworldEnv(generate_boxworld(int(self.rng.integers(0, 2 ** 62)), **self.gen_kwargs))
+        return BoxworldEnv(generate_boxworld(int(self.rng.integers(0, 2 ** 62))), self.step_limit)
 
 
 class MiniPacmanSource:
-    def __init__(self, seed, config=MiniPacmanConfig()):
+    def __init__(self, seed, config=MiniPacmanConfig(), step_limit=None):
         self.rng = np.random.default_rng(seed)
         self.config = config
+        self.step_limit = step_limit
 
     def next_env(self):
-        return MiniPacmanEnv(int(self.rng.integers(0, 2 ** 62)), self.config)
+        return MiniPacmanEnv(int(self.rng.integers(0, 2 ** 62)), self.config, self.step_limit)
 
 
 def source_factory(game, *, levels=None, gridworld_config=None, minipacman_config=None,
-                   step_limit=120):
+                   step_limit=None):
     """Build a (seed, actor_index) -> source callable for the Trainer."""
     if game == "sokoban" and levels is None:
         raise ValueError("sokoban training needs a level set: set data.levels in the run config")
@@ -68,13 +70,13 @@ def source_factory(game, *, levels=None, gridworld_config=None, minipacman_confi
         if game == "sokoban":
             return SokobanSource(levels, stream, step_limit=step_limit)
         if game == "gridworld":
-            return GridworldSource(stream, gridworld_config or GridworldConfig())
+            return GridworldSource(stream, gridworld_config or GridworldConfig(), step_limit)
         if game == "gridworld12":
-            return GridworldSource(stream, gridworld_config or GRIDWORLD12)
+            return GridworldSource(stream, gridworld_config or GRIDWORLD12, step_limit)
         if game == "boxworld":
-            return BoxworldSource(stream)
+            return BoxworldSource(stream, step_limit)
         if game == "minipacman":
-            return MiniPacmanSource(stream, minipacman_config or MiniPacmanConfig())
+            return MiniPacmanSource(stream, minipacman_config or MiniPacmanConfig(), step_limit)
         raise ValueError(f"unknown game {game!r}")
 
     return make

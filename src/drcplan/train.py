@@ -42,7 +42,6 @@ class TrainConfig:
     baseline_cost: float = 0.5
     logit_l2_cost: float = 1e-3
     head_l2_cost: float = 1e-5
-    logit_l2_on_value_head: bool = False  # L2 penalty applies to policy logits only
     lr_init: float = 4e-4
     anneal_horizon: float = 1.5e9  # environment steps until lr reaches 0
     adam_beta1: float = 0.9
@@ -216,9 +215,8 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
 
     Terms: score-function policy loss weighted by fixed advantages, squared
     value error against fixed targets (baseline weight), an entropy bonus, a
-    mean-squared penalty on the policy logits (optionally also the value
-    output), and L2 on the output-head weight matrices. Returns the scalar
-    loss tensor and per-term floats.
+    mean-squared penalty on the policy logits, and L2 on the output-head
+    weight matrices. Returns the scalar loss tensor and per-term floats.
     """
     logits_all = ad.concat(logits_steps, axis=0) if len(logits_steps) > 1 else logits_steps[0]
     values_all = ad.concat(values_steps, axis=0) if len(values_steps) > 1 else values_steps[0]
@@ -237,8 +235,6 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
     entropy = -neg_entropy.item()
 
     logit_term = ad.mean_all(ad.square(logits_all))
-    if config.logit_l2_on_value_head:
-        logit_term = ad.add(logit_term, ad.mean_all(ad.square(values_all)))
 
     loss = ad.add(policy_term, ad.mul(ad.constant(config.baseline_cost, dtype=dt), value_term))
     loss = ad.add(loss, ad.mul(ad.constant(config.entropy_cost, dtype=dt), neg_entropy))

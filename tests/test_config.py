@@ -43,10 +43,26 @@ def test_encoder_spec(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["drc.depht", "eval.mode", "eval.episodes_per_level",
-                                 "data.eval_levels", "train.queue_capacity"])
+                                 "data.eval_levels", "train.queue_capacity",
+                                 "gridworld.step_limit", "minipacman.step_limit",
+                                 "train.logit_l2_on_value_head"])
 def test_unknown_key_is_rejected(tmp_path, key):
     with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
         _load(tmp_path, f"{key} = 1\n")
+
+
+def test_seed_in_a_run_file_is_rejected_naming_the_flag(tmp_path):
+    """The seed comes only from --seed, so the flag's default never silently
+    replaces a seed written in the file."""
+    with pytest.raises(ValueError, match="train.seed .*--seed"):
+        _load(tmp_path, "game = gridworld12\ntrain.seed = 5\n")
+
+
+@pytest.mark.parametrize("key", ["env.step_limit", "eval.batch_size"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_counts_below_one_are_rejected(tmp_path, key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be >= 1, got {value}$"):
+        _load(tmp_path, f"{key} = {value}\n")
 
 
 def test_duplicate_key_is_rejected():

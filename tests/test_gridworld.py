@@ -124,7 +124,7 @@ def test_observation_encoding():
 
 def test_episode_cap():
     env = GridworldEnv(3, GridworldConfig(size=12, obstacle_count=(0, 0),
-                                          obstacle_side=(2, 2), step_limit=7))
+                                          obstacle_side=(2, 2)), step_limit=7)
     done = False
     for t in range(7):
         if done:

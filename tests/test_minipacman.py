@@ -128,7 +128,7 @@ def test_level_resets_when_food_cleared():
 
 
 def test_episode_cap():
-    env = MiniPacmanEnv(seed=9, config=MiniPacmanConfig(ghost_move_prob=0.0, step_limit=25))
+    env = MiniPacmanEnv(seed=9, config=MiniPacmanConfig(ghost_move_prob=0.0), step_limit=25)
     done = False
     steps = 0
     while not done:

@@ -185,6 +185,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(ps2[name].data, ps[name].data)
         assert ps2[name].dtype == ps[name].dtype
         assert ps2.is_trainable(name) == ps.is_trainable(name)
+    assert [ps2.is_trainable(name) for name in ps2.paths()] == [True, True, False]
     assert state2.step == state.step
     assert (state2.beta1, state2.beta2, state2.eps) == (0.95, 0.99, 1e-4)
     np.testing.assert_array_equal(state2.m["a.w"], state.m["a.w"])

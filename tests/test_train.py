@@ -8,6 +8,7 @@ import pytest
 
 from drcplan import cli, train
 from drcplan.autodiff import Tensor
+from drcplan.checkpoint import load_checkpoint
 from drcplan.drc import DrcNetwork, preset_config
 from drcplan.sources import source_factory
 from drcplan.train import TrainConfig, Trainer, Unroll, compute_loss, take_columns
@@ -125,3 +126,28 @@ def test_learner_replays_the_actor_forward_exactly(tmp_path):
     assert len(rows) == 40
     assert all(row["mean_rho"] == 1.0 for row in rows)
     assert sum(row["episodes"] for row in rows) > 0
+
+
+@pytest.mark.parametrize("every", [0, 2])
+def test_periodic_checkpoints_round_trip(tmp_path, every):
+    """`checkpoint_every` = 2 over 4 updates writes the checkpoints of
+    updates 2 and 4, and the last one holds the trainer's parameters and
+    Adam state bit for bit; 0 writes none."""
+    net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0)
+    config = TrainConfig(num_actors=2, batch_size=2, unroll_length=3, checkpoint_every=every)
+    trainer = Trainer(net, source_factory("gridworld12"), config, out_dir=str(tmp_path))
+    assert trainer.run(24) == 4
+    if not every:
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_000002.bin", "ckpt_000004.bin"]
+    params, adam = load_checkpoint(tmp_path / "ckpt_000004.bin")
+    assert params.paths() == net.params.paths()
+    for path, t in net.params.items():
+        assert params[path].data.dtype == t.data.dtype
+        assert params[path].data.tobytes() == t.data.tobytes()
+        assert params.is_trainable(path) == net.params.is_trainable(path)
+    assert adam.step == trainer.adam.step == 4
+    for moments, want in ((adam.m, trainer.adam.m), (adam.v, trainer.adam.v)):
+        assert sorted(moments) == sorted(want)
+        assert all(moments[k].tobytes() == want[k].tobytes() for k in want)
