@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..envs.base import DIRECTIONS
 from .levels import GRID_SIZE, LevelSet, SokobanLevel, level_hash
 from .solver import SOLVED, solve_bfs
-
-_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 def generate_level(seed, boxes=4, max_tries=100, node_budget=None):
@@ -71,7 +70,7 @@ def _reverse_play_sample(rng, n_boxes):
         reach = _player_reach(floor, boxes, player)
         options = []
         for b in boxes:
-            for d, (dr, dc) in enumerate(_DELTAS):
+            for d, (dr, dc) in enumerate(DIRECTIONS):
                 p = (b[0] + dr, b[1] + dc)
                 q = (p[0] + dr, p[1] + dc)
                 if (p in floor and p not in boxes and p in reach
@@ -84,7 +83,7 @@ def _reverse_play_sample(rng, n_boxes):
             low = min(pulled[b] for b, _ in options)
             options = [o for o in options if pulled[o[0]] == low]
         b, d = options[int(rng.integers(0, len(options)))]
-        dr, dc = _DELTAS[d]
+        dr, dc = DIRECTIONS[d]
         while True:
             p = (b[0] + dr, b[1] + dc)
             q = (p[0] + dr, p[1] + dc)
@@ -109,7 +108,7 @@ def _player_reach(floor, boxes, start):
     stack = [start]
     while stack:
         r, c = stack.pop()
-        for dr, dc in _DELTAS:
+        for dr, dc in DIRECTIONS:
             nxt = (r + dr, c + dc)
             if nxt in floor and nxt not in boxes and nxt not in seen:
                 seen.add(nxt)
@@ -128,7 +127,7 @@ def _carve_floor(rng, min_floor=40, max_floor=54):
         floor.add((r, c))
         # occasionally widen the corridor so open rooms appear
         if rng.random() < 0.35:
-            dr, dc = _DELTAS[(d + 2) % 4]
+            dr, dc = DIRECTIONS[(d + 2) % 4]
             wr, wc = r + dr, c + dc
             if 1 <= wr < GRID_SIZE - 1 and 1 <= wc < GRID_SIZE - 1:
                 floor.add((wr, wc))
@@ -136,7 +135,7 @@ def _carve_floor(rng, min_floor=40, max_floor=54):
             break
         if rng.random() < 0.35:
             d = int(rng.integers(0, 4))
-        dr, dc = _DELTAS[d]
+        dr, dc = DIRECTIONS[d]
         nr, nc = r + dr, c + dc
         if 1 <= nr < GRID_SIZE - 1 and 1 <= nc < GRID_SIZE - 1:
             r, c = nr, nc

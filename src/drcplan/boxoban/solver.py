@@ -27,12 +27,11 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
+from ..envs.base import DIRECTIONS
+
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
 BUDGET_EXHAUSTED = "budget_exhausted"
-
-# action ids match the environments: up, down, left, right
-_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 @dataclass
@@ -76,7 +75,7 @@ class _Board:
         self.neighbor = [[-1] * 4 for _ in range(n)]
         for r in range(self.h):
             for c in range(self.w):
-                for d, (dr, dc) in enumerate(_DELTAS):
+                for d, (dr, dc) in enumerate(DIRECTIONS):
                     nr, nc = r + dr, c + dc
                     if 0 <= nr < self.h and 0 <= nc < self.w:
                         self.neighbor[r * self.w + c][d] = nr * self.w + nc

@@ -23,6 +23,7 @@ from .boxoban import (SOLVED, CyclePolicy, UniformRandomPolicy, filter_by_agent,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_run_config
 from .drc import DrcNetwork, build_parameters, count_parameters, format_count_report
+from .envs import SokobanEnv
 from .evaluate import (evaluate, extrapolate_boxes, run_episodes, sokoban_factories,
                        thinking_steps_eval)
 from .gradcheck import full_drc_gradcheck
@@ -69,6 +70,15 @@ def _load_levels(path):
     return merged
 
 
+def _sokoban_run(args):
+    """Run config and output directory of a Sokoban-only command; other games fail first."""
+    run = load_run_config(args.config, seed=args.seed)
+    if run.game != "sokoban":
+        raise ValueError(f"{args.command} plays Sokoban only, but the run config's game is "
+                         f"{run.game!r}")
+    return run, _ensure_out(args)
+
+
 def _load_net(args, run):
     """The checkpoint's network, after checking it fits the run config's DRC."""
     params, _ = load_checkpoint(args.params)
@@ -103,11 +113,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    run = load_run_config(args.config, seed=args.seed)
-    out = _ensure_out(args)
+    run, out = _sokoban_run(args)
     net = _load_net(args, run)
-    levels = _load_levels(args.levels)
-    factories = sokoban_factories(levels, step_limit=run.step_limit)
+    factories = sokoban_factories(_load_levels(args.levels), step_limit=run.step_limit)
     report = evaluate(net, factories, episodes_per_level=args.episodes_per_level,
                       mode=args.mode, seed=args.seed, batch_size=run.eval_batch_size,
                       level_set_id=args.levels)
@@ -118,11 +126,9 @@ def cmd_eval(args):
 
 
 def cmd_think_eval(args):
-    run = load_run_config(args.config, seed=args.seed)
-    out = _ensure_out(args)
+    run, out = _sokoban_run(args)
     net = _load_net(args, run)
-    levels = _load_levels(args.levels)
-    factories = sokoban_factories(levels, step_limit=run.step_limit)
+    factories = sokoban_factories(_load_levels(args.levels), step_limit=run.step_limit)
     curve = thinking_steps_eval(net, factories, k_max=args.k_max,
                                 episodes_per_level=args.episodes_per_level,
                                 mode=args.mode, seed=args.seed,
@@ -135,8 +141,7 @@ def cmd_think_eval(args):
 
 
 def cmd_extrapolate(args):
-    run = load_run_config(args.config, seed=args.seed)
-    out = _ensure_out(args)
+    run, out = _sokoban_run(args)
     net = _load_net(args, run)
     counts = tuple(int(x) for x in args.boxes.split(","))
     result = extrapolate_boxes(net, box_counts=counts, levels_per_count=args.levels_per_count,
@@ -172,15 +177,14 @@ def cmd_gen_levels(args):
 
 
 def cmd_filter_levels(args):
-    run = load_run_config(args.config, seed=args.seed)
-    out = _ensure_out(args)
+    run, out = _sokoban_run(args)
     levels = _load_levels(args.levels)
     if args.policy == "network":
         if args.params is None:
             raise ValueError("filter-levels --policy network needs --params <checkpoint>")
         play = partial(run_episodes, _load_net(args, run), batch_size=run.eval_batch_size)
     else:
-        policy = UniformRandomPolicy(5) if args.policy == "random" else CyclePolicy()
+        policy = UniformRandomPolicy(SokobanEnv.action_count) if args.policy == "random" else CyclePolicy()
         play = partial(play_scripted, policy)
     kept = filter_by_agent(levels, play, attempts=args.attempts, step_limit=run.step_limit,
                            seed=args.seed, tier=args.tier)

@@ -4,9 +4,11 @@ Unknown keys are rejected so typos fail loudly. Booleans accept true/false,
 tuples are comma-separated, and the encoder spec uses
 `channels:kernel:stride` groups, e.g. `encoder = 32:8:4,32:4:2`.
 
-`env.step_limit` caps every game's episodes (unset: 500 steps for MiniPacman,
-120 for the others). The seed comes only from the command line's `--seed`: a
-file that sets `train.seed` is rejected.
+The game's preset fixes the network's input and action count (`drc.obs_shape`
+and `drc.action_count` are not keys; a gridworld's input is `gridworld.size`
+square). `env.step_limit` caps every game's episodes (unset: 500 steps for
+MiniPacman, 120 for the others). The seed comes only from the command line's
+`--seed`: a file that sets `train.seed` is rejected.
 """
 
 from __future__ import annotations
@@ -97,11 +99,14 @@ def load_run_config(path=None, seed=0):
         over = {}
         for f_ in fields(defaults):
             key = f"{prefix}.{f_.name}"
-            if key in raw:
+            if key in raw and key not in ("drc.obs_shape", "drc.action_count"):  # set by the game
                 value = raw.pop(key)
                 over[f_.name] = (_parse_encoder(value) if key == "drc.encoder"
                                  else _coerce(value, getattr(defaults, f_.name)))
         sections[prefix] = replace(defaults, **over)
+    if game in ("gridworld", "gridworld12"):  # the network sees the whole grid
+        size = sections["gridworld"].size
+        sections["drc"] = replace(sections["drc"], obs_shape=(size, size, 1))
 
     step_limit = raw.pop("env.step_limit", None)
     run = RunConfig(
@@ -116,4 +121,9 @@ def load_run_config(path=None, seed=0):
     for key, value in (("env.step_limit", run.step_limit), ("eval.batch_size", run.eval_batch_size)):
         if value is not None and value < 1:
             raise ValueError(f"{key} must be >= 1, got {value}")
+    for name in ("obstacle_count", "obstacle_side"):
+        value = getattr(run.gridworld, name)
+        if len(value) != 2 or not 0 <= value[0] <= value[1]:
+            raise ValueError(f"gridworld.{name} must be an inclusive range lo,hi with "
+                             f"0 <= lo <= hi, got {value}")
     return run

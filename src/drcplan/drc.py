@@ -81,6 +81,14 @@ class DrcConfig:
         return _GATE_MULTIPLE[self.memory_kind] * self.hidden_channels
 
     @property
+    def gate_inputs(self):
+        """Gate kernel input channels in order: encoded obs, [h below, own h], pool, boundary."""
+        if self.memory_kind == "vector_lstm":
+            return (self.lstm_units, 2 * self.lstm_units, 0, 0)
+        hc = self.hidden_channels
+        return (self.encoder[-1][0], 2 * hc, hc * self.pool_and_inject, int(self.boundary_padding))
+
+    @property
     def encoded_shape(self):
         """Spatial and channel shape of the encoded observation."""
         h, w, _ = self.obs_shape
@@ -150,7 +158,7 @@ def zero_state(config, batch=1, dtype=np.float32):
 def pool_and_inject(h, w_p, b_p):
     """Spatial max+mean pooling and a linear projection: (B, H, W, C) -> (B, C).
 
-    The gate conv sees the projection tiled over space; `_module_update` adds its
+    The gate conv sees the projection tiled over space; `memory_step` adds its
     term untiled, through `autodiff.tiled_conv2d`.
     """
     mx = ad.spatial_max(h)
@@ -228,12 +236,8 @@ class DrcNetwork:
         cfg = self.config
         w = self.params[f"core.d{depth + 1}.gates.w"]
         b = self.params[f"core.d{depth + 1}.gates.b"]
-        spatial = cfg.memory_kind != "vector_lstm"
-        pool = spatial and cfg.pool_and_inject
-        boundary = spatial and cfg.boundary_padding
-        obs, hc = (cfg.encoder[-1][0], cfg.hidden_channels) if spatial else (cfg.lstm_units,) * 2
-        # input-channel offsets: obs | h below, own h | pool | boundary
-        ends = np.cumsum([0, obs, 2 * hc, hc * pool, int(boundary)])
+        _, _, pool, boundary = widths = cfg.gate_inputs
+        ends = np.cumsum((0,) + widths)
         part = lambda j: ad.slice_axis(w, ends[j], ends[j + 1], axis=-2)
         base = b if i_t is None else self._linear(i_t, part(0), b)
         if boundary:
@@ -248,9 +252,10 @@ class DrcNetwork:
         return [self.gate_terms(d, i_t if d == 0 or cfg.obs_skip_all_depths else None)
                 for d in range(cfg.depth)]
 
-    def _module_update(self, depth, terms, c_prev, h_prev, h_below, pool):
-        """One memory module update at `depth` from its fixed `terms`, the
-        per-tick inputs and the (B, C) pooled projection (None without)."""
+    def memory_step(self, depth, terms, c_prev, h_prev, h_below, pool):
+        """One memory module update at `depth` (0-based) from its fixed
+        `terms` (`gate_terms`), the per-tick inputs and the (B, C) pooled
+        projection (None without)."""
         raw = ad.add(self._linear(ad.concat([h_below, h_prev], axis=-1), terms.w_rec), terms.base)
         if pool is not None:
             _, hh, ww, _ = h_prev.shape
@@ -264,17 +269,10 @@ class DrcNetwork:
             return c_prev, ad.mul(ad.sigmoid(o), ad.tanh(g))
         return c_prev, ad.tanh(raw)  # simple_convrnn
 
-    def memory_step(self, depth, i_t, c_prev, h_prev, h_below, pool_in):
-        """One memory module update at `depth` (0-based) from raw inputs:
-        `i_t` the encoded observation, `pool_in` the (B, C) pooled projection."""
-        return self._module_update(depth, self.gate_terms(depth, i_t), c_prev, h_prev, h_below, pool_in)
-
-    def tick(self, state, i_t, terms=None):
-        """Run the full depth stack once (bottom to top); `terms` are
-        `step_terms(i_t)`, computed here when not given."""
+    def tick(self, state, terms):
+        """Run the full depth stack once (bottom to top) with the step's
+        `terms` (`step_terms`)."""
         cfg = self.config
-        if terms is None:
-            terms = self.step_terms(i_t)
         prev_c, prev_h = state.c, state.h
         new_c, new_h = [], []
         for d in range(cfg.depth):
@@ -288,7 +286,7 @@ class DrcNetwork:
             if terms[d].w_pool is not None:
                 pool = pool_and_inject(prev_h[d], self.params[f"core.d{d + 1}.pool.w"],
                                        self.params[f"core.d{d + 1}.pool.b"])
-            c, h = self._module_update(d, terms[d], prev_c[d], prev_h[d], h_below, pool)
+            c, h = self.memory_step(d, terms[d], prev_c[d], prev_h[d], h_below, pool)
             new_c.append(c)
             new_h.append(h)
         return DrcState(tuple(new_c), tuple(new_h))
@@ -298,7 +296,7 @@ class DrcNetwork:
         fixed gate terms computed once."""
         terms = self.step_terms(i_t)
         for _ in range(self.config.repeats):
-            state = self.tick(state, i_t, terms)
+            state = self.tick(state, terms)
         return state, state.h[-1]
 
     # -- output heads ---------------------------------------------------------
@@ -337,32 +335,25 @@ def build_parameters(config, seed=0, dtype=np.float32):
         ps.add(f"encoder.conv{i}.b", init.bias(ch))
         cin = ch
 
+    gate_in = sum(config.gate_inputs)
+    eh, ew, ec = config.encoded_shape
     if config.memory_kind == "vector_lstm":
-        eh, ew, ec = config.encoded_shape
         units = config.lstm_units
         ps.add("core.compress.w", init.dense(eh * ew * ec, units))
         ps.add("core.compress.b", init.bias(units))
-        gate_in = 3 * units  # encoded obs + below/top-down + own previous h
         for d in range(1, config.depth + 1):
             ps.add(f"core.d{d}.gates.w", init.dense(gate_in, 4 * units))
             ps.add(f"core.d{d}.gates.b", init.bias(4 * units))
         head_in = (2 * units) if config.vision_shortcut else units
     else:
         hc = config.hidden_channels
-        enc_ch = config.encoder[-1][0]
-        gate_in = enc_ch + 2 * hc  # encoded obs + h below + own previous h
-        if config.pool_and_inject:
-            gate_in += hc
-        if config.boundary_padding:
-            gate_in += 1
         for d in range(1, config.depth + 1):
             ps.add(f"core.d{d}.gates.w", init.conv(config.kernel_size, gate_in, config.gate_channels))
             ps.add(f"core.d{d}.gates.b", init.bias(config.gate_channels))
             if config.pool_and_inject:
                 ps.add(f"core.d{d}.pool.w", init.dense(2 * hc, hc))
                 ps.add(f"core.d{d}.pool.b", init.bias(hc))
-        eh, ew, _ = config.encoded_shape
-        head_in = eh * ew * ((enc_ch + hc) if config.vision_shortcut else hc)
+        head_in = eh * ew * ((ec + hc) if config.vision_shortcut else hc)
 
     ps.add("heads.hidden.w", init.dense(head_in, config.head_hidden))
     ps.add("heads.hidden.b", init.bias(config.head_hidden))

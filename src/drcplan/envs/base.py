@@ -25,7 +25,6 @@ class Env:
 
     action_count = 0
     noop_action = None  # index of a no-effect action, if the game has one
-    obs_shape = None
     step_limit = 120  # episode cap, unless the constructor's step_limit is set
 
     def reset(self):

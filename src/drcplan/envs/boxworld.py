@@ -135,8 +135,6 @@ def _sample_layout(rng, solution_length_max, branch_length, num_distractors):
 
 class BoxworldEnv(Env):
     action_count = 4
-    noop_action = None
-    obs_shape = (SIZE, SIZE, 3)
 
     def __init__(self, level, step_limit=None):
         self.level = level

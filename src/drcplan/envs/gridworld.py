@@ -84,13 +84,11 @@ def generate_gridworld(seed, config=GridworldConfig()):
 
 class GridworldEnv(Env):
     action_count = 4
-    noop_action = None
 
     def __init__(self, seed, config=GridworldConfig(), step_limit=None):
         self.config = config
         self.step_limit = self.step_limit if step_limit is None else step_limit
         self.layout = generate_gridworld(seed, config)
-        self.obs_shape = (config.size, config.size, 1)
         self._base = np.full((config.size, config.size, 1), EMPTY_VALUE, dtype=np.float32)
         for r, row in enumerate(self.layout.obstacles):
             for c, blocked in enumerate(row):

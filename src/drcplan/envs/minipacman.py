@@ -79,7 +79,6 @@ class _Ghost:
 class MiniPacmanEnv(Env):
     action_count = 5  # four directions + stay
     noop_action = ACTION_STAY
-    obs_shape = (HEIGHT, WIDTH, 3)
     step_limit = 500
 
     def __init__(self, seed, config=MiniPacmanConfig(), step_limit=None):

@@ -53,7 +53,6 @@ class SokobanEnv(Env):
     def __init__(self, level, step_limit=None):
         self.level = level
         self.step_limit = self.step_limit if step_limit is None else step_limit
-        self.obs_shape = (level.height * SPRITE, level.width * SPRITE, 3)
         self._wall_grid = np.array(level.walls, dtype=bool)
         self.reset()
 

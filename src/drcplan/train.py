@@ -204,9 +204,12 @@ class ActorGroup:
                       logits.astype(np.float32, copy=False), initial_c, initial_h)
 
 
-def _log_probs(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+def _action_log_probs(logits, actions):
+    """Float64 log-probability of each taken action under (..., A) logits."""
+    z = logits.astype(np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return np.take_along_axis(lp, actions[..., None], axis=-1)[..., 0]
 
 
 def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
@@ -255,36 +258,38 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
     return loss, parts
 
 
-def learner_update(net, batch, adam, config, env_steps):
-    """Replay a (T, B) `Unroll` batch, build targets, apply one Adam step."""
-    t_len = batch.actions.shape[0]
-    obs, actions, rewards, dones = batch.obs, batch.actions, batch.rewards, batch.dones
-
-    state = DrcState(tuple(Tensor(a) for a in batch.initial_c),
-                     tuple(Tensor(a) for a in batch.initial_h))
+def replay(net, state, obs, dones):
+    """Run the network from `state` over obs[0..T-1], T = len(dones), zeroing
+    a row's state after a step that ends its episode, as the actors do.
+    Returns (the state after step T, T logits, T values)."""
     logits_steps, values_steps = [], []
-    for t in range(t_len):
+    for t in range(len(dones)):
         state, logits, value = net.forward(state, Tensor(obs[t]))
         logits_steps.append(logits)
         values_steps.append(value)
         if dones[t].any():
             state = state.scale(1.0 - dones[t].astype(np.float32))
+    return state, logits_steps, values_steps
+
+
+def learner_update(net, batch, adam, config, env_steps):
+    """Replay a (T, B) `Unroll` batch, build targets, apply one Adam step."""
+    state = DrcState(tuple(Tensor(a) for a in batch.initial_c),
+                     tuple(Tensor(a) for a in batch.initial_h))
+    state, logits_steps, values_steps = replay(net, state, batch.obs, batch.dones)
     with ad.no_grad():
-        _, _, boot = net.forward(state, Tensor(obs[t_len]))
+        _, _, boot = net.forward(state, Tensor(batch.obs[-1]))
 
     values_np = np.stack([v.data for v in values_steps])  # (T, B)
-    target_logp = np.take_along_axis(
-        _log_probs(np.stack([l.data for l in logits_steps], dtype=np.float64)),
-        actions[..., None], axis=-1)[..., 0]
-    behaviour_logp = np.take_along_axis(
-        _log_probs(batch.behaviour_logits.astype(np.float64)), actions[..., None], axis=-1)[..., 0]
+    target_logp = _action_log_probs(np.stack([l.data for l in logits_steps]), batch.actions)
+    behaviour_logp = _action_log_probs(batch.behaviour_logits, batch.actions)
 
-    vt = vtrace_targets(rewards, dones, behaviour_logp, target_logp, values_np,
+    vt = vtrace_targets(batch.rewards, batch.dones, behaviour_logp, target_logp, values_np,
                         boot.data, config.gamma, config.lam, config.rho_bar, config.c_bar)
 
     head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
     loss, parts = compute_loss(
-        logits_steps, values_steps, actions.reshape(-1),
+        logits_steps, values_steps, batch.actions.reshape(-1),
         vt.pg_advantages.reshape(-1), vt.vs.reshape(-1), head_weights, config)
 
     grads = compute_gradients(loss, net.params)

@@ -155,6 +155,23 @@ def test_network_filter_without_params(tmp_path):
                   "--out", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("command", ["eval", "think-eval", "extrapolate", "filter-levels"])
+def test_sokoban_commands_reject_another_game_first(tmp_path, command):
+    """The game is checked before the checkpoint or the levels load (neither
+    file exists here) and before the output directory is made."""
+    config = tmp_path / "run.cfg"
+    config.write_text("game = gridworld12\n")
+    params, levels = str(tmp_path / "params.bin"), str(tmp_path / "levels.txt")
+    extra = {"eval": ["--params", params, "--levels", levels],
+             "think-eval": ["--params", params, "--levels", levels],
+             "extrapolate": ["--params", params],
+             "filter-levels": ["--levels", levels, "--policy", "network", "--params", params]}
+    with pytest.raises(ValueError, match=f"^{command} plays Sokoban only, but the run "
+                                         "config's game is 'gridworld12'$"):
+        cli.main([command, "--config", str(config), "--out", str(tmp_path / "out"), *extra[command]])
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_with_a_checkpoint_of_another_network(tmp_path):
     levels = tmp_path / "levels.txt"
     levels.write_text(serialize_levels(generate_level_set(3, 1, boxes=1)))

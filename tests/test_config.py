@@ -45,7 +45,8 @@ def test_encoder_spec(tmp_path):
 @pytest.mark.parametrize("key", ["drc.depht", "eval.mode", "eval.episodes_per_level",
                                  "data.eval_levels", "train.queue_capacity",
                                  "gridworld.step_limit", "minipacman.step_limit",
-                                 "train.logit_l2_on_value_head"])
+                                 "train.logit_l2_on_value_head",
+                                 "drc.obs_shape", "drc.action_count"])
 def test_unknown_key_is_rejected(tmp_path, key):
     with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
         _load(tmp_path, f"{key} = 1\n")
@@ -63,6 +64,14 @@ def test_seed_in_a_run_file_is_rejected_naming_the_flag(tmp_path):
 def test_counts_below_one_are_rejected(tmp_path, key, value):
     with pytest.raises(ValueError, match=f"^{key} must be >= 1, got {value}$"):
         _load(tmp_path, f"{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key", ["gridworld.obstacle_count", "gridworld.obstacle_side"])
+@pytest.mark.parametrize("value", ["", "3", "5,2"])
+def test_impossible_gridworld_ranges_are_rejected(tmp_path, key, value):
+    """Both are inclusive lo,hi ranges; each case used to fail only at the first env."""
+    with pytest.raises(ValueError, match=f"^{key} must be an inclusive range lo,hi"):
+        _load(tmp_path, f"game = gridworld12\n{key} = {value}\n")
 
 
 def test_duplicate_key_is_rejected():

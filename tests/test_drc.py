@@ -77,7 +77,7 @@ def test_convlstm_zero_weights_and_inputs():
         net.params[path].data[...] = 0
     z = Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32))
     pool = Tensor(np.zeros((1, 4), dtype=np.float32))
-    c, h = net.memory_step(0, z, z, z, z, pool)
+    c, h = net.memory_step(0, net.gate_terms(0, z), z, z, z, pool)
     # all-zero preactivations: every gate sits at 0.5, candidate tanh at 0
     np.testing.assert_array_equal(c.data, 0)
     np.testing.assert_array_equal(h.data, 0)
@@ -109,7 +109,7 @@ def test_convlstm_matches_scalar_hand_recurrence():
     i_t, c0, h0, below, pool = 0.8, -0.3, 0.25, 0.6, -0.45
     mk = lambda v: Tensor(np.full((1, 1, 1, 1), v, dtype=np.float64))
     pool_proj = Tensor(np.full((1, 1), pool, dtype=np.float64))  # (B, C), untiled
-    c, h = net.memory_step(0, mk(i_t), mk(c0), mk(h0), mk(below), pool_proj)
+    c, h = net.memory_step(0, net.gate_terms(0, mk(i_t)), mk(c0), mk(h0), mk(below), pool_proj)
     c_ref, h_ref = scalar_convlstm_reference(weights, i_t, c0, h0, below, pool)
     assert c.data.item() == pytest.approx(c_ref, abs=1e-12)
     assert h.data.item() == pytest.approx(h_ref, abs=1e-12)
@@ -175,7 +175,7 @@ def test_depth1_tick_equals_single_memory_step_with_self_topdown():
         below = h0 if net.config.top_down_skip else np.zeros_like(h0)
         want = unsplit_memory_step_reference(net, 0, i_t.data, state.c[0].data, h0, below,
                                              _pool_reference(net, h0, 0))
-        ticked = net.tick(state, i_t)
+        ticked = net.tick(state, net.step_terms(i_t))
         for got, ref in zip((ticked.c[0], ticked.h[0]), want):
             assert got.dtype == dtype
             assert _rel_err(got.data, ref) < TICK_TOL[dtype], (dtype, flags)
@@ -193,7 +193,7 @@ def test_depth3_tick_matches_hand_wired_composition():
         c2, h2 = unsplit_memory_step_reference(net, 1, deep_obs, c[1], h[1], h1, pools[1])
         c3, h3 = unsplit_memory_step_reference(net, 2, deep_obs, c[2], h[2], h2, pools[2])
 
-        ticked = net.tick(state, i_t)
+        ticked = net.tick(state, net.step_terms(i_t))
         for got, want in zip(ticked.c + ticked.h, (c1, c2, c3, h1, h2, h3)):
             assert _rel_err(got.data, want) < TICK_TOL[dtype], (dtype, flags)
 
@@ -217,8 +217,8 @@ def test_topdown_skip_ablation_changes_outputs():
     state_on = rand_state(on, seed=4)
     state_off = rand_state(off, seed=4)
     i_t = on.encode(Tensor(rand_obs(on, seed=5)))
-    a = on.tick(state_on, i_t)
-    b = off.tick(state_off, i_t)
+    a = on.tick(state_on, on.step_terms(i_t))
+    b = off.tick(state_off, off.step_terms(i_t))
     assert np.any(a.h[0].data != b.h[0].data)
 
 
@@ -229,7 +229,7 @@ def test_step_n1_equals_single_tick():
     state = rand_state(net)
     i_t = net.encode(Tensor(rand_obs(net)))
     via_step, o_t = net.step_state(state, i_t)
-    via_tick = net.tick(state, i_t)
+    via_tick = net.tick(state, net.step_terms(i_t))
     for got, want in zip(via_step.c + via_step.h, via_tick.c + via_tick.h):
         np.testing.assert_array_equal(got.data, want.data)
     np.testing.assert_array_equal(o_t.data, via_tick.h[-1].data)
@@ -239,9 +239,9 @@ def test_step_n3_equals_manual_tick_loop_bit_identical():
     net = tiny_net(depth=2, repeats=3)
     state = rand_state(net)
     i_t = net.encode(Tensor(rand_obs(net)))
-    manual = state
+    manual, terms = state, net.step_terms(i_t)
     for _ in range(3):
-        manual = net.tick(manual, i_t)
+        manual = net.tick(manual, terms)
     stepped, _ = net.step_state(state, i_t)
     for got, want in zip(stepped.c + stepped.h, manual.c + manual.h):
         np.testing.assert_array_equal(got.data, want.data)
@@ -407,9 +407,9 @@ def test_repeats_touch_identical_parameter_set():
 def test_cell_state_growth_at_most_linear():
     net = tiny_net(depth=2, repeats=1, seed=8)
     state = net.zero_state(1)
-    i_t = net.encode(Tensor(rand_obs(net, seed=3) * 4))
+    terms = net.step_terms(net.encode(Tensor(rand_obs(net, seed=3) * 4)))
     for ticks in range(1, 51):
-        state = net.tick(state, i_t)
+        state = net.tick(state, terms)
         for c in state.c:
             assert np.abs(c.data).max() <= ticks + 1
 

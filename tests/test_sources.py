@@ -1,10 +1,11 @@
-"""Episode sources: `env.step_limit` reaches the envs of every game, and an
+"""Episode sources: `env.step_limit` reaches the envs of every game, an
 unset limit keeps each game's own cap (500 steps for MiniPacman, 120 for the
-others)."""
+others), and each game's network preset fits the envs its source makes."""
 
 import pytest
 
 from drcplan.boxoban import generate_level_set
+from drcplan.drc import preset_config
 from drcplan.envs import GridworldConfig, MiniPacmanConfig
 from drcplan.envs.minipacman import ACTION_STAY
 from drcplan.envs.sokoban_env import ACTION_NOOP
@@ -59,3 +60,17 @@ def test_step_limit_caps_the_episodes_of_every_game(game):
 def test_unset_step_limit_keeps_the_games_own_cap(game):
     cap = 500 if game == "minipacman" else 120
     assert _episode_lengths(game) == [cap] * 3
+
+
+@pytest.mark.parametrize("game", sorted(GAMES))
+def test_the_games_preset_fits_its_envs(game):
+    """The network's input shape and action count come from the game's
+    preset: they are what the game's envs render and accept."""
+    kwargs = {"levels": generate_level_set(3, 2, boxes=1)} if game == "sokoban" else {}
+    env = source_factory(game, **kwargs)(seed=4, actor_index=1).next_env()
+    preset = preset_config(game)
+    assert env.reset().shape == preset.obs_shape
+    assert env.action_count == preset.action_count
+    with pytest.raises(ValueError, match="out of range"):
+        env.step(preset.action_count)
+    assert env.step(preset.action_count - 1).obs.shape == preset.obs_shape

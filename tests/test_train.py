@@ -10,8 +10,9 @@ from drcplan import cli, train
 from drcplan.autodiff import Tensor
 from drcplan.checkpoint import load_checkpoint
 from drcplan.drc import DrcNetwork, preset_config
+from drcplan.gradcheck import finite_difference_check, tiny_drc_config
 from drcplan.sources import source_factory
-from drcplan.train import TrainConfig, Trainer, Unroll, compute_loss, take_columns
+from drcplan.train import TrainConfig, Trainer, Unroll, compute_loss, replay, take_columns
 
 
 @pytest.mark.parametrize("name", ["num_actors", "batch_size", "unroll_length"])
@@ -100,11 +101,11 @@ train.unroll_length = 5
 """
 
 
-def _cli_train(tmp_path, name, batch):
+def _cli_train(tmp_path, name, batch, extra="", env_steps=600):
     config = tmp_path / f"{name}.cfg"
-    config.write_text(GRIDWORLD_RUN.format(batch=batch))
+    config.write_text(GRIDWORLD_RUN.format(batch=batch) + extra)
     out = tmp_path / name
-    cli.main(["train", "--config", str(config), "--seed", "3", "--env-steps", "600",
+    cli.main(["train", "--config", str(config), "--seed", "3", "--env-steps", str(env_steps),
               "--out", str(out)])
     return out
 
@@ -151,3 +152,43 @@ def test_periodic_checkpoints_round_trip(tmp_path, every):
     for moments, want in ((adam.m, trainer.adam.m), (adam.v, trainer.adam.v)):
         assert sorted(moments) == sorted(want)
         assert all(moments[k].tobytes() == want[k].tobytes() for k in want)
+
+
+def test_the_network_input_follows_the_gridworld_size(tmp_path):
+    """`gridworld.size` alone sets the grid the envs render and the input
+    the network is built for, so the run trains."""
+    out = _cli_train(tmp_path, "run", batch=3, extra="gridworld.size = 16\n", env_steps=15)
+    assert len((out / "metrics.jsonl").read_text().splitlines()) == 1
+    params, _ = load_checkpoint(out / "params.bin")
+    # two encoder layers, the second at stride 2: 8 x 8 cells of 16 + 16 channels
+    assert params["heads.hidden.w"].shape[0] == 8 * 8 * 32
+
+
+def test_replay_resets_an_ended_column_and_its_gradients_check():
+    """After a done the learner's replay zeroes that column's state: its loss
+    passes the finite-difference check, and the column's later logits are a
+    fresh replay of its later steps from the zero state."""
+    net = DrcNetwork.create(tiny_drc_config(), seed=2, dtype=np.float64)
+    cfg = net.config
+    rng = np.random.default_rng(3)
+    t_len, batch = 3, 2
+    obs = rng.uniform(0.0, 1.0, (t_len, batch) + cfg.obs_shape)
+    dones = np.zeros((t_len, batch), dtype=bool)
+    dones[0, 0] = True  # column 0's episode ends after step 1
+    start = net.zero_state(batch)
+    for t in start.c + start.h:
+        t.data[...] = rng.normal(scale=0.5, size=t.shape)
+    actions = rng.integers(0, cfg.action_count, size=t_len * batch)
+    advantages, targets = rng.normal(size=(2, t_len * batch))
+    head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
+
+    def loss_fn():
+        _, logits, values = replay(net, start, obs, dones)
+        return compute_loss(logits, values, actions, advantages, targets, head_weights,
+                            TrainConfig())[0]
+
+    assert finite_difference_check(loss_fn, net.params, entries_per_param=25) < 1e-4
+    _, logits, _ = replay(net, start, obs, dones)
+    _, fresh, _ = replay(net, net.zero_state(1), obs[1:, :1], dones[1:, :1])
+    for got, want in zip(logits[1:], fresh):
+        np.testing.assert_allclose(got.data[:1], want.data, rtol=1e-12, atol=1e-12)
