@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 This is not a general autodiff system: it implements exactly the op set the
-rest of the library needs (dense layers, 2D convolution, gate nonlinearities
-and a fused LSTM cell, spatial pooling, softmax losses). Image tensors are batched NHWC arrays,
-(N, H, W, C).
+rest of the library needs (dense layers, 2D convolution, a fused gate
+preactivation, gate nonlinearities and a fused LSTM cell, spatial pooling,
+softmax losses). Image tensors are batched NHWC arrays, (N, H, W, C).
 
 Training runs in float32; gradient verification runs in float64 (central
 finite differences are unreliable at single precision). The dtype of a
@@ -11,6 +11,9 @@ computation is carried by its leaf arrays.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -296,6 +299,27 @@ def _tap_matrix(grid, k):
     return view.reshape(h * w, k * k)
 
 
+@functools.lru_cache(maxsize=None)
+def _uniform_taps(h, w, k, dtype):
+    """`_tap_matrix` of an all-ones (H, W) grid, read-only: where the pool
+    term of `gate_conv` lands. It depends on shapes alone, so it is built once."""
+    taps = _tap_matrix(np.ones((h, w), dtype=dtype), k)
+    taps.flags.writeable = False
+    return taps
+
+
+def _tiled(v, wt, taps):
+    """(N, H*W, Cout): each pixel's taps (H*W, K*K) times v @ wt, the
+    (N, K*K*Cout) product of v (N, Cin) and the (Cin, K*K*Cout) kernel `wt`."""
+    return taps @ (v @ wt).reshape(v.shape[0], taps.shape[1], -1)
+
+
+def _tap_grad(g, taps):
+    """Backward of `_tiled` down to its (N, K*K*Cout) product, from g (N, H, W, Cout)."""
+    n, cout = g.shape[0], g.shape[-1]
+    return (taps.T @ g.reshape(n, taps.shape[0], cout)).reshape(n, -1)
+
+
 def tiled_conv2d(v, w, grid):
     """conv2d(x, w, padding="same") of the input x[n, y, x, c] = grid[y, x] * v[n, c],
     without building x.
@@ -313,17 +337,88 @@ def tiled_conv2d(v, w, grid):
     h, width = grid.shape
     taps = _tap_matrix(np.asarray(grid, dtype=v.dtype), k)
     wt = w.data.transpose(2, 0, 1, 3).reshape(cin, k * k * cout)
-    per_tap = (v.data @ wt).reshape(n, k * k, cout)
-    out_data = (taps @ per_tap).reshape(n, h, width, cout)
+    out_data = _tiled(v.data, wt, taps).reshape(n, h, width, cout)
 
     def backward(g):
-        d_tap = (taps.T @ g.reshape(n, h * width, cout)).reshape(n, k * k * cout)
+        d_tap = _tap_grad(g, taps)
         if v.requires_grad:
             _accumulate(v, d_tap @ wt.T)
         if w.requires_grad:
             _accumulate(w, (v.data.T @ d_tap).reshape(cin, k, k, cout).transpose(1, 2, 0, 3))
 
     return _node(out_data, (v, w), backward)
+
+
+def gate_conv(xs, w, bases, pool=None, w_pool=None):
+    """A memory module's gate preactivation as one tape node:
+
+        conv2d(concat(xs, axis=-1), w, padding="same") + sum(bases)
+            + tiled_conv2d(pool, w_pool, all-ones grid)
+
+    `xs` are (N, H, W, C_i) maps, or (N, C_i) vectors taken as a 1 x 1 grid.
+    `w` is the kernel as its (K*K*Cin, Cout) im2col matrix, rows ordered
+    (tap row, tap column, channel) with Cin = sum(C_i). Each of `bases`
+    broadcasts to the output. `pool` (N, P) is the spatially constant input
+    of the pool term and `w_pool` its kernel as the (P, K*K*Cout) matrix
+    w[kh, kw, p, o] -> [p, (kh*K + kw)*Cout + o].
+
+    The inputs are padded straight into one im2col buffer, one GEMM writes
+    the output, and the bases and the pool term are added to it in place.
+    Backward rebuilds the padded buffer from `xs` rather than keeping it, and
+    splits dX back to each input.
+    """
+    lead = xs[0].shape[:-1]
+    sizes = [x.shape[-1] for x in xs]
+    cin = sum(sizes)
+    k = math.isqrt(w.shape[0] // cin) if w.ndim == 2 and cin else 0
+    if len(lead) not in (1, 3) or any(x.shape[:-1] != lead for x in xs) or k * k * cin != w.shape[0]:
+        raise ShapeError(f"gate_conv: inputs {[x.shape for x in xs]} do not fit kernel matrix {w.shape}")
+    n, h, width = lead if len(lead) == 3 else (lead[0], 1, 1)
+    cout = w.shape[1]
+    if pool is not None and (pool.shape[0] != n or w_pool.shape != (pool.shape[1], k * k * cout)):
+        raise ShapeError(f"gate_conv: pool {pool.shape} and kernel {w_pool.shape} do not fit")
+    pad = (k - 1) // 2  # "same" at stride 1: an even kernel's extra row and column go bottom/right
+    ends = np.cumsum([0] + sizes)
+
+    def cols():
+        xp = np.zeros((n, h + k - 1, width + k - 1, cin), dtype=xs[0].dtype)
+        for x, lo, hi in zip(xs, ends[:-1], ends[1:]):
+            xp[:, pad:pad + h, pad:pad + width, lo:hi] = x.data.reshape(n, h, width, hi - lo)
+        st = xp.strides
+        view = np.lib.stride_tricks.as_strided(xp, shape=(n, h, width, k, k, cin),
+                                               strides=st[:3] + st[1:])
+        return view.reshape(n * h * width, k * k * cin)
+
+    out = (cols() @ w.data).reshape(lead + (cout,))
+    for b in bases:
+        out += b.data
+    if pool is not None:
+        taps = _uniform_taps(h, width, k, np.dtype(out.dtype))
+        out += _tiled(pool.data, w_pool.data, taps).reshape(out.shape)
+    parents = tuple(xs) + (w,) + tuple(bases) + (() if pool is None else (pool, w_pool))
+
+    def backward(g):
+        for b in bases:
+            _accumulate(b, _unbroadcast(g, b.shape))
+        g2 = g.reshape(n * h * width, cout)
+        if w.requires_grad:
+            _accumulate(w, cols().T @ g2)  # unnamed, the rebuilt cols is freed at once
+        if any(x.requires_grad for x in xs):
+            dcols = (g2 @ w.data.T).reshape(n, h, width, k, k, cin)
+            dxp = np.zeros((n, h + k - 1, width + k - 1, cin), dtype=g.dtype)
+            for kh in range(k):
+                for kw in range(k):
+                    dxp[:, kh:kh + h, kw:kw + width, :] += dcols[:, :, :, kh, kw, :]
+            for x, lo, hi in zip(xs, ends[:-1], ends[1:]):
+                _accumulate(x, dxp[:, pad:pad + h, pad:pad + width, lo:hi].reshape(x.shape))
+        if pool is not None:
+            d_tap = _tap_grad(g, taps)
+            if pool.requires_grad:
+                _accumulate(pool, d_tap @ w_pool.data.T)
+            if w_pool.requires_grad:
+                _accumulate(w_pool, pool.data.T @ d_tap)
+
+    return _node(out, parents, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -465,25 +560,48 @@ def concat(tensors, axis=-1):
     return _node(out_data, tuple(tensors), backward)
 
 
-def slice_axis(a, lo, hi, axis=-1):
-    """Entries lo:hi along `axis`, as a contiguous array."""
-    idx = (slice(None),) * (axis % a.ndim) + (slice(lo, hi),)
+def transpose(a, axes):
+    out_data = a.data.transpose(axes)
+    inverse = np.argsort(axes)
 
     def backward(g):
-        dg = np.zeros(a.shape, dtype=g.dtype)
-        dg[idx] = g
-        _accumulate(a, dg)
+        _accumulate(a, g.transpose(inverse))
 
-    return _node(np.ascontiguousarray(a.data[idx]), (a,), backward)
+    return _node(out_data, (a,), backward)
 
 
 def split(a, sections, axis=-1):
-    """Split into `sections` equal chunks along `axis`."""
+    """Chunks of `a` along `axis`, as views: `sections` equal ones, or one
+    per entry of a sequence of sizes.
+
+    The chunks' gradients are written into one buffer that reaches `a` as a
+    single gradient, rather than one full-size gradient per chunk. The
+    writes are in place, so the buffer belongs to a private node between `a`
+    and its chunks: `_accumulate` may store one array as the gradient of
+    several tensors, and `a`'s own gradient could be such an array.
+    """
     dim = a.shape[axis]
-    if dim % sections:
-        raise ShapeError(f"split: axis size {dim} not divisible into {sections} chunks")
-    step = dim // sections
-    return [slice_axis(a, i * step, (i + 1) * step, axis) for i in range(sections)]
+    if isinstance(sections, int):
+        if dim % sections:
+            raise ShapeError(f"split: axis size {dim} not divisible into {sections} chunks")
+        sizes = [dim // sections] * sections
+    else:
+        sizes = list(sections)
+        if sum(sizes) != dim:
+            raise ShapeError(f"split: sizes {sizes} do not add up to axis size {dim}")
+    hub = _node(a.data, (a,), lambda g: _accumulate(a, g))
+    ends = np.cumsum([0] + sizes)
+    chunks = []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        idx = (slice(None),) * (axis % a.ndim) + (slice(lo, hi),)
+
+        def backward(g, idx=idx):
+            if hub.grad is None:
+                hub.grad = np.zeros(a.shape, dtype=g.dtype)
+            hub.grad[idx] = g
+
+        chunks.append(_node(a.data[idx], (hub,), backward))
+    return chunks
 
 
 def gather_last(a, index):

@@ -50,29 +50,35 @@ def parse_config_text(text):
     return out
 
 
-def _coerce(value, like):
+def _coerce(key, value, like):
+    """`value` as the type of `like`; a value that does not parse names `key`."""
     if isinstance(like, bool):
         low = value.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
-        raise ValueError(f"expected boolean, got {value!r}")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    if isinstance(like, tuple):
-        if not value:
-            return ()
-        return tuple(int(v) for v in value.split(","))
+        raise ValueError(f"{key}: expected a boolean, got {value!r}")
+    try:
+        if isinstance(like, int):
+            return int(value)
+        if isinstance(like, float):
+            return float(value)
+        if isinstance(like, tuple):
+            return tuple(int(v) for v in value.split(",")) if value else ()
+    except ValueError:
+        kind = "comma-separated integers" if isinstance(like, tuple) else type(like).__name__
+        raise ValueError(f"{key}: expected {kind}, got {value!r}") from None
     return value
 
 
 def _parse_encoder(value):
     layers = []
     for part in value.split(","):
-        ch, k, s = (int(x) for x in part.split(":"))
+        try:
+            ch, k, s = (int(x) for x in part.split(":"))
+        except ValueError:
+            raise ValueError(f"drc.encoder: expected channels:kernel:stride groups, got {value!r}") from None
         layers.append((ch, k, s))
     return tuple(layers)
 
@@ -102,7 +108,7 @@ def load_run_config(path=None, seed=0):
             if key in raw and key not in ("drc.obs_shape", "drc.action_count"):  # set by the game
                 value = raw.pop(key)
                 over[f_.name] = (_parse_encoder(value) if key == "drc.encoder"
-                                 else _coerce(value, getattr(defaults, f_.name)))
+                                 else _coerce(key, value, getattr(defaults, f_.name)))
         sections[prefix] = replace(defaults, **over)
     if game in ("gridworld", "gridworld12"):  # the network sees the whole grid
         size = sections["gridworld"].size
@@ -111,9 +117,9 @@ def load_run_config(path=None, seed=0):
     step_limit = raw.pop("env.step_limit", None)
     run = RunConfig(
         game=game,
-        step_limit=None if step_limit is None else int(step_limit),
+        step_limit=None if step_limit is None else _coerce("env.step_limit", step_limit, 0),
         levels_path=raw.pop("data.levels", ""),
-        eval_batch_size=int(raw.pop("eval.batch_size", 64)),
+        eval_batch_size=_coerce("eval.batch_size", raw.pop("eval.batch_size", "64"), 0),
         **sections,
     )
     if raw:
@@ -121,6 +127,8 @@ def load_run_config(path=None, seed=0):
     for key, value in (("env.step_limit", run.step_limit), ("eval.batch_size", run.eval_batch_size)):
         if value is not None and value < 1:
             raise ValueError(f"{key} must be >= 1, got {value}")
+    if run.gridworld.size < 2:  # a player and a goal need two cells
+        raise ValueError(f"gridworld.size must be >= 2, got {run.gridworld.size}")
     for name in ("obstacle_count", "obstacle_side"):
         value = getattr(run.gridworld, name)
         if len(value) != 2 or not 0 <= value[0] <= value[1]:

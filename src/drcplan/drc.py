@@ -19,19 +19,25 @@ variants can be built.
 
 A convolution is linear in its input channels, so the gate preactivation is
 computed as a sum of four terms, each with its slice of the one gate kernel
-`core.dK.gates.w` (the parameter keeps the channel order above):
+`core.dK.gates.w` (the parameter keeps the channel order above; one
+`autodiff.split` cuts the slices, so their gradients fill one buffer):
 
-- observation term, conv(i_t, w_obs) + bias: once per step and depth, since
-  i_t is the same at every tick (`gate_terms`);
-- boundary term: the boundary channel is a fixed map, so its term is a fixed
-  (H, W, Cout) map, also once per step and depth;
+- observation term, conv(i_t, w_obs): i_t is the same at every tick, so it
+  runs once per step and depth (`gate_terms`); the learner runs it once per
+  unroll over all T*B rows (`step_inputs`);
+- fixed term: the bias plus the boundary term. The boundary channel is a
+  fixed map, so its term is a fixed (H, W, Cout) map, also once per step
+  and depth;
 - recurrent term, conv([h below, own h], w_rec): per tick;
 - pool term: the pooled projection is spatially constant, so per tick it is
   a (B, C) x (C, K*K*Cout) product spread over the pixels by which kernel
-  taps fall inside the grid (`autodiff.tiled_conv2d`), never tiled.
+  taps fall inside the grid, never tiled.
 
-The ConvLSTM cell on the summed preactivation is one fused op
-(`autodiff.convlstm_cell`).
+Per tick, one `autodiff.gate_conv` node computes the recurrent term and adds
+the others to it in place; the kernel matrices it takes are prepared with
+the step's fixed terms (once per unroll in the learner). The ConvLSTM cell on that preactivation is one fused op
+(`autodiff.convlstm_cell`). `vector_lstm` takes the same path on a 1 x 1
+grid, its dense gate weight being a 1 x 1 kernel.
 """
 
 from __future__ import annotations
@@ -158,8 +164,8 @@ def zero_state(config, batch=1, dtype=np.float32):
 def pool_and_inject(h, w_p, b_p):
     """Spatial max+mean pooling and a linear projection: (B, H, W, C) -> (B, C).
 
-    The gate conv sees the projection tiled over space; `memory_step` adds its
-    term untiled, through `autodiff.tiled_conv2d`.
+    The gate conv sees the projection tiled over space; `memory_step` hands it
+    untiled to `autodiff.gate_conv`, which spreads its term over the grid.
     """
     mx = ad.spatial_max(h)
     mn = ad.spatial_mean(h)
@@ -176,9 +182,10 @@ def _edge_map(h, w):
 class GateTerms(NamedTuple):
     """One depth's gate inputs that stay fixed over the N ticks of a step."""
 
-    base: Tensor  # observation term + bias + boundary term
-    w_rec: Tensor  # kernel slice for [h below, own h]
-    w_pool: Tensor | None  # kernel slice for the pooled projection
+    obs: Tensor | None  # observation term, per row; None for a depth that does not see it
+    fixed: Tensor  # bias + boundary term, the same for every row
+    w_rec: Tensor  # kernel matrix for [h below, own h], as `autodiff.gate_conv` takes it
+    w_pool: Tensor | None  # kernel matrix for the pooled projection
 
 
 class DrcNetwork:
@@ -215,36 +222,42 @@ class DrcNetwork:
             x = ad.conv2d(x, self.params[f"encoder.conv{i}.w"], self.params[f"encoder.conv{i}.b"],
                           stride=stride, padding="same")
             x = ad.relu(x)
-        if self.config.memory_kind == "vector_lstm":
-            flat = ad.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
-            x = ad.relu(ad.dense(flat, self.params["core.compress.w"], self.params["core.compress.b"]))
         return x
 
-    # -- memory stack -------------------------------------------------------
+    def compress(self, x):
+        """The encoded observation i_t from the encoder output `x`: for
+        `vector_lstm` a dense layer and ReLU over the flattened features,
+        otherwise `x` itself."""
+        if self.config.memory_kind != "vector_lstm":
+            return x
+        flat = ad.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
+        return ad.relu(ad.dense(flat, self.params["core.compress.w"], self.params["core.compress.b"]))
 
-    def _linear(self, x, w, b=None):
-        if self.config.memory_kind == "vector_lstm":
-            return ad.dense(x, w, b)
-        return ad.conv2d(x, w, b, stride=1, padding="same")
+    # -- memory stack -------------------------------------------------------
 
     def gate_terms(self, depth, i_t):
         """The gate terms of `depth` (0-based) that do not change across ticks.
 
         `i_t` is the encoded observation, or None for a depth that does not
-        see it (its observation term is then the bias alone).
+        see it. The gate kernel is cut into its four input slices by one
+        `autodiff.split`, so their gradients fill one buffer.
         """
         cfg = self.config
         w = self.params[f"core.d{depth + 1}.gates.w"]
-        b = self.params[f"core.d{depth + 1}.gates.b"]
+        fixed = self.params[f"core.d{depth + 1}.gates.b"]
         _, _, pool, boundary = widths = cfg.gate_inputs
-        ends = np.cumsum((0,) + widths)
-        part = lambda j: ad.slice_axis(w, ends[j], ends[j + 1], axis=-2)
-        base = b if i_t is None else self._linear(i_t, part(0), b)
+        w_obs, w_rec, w_pool, w_edge = ad.split(w, widths, axis=-2)
+        obs = None
+        if i_t is not None:
+            obs = (ad.dense(i_t, w_obs) if cfg.memory_kind == "vector_lstm"
+                   else ad.conv2d(i_t, w_obs, stride=1, padding="same"))
         if boundary:
             eh, ew, _ = cfg.encoded_shape
             ones = ad.constant(np.ones((1, 1)), dtype=self.dtype)
-            base = ad.add(base, ad.tiled_conv2d(ones, part(3), _edge_map(eh, ew)))
-        return GateTerms(base, part(1), part(2) if pool else None)
+            fixed = ad.add(fixed, ad.tiled_conv2d(ones, w_edge, _edge_map(eh, ew)))
+        w_rec = ad.reshape(w_rec, (-1, w.shape[-1]))  # a dense weight is already a 1 x 1 kernel's matrix
+        w_pool = ad.reshape(ad.transpose(w_pool, (2, 0, 1, 3)), (pool, -1)) if pool else None
+        return GateTerms(obs, fixed, w_rec, w_pool)
 
     def step_terms(self, i_t):
         """`gate_terms` for every depth, honouring `obs_skip_all_depths`."""
@@ -252,14 +265,32 @@ class DrcNetwork:
         return [self.gate_terms(d, i_t if d == 0 or cfg.obs_skip_all_depths else None)
                 for d in range(cfg.depth)]
 
+    def step_inputs(self, obs, steps):
+        """(i_t, `step_terms(i_t)`) for each of `steps` equal row blocks of
+        the observations `obs`, as `forward` computes them for that block.
+
+        The encoder convs and each depth's observation conv do not depend on
+        the recurrent state, so they run once over all rows and each block
+        takes its rows through `autodiff.split`. Dense layers run per block:
+        a GEMM's last bits can depend on its row count, and per block they
+        match `forward` bit for bit.
+        """
+        x = self.encode(obs)
+        if self.config.memory_kind == "vector_lstm":
+            return [(i_t, self.step_terms(i_t))
+                    for i_t in map(self.compress, ad.split(x, steps, axis=0))]
+        terms = self.step_terms(x)
+        obs_terms = [None if tm.obs is None else ad.split(tm.obs, steps, axis=0) for tm in terms]
+        return [(i_t, [tm if o is None else tm._replace(obs=o[t]) for tm, o in zip(terms, obs_terms)])
+                for t, i_t in enumerate(ad.split(x, steps, axis=0))]
+
     def memory_step(self, depth, terms, c_prev, h_prev, h_below, pool):
         """One memory module update at `depth` (0-based) from its fixed
         `terms` (`gate_terms`), the per-tick inputs and the (B, C) pooled
-        projection (None without)."""
-        raw = ad.add(self._linear(ad.concat([h_below, h_prev], axis=-1), terms.w_rec), terms.base)
-        if pool is not None:
-            _, hh, ww, _ = h_prev.shape
-            raw = ad.add(raw, ad.tiled_conv2d(pool, terms.w_pool, np.ones((hh, ww))))
+        projection (None without). The gate preactivation is one
+        `autodiff.gate_conv` node."""
+        bases = (terms.fixed,) if terms.obs is None else (terms.obs, terms.fixed)
+        raw = ad.gate_conv([h_below, h_prev], terms.w_rec, bases, pool, terms.w_pool)
 
         kind = self.config.memory_kind
         if kind in ("convlstm", "vector_lstm"):
@@ -291,10 +322,9 @@ class DrcNetwork:
             new_h.append(h)
         return DrcState(tuple(new_c), tuple(new_h))
 
-    def step_state(self, state, i_t):
-        """Apply the stack N times on the same encoded observation, with the
-        fixed gate terms computed once."""
-        terms = self.step_terms(i_t)
+    def step_state(self, state, terms):
+        """Apply the stack N times with the step's fixed gate `terms`
+        (`step_terms`); returns (new state, deepest hidden state)."""
         for _ in range(self.config.repeats):
             state = self.tick(state, terms)
         return state, state.h[-1]
@@ -315,8 +345,8 @@ class DrcNetwork:
 
     def forward(self, state, obs):
         """(state, observation) -> (new state, logits, value)."""
-        i_t = self.encode(obs)
-        state, o_t = self.step_state(state, i_t)
+        i_t = self.compress(self.encode(obs))
+        state, o_t = self.step_state(state, self.step_terms(i_t))
         logits, value = self.heads(o_t, i_t)
         return state, logits, value
 

@@ -9,8 +9,11 @@ keeps those arrays as column blocks; actors run only while it holds fewer
 than B columns, so it never holds more than B + K - 1. The learner takes
 its B columns in queue order, even when a batch spans two unrolls, replays
 the forward passes from the stored initial state under the current
-parameters, and applies one Adam step per batch. Evaluation drives the same stepper, where a
-row whose stream of episodes runs out leaves the batch. The whole schedule is
+parameters, and applies one Adam step per batch. The replay runs the convs
+that do not depend on the recurrent state once over all T*B rows and the
+rest step by step, so its logits match the actors' bit for bit. Evaluation
+drives the same stepper, where a row whose stream of episodes runs out
+leaves the batch. The whole schedule is
 deterministic: a fixed (config, seed) pair reproduces training bit for bit.
 """
 
@@ -261,10 +264,19 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
 def replay(net, state, obs, dones):
     """Run the network from `state` over obs[0..T-1], T = len(dones), zeroing
     a row's state after a step that ends its episode, as the actors do.
-    Returns (the state after step T, T logits, T values)."""
+    Returns (the state after step T, T logits, T values).
+
+    What does not depend on the recurrent state (the encoder convs and each
+    depth's observation conv) runs once over all T*B rows
+    (`DrcNetwork.step_inputs`); the ticks, heads and dense layers run per
+    step, so the logits and values match the actors' forward bit for bit.
+    """
+    t_len = len(dones)
+    rows = obs[:t_len].reshape((-1,) + obs.shape[2:])
     logits_steps, values_steps = [], []
-    for t in range(len(dones)):
-        state, logits, value = net.forward(state, Tensor(obs[t]))
+    for t, (i_t, terms) in enumerate(net.step_inputs(rows, t_len)):
+        state, o_t = net.step_state(state, terms)
+        logits, value = net.heads(o_t, i_t)
         logits_steps.append(logits)
         values_steps.append(value)
         if dones[t].any():

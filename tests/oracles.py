@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (explicit loops, direct summation) and
-shares no code with the library paths it checks.
+shares no code with the library paths it checks, except `replay_reference`,
+which checks the learner's batched replay against the actors' own forward.
 """
 
 import numpy as np
@@ -214,3 +215,18 @@ def backward_reference(root):
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+
+
+def replay_reference(net, state, obs, dones):
+    """The learner's replay as one `net.forward` per step, the call the
+    actors make: every step encodes its own B rows and computes its own
+    gate terms. Zeroes a row's state after a step that ends its episode.
+    Returns (the state after step T, T logits, T values)."""
+    logits_steps, values_steps = [], []
+    for t in range(len(dones)):
+        state, logits, value = net.forward(state, obs[t])
+        logits_steps.append(logits)
+        values_steps.append(value)
+        if dones[t].any():
+            state = state.scale(1.0 - dones[t].astype(np.float32))
+    return state, logits_steps, values_steps

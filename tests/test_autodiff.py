@@ -73,6 +73,17 @@ OPS = {
     # conv2d of the tiled vector grid[y, x] * v[n, c] on a non-square grid
     "tiled_conv2d_k3": (lambda v, w: ad.tiled_conv2d(v, w, GRID), [(2, 3), (3, 3, 3, 2)]),
     "tiled_conv2d_even_k": (lambda v, w: ad.tiled_conv2d(v, w, GRID), [(2, 3), (4, 4, 3, 2)]),
+    # two maps on a non-square grid, a per-row and a broadcast base, and the
+    # pool term; squared so that every gradient depends on the position
+    "gate_conv_k3_pool": (lambda x1, x2, w, base, b, pool, wp: ad.square(
+        ad.gate_conv([x1, x2], w, [base, b], pool, wp)),
+        [(2, 3, 4, 2), (2, 3, 4, 1), (27, 2), (2, 3, 4, 2), (1, 3, 4, 2), (2, 2), (2, 18)]),
+    # an even kernel pads one more row and column at the bottom/right
+    "gate_conv_even_k": (lambda x, w, b: ad.square(ad.gate_conv([x], w, [b])),
+                         [(1, 3, 3, 2), (8, 2), (2,)]),
+    # vectors as a 1 x 1 grid: the vector LSTM's dense gate
+    "gate_conv_vectors": (lambda h1, h2, w, base: ad.square(ad.gate_conv([h1, h2], w, [base])),
+                          [(3, 2), (3, 1), (3, 4), (3, 4)]),
     "relu": (ad.relu, [(3, 4)]),
     "sigmoid": (ad.sigmoid, [(3, 4)]),
     "tanh": (ad.tanh, [(3, 4)]),
@@ -88,7 +99,12 @@ OPS = {
     "split": (lambda a: ad.mul(*ad.split(a, 2, axis=-1)), [(2, 4)]),
     "spatial_max": (ad.spatial_max, [(2, 3, 3, 2)]),
     "spatial_mean": (ad.spatial_mean, [(2, 3, 3, 2)]),
-    "slice_axis": (lambda w: ad.slice_axis(w, 1, 3, axis=-2), [(2, 2, 4, 3)]),
+    # uneven chunks of a kernel's input channels; the unused middle one gets zero
+    "split_sizes": (lambda w: ad.mul(*ad.split(w, (1, 2, 1), axis=-2)[::2]), [(2, 2, 4, 3)]),
+    # `add` hands `a` and `b` one gradient array; `a`'s chunks must not write into it
+    "split_after_add": (lambda a, b: ad.concat([ad.square(ad.add(a, b)), ad.mul(*ad.split(a, 2, axis=0))],
+                                               axis=0), [(2, 3), (2, 3)]),
+    "transpose": (lambda a, b: ad.mul(ad.transpose(a, (2, 0, 1)), b), [(2, 3, 4), (4, 2, 3)]),
     "gather": (lambda a: ad.gather_last(a, np.array([1, 0, 2])), [(3, 4)]),
 }
 
@@ -201,6 +217,42 @@ def test_tiled_conv2d_matches_conv_of_the_tiled_input(k):
         x = grid[None, :, :, None] * v[:, None, None, :]
         got = ad.tiled_conv2d(Tensor(v), Tensor(w), grid).data
         assert _rel_err(got, conv2d_reference(x, w, stride=1, padding="same")) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gate_conv_is_the_chain_it_replaces(k):
+    """One `gate_conv` node against concat -> conv2d -> add -> tiled_conv2d
+    -> add: the same float32 values bit for bit, and the same gradients."""
+    rng = np.random.default_rng(k)
+    arrays = [rng.normal(size=s).astype(np.float32) for s in
+              ((2, 3, 4, 2), (2, 3, 4, 3), (k, k, 5, 6), (2, 3, 4, 6), (2, 4), (k, k, 4, 6))]
+    g = ad.constant(rng.normal(size=(2, 3, 4, 6)))
+
+    def run(fused):
+        x1, x2, w, base, pool, wp = tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        if fused:
+            wt = ad.reshape(ad.transpose(wp, (2, 0, 1, 3)), (4, -1))
+            out = ad.gate_conv([x1, x2], ad.reshape(w, (-1, 6)), [base], pool, wt)
+        else:
+            out = ad.add(ad.add(ad.conv2d(ad.concat([x1, x2]), w), base),
+                         ad.tiled_conv2d(pool, wp, np.ones((3, 4))))
+        ad.backward(ad.sum_all(ad.mul(out, g)))
+        return out.data, [t.grad for t in tensors]
+
+    (fused, fused_grads), (chain, chain_grads) = run(True), run(False)
+    np.testing.assert_array_equal(fused, chain)
+    for got, want in zip(fused_grads, chain_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+    with pytest.raises(ShapeError, match="gate_conv"):
+        ad.gate_conv([Tensor(arrays[0])], Tensor(np.zeros((k * k * 5, 6))), [])
+
+
+def test_split_rejects_sizes_that_do_not_cover_the_axis():
+    w = Tensor(np.zeros((2, 1, 4, 3)))
+    with pytest.raises(ShapeError, match="sizes"):
+        ad.split(w, (1, 2), axis=-2)
+    with pytest.raises(ShapeError, match="divisible"):
+        ad.split(w, 3, axis=-2)
 
 
 def test_convlstm_cell_matches_gate_formula():

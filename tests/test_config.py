@@ -1,5 +1,7 @@
 """Run-config parsing: sections onto typed dataclasses, and rejected input."""
 
+import re
+
 import pytest
 
 from drcplan.config import load_run_config, parse_config_text
@@ -77,3 +79,23 @@ def test_impossible_gridworld_ranges_are_rejected(tmp_path, key, value):
 def test_duplicate_key_is_rejected():
     with pytest.raises(ValueError, match="line 2: duplicate key 'train.seed'"):
         parse_config_text("train.seed = 1\ntrain.seed = 2\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("train.batch_size = four", "train.batch_size: expected int, got 'four'"),
+    ("train.lr_init = fast", "train.lr_init: expected float, got 'fast'"),
+    ("drc.pool_and_inject = maybe", "drc.pool_and_inject: expected a boolean, got 'maybe'"),
+    ("gridworld.obstacle_count = 2,x", "gridworld.obstacle_count: expected comma-separated integers"),
+    ("drc.encoder = 16:3", "drc.encoder: expected channels:kernel:stride groups, got '16:3'"),
+    ("eval.batch_size = lots", "eval.batch_size: expected int, got 'lots'"),
+])
+def test_a_value_that_does_not_parse_names_its_key(tmp_path, line, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        _load(tmp_path, f"game = gridworld12\n{line}\n")
+
+
+@pytest.mark.parametrize("size", [1, 0])
+def test_a_grid_without_room_for_a_player_and_a_goal_is_rejected(tmp_path, size):
+    """A player and a goal need two cells; caught at load, not after 1000 layout tries."""
+    with pytest.raises(ValueError, match=f"^gridworld.size must be >= 2, got {size}$"):
+        _load(tmp_path, f"game = gridworld12\ngridworld.size = {size}\n")

@@ -228,7 +228,7 @@ def test_step_n1_equals_single_tick():
     net = tiny_net(depth=2, repeats=1)
     state = rand_state(net)
     i_t = net.encode(Tensor(rand_obs(net)))
-    via_step, o_t = net.step_state(state, i_t)
+    via_step, o_t = net.step_state(state, net.step_terms(i_t))
     via_tick = net.tick(state, net.step_terms(i_t))
     for got, want in zip(via_step.c + via_step.h, via_tick.c + via_tick.h):
         np.testing.assert_array_equal(got.data, want.data)
@@ -242,7 +242,7 @@ def test_step_n3_equals_manual_tick_loop_bit_identical():
     manual, terms = state, net.step_terms(i_t)
     for _ in range(3):
         manual = net.tick(manual, terms)
-    stepped, _ = net.step_state(state, i_t)
+    stepped, _ = net.step_state(state, terms)
     for got, want in zip(stepped.c + stepped.h, manual.c + manual.h):
         np.testing.assert_array_equal(got.data, want.data)
 
@@ -252,11 +252,12 @@ def test_repeat_associativity_bit_identical():
         net = tiny_net(depth=2, repeats=5, seed=seed)
         state = rand_state(net, seed=seed + 100)
         i_t = net.encode(Tensor(rand_obs(net, seed=seed + 200)))
-        full, _ = net.step_state(state, i_t)
+        terms = net.step_terms(i_t)
+        full, _ = net.step_state(state, terms)
         net.config = DrcConfig(**{**net.config.__dict__, "repeats": 2})
-        part, _ = net.step_state(state, i_t)
+        part, _ = net.step_state(state, terms)
         net.config = DrcConfig(**{**net.config.__dict__, "repeats": 3})
-        part, _ = net.step_state(part, i_t)
+        part, _ = net.step_state(part, terms)
         for got, want in zip(part.c + part.h, full.c + full.h):
             np.testing.assert_array_equal(got.data, want.data)
 

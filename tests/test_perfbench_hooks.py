@@ -3,13 +3,19 @@
 `perfbench/tracing.py` wraps `drcplan` functions and methods by attribute
 name and `perfbench/workloads.py` imports more, so a rename in `src` would
 break `--trace 1` or a workload without failing any test here. This imports
-both and installs and removes every wrapper once.
+both and installs and removes every wrapper once, and trains under them: a
+wrapper passes a fixed argument list through (`conv2d(x, w, b, stride,
+padding)`), so a call the wrapper cannot pass on fails only when traced.
 """
 
 import importlib
 from pathlib import Path
 
-from drcplan.drc import DrcNetwork
+import numpy as np
+
+from drcplan.drc import DrcNetwork, preset_config
+from drcplan.sources import source_factory
+from drcplan.train import TrainConfig, Trainer
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,3 +28,16 @@ def test_the_benchmark_imports_and_wraps_every_name_it_uses(monkeypatch):
     with tracing.traced(tracing.Tracer()):
         assert DrcNetwork.tick is not tick
     assert DrcNetwork.tick is tick
+
+
+def test_a_training_update_runs_traced(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracing = importlib.import_module("perfbench.tracing")
+    net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0)
+    trainer = Trainer(net, source_factory("gridworld12"), TrainConfig(num_actors=2, batch_size=2,
+                                                                     unroll_length=3))
+    with tracing.traced(tracing.Tracer()) as tracer:
+        metrics = trainer.train_one_update()
+    assert np.isfinite(metrics["loss"]) and metrics["mean_rho"] == 1.0
+    assert {"drc.encode", "drc.tick", "autodiff.conv2d.fwd", "autodiff.conv2d.bwd",
+            "train.learner_update"} <= set(tracer.names)

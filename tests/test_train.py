@@ -1,6 +1,7 @@
 """Trainer configuration checks and the actor-critic loss terms."""
 
 import json
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -9,10 +10,13 @@ import pytest
 from drcplan import cli, train
 from drcplan.autodiff import Tensor
 from drcplan.checkpoint import load_checkpoint
-from drcplan.drc import DrcNetwork, preset_config
+from drcplan.drc import MEMORY_KINDS, DrcNetwork, preset_config
 from drcplan.gradcheck import finite_difference_check, tiny_drc_config
+from drcplan.nn import compute_gradients
 from drcplan.sources import source_factory
 from drcplan.train import TrainConfig, Trainer, Unroll, compute_loss, replay, take_columns
+
+from oracles import replay_reference
 
 
 @pytest.mark.parametrize("name", ["num_actors", "batch_size", "unroll_length"])
@@ -95,15 +99,15 @@ GRIDWORLD_RUN = """\
 game = gridworld12
 drc.depth = 1
 drc.repeats = 1
-train.num_actors = 3
+train.num_actors = {actors}
 train.batch_size = {batch}
 train.unroll_length = 5
 """
 
 
-def _cli_train(tmp_path, name, batch, extra="", env_steps=600):
+def _cli_train(tmp_path, name, batch, extra="", env_steps=600, actors=3):
     config = tmp_path / f"{name}.cfg"
-    config.write_text(GRIDWORLD_RUN.format(batch=batch) + extra)
+    config.write_text(GRIDWORLD_RUN.format(batch=batch, actors=actors) + extra)
     out = tmp_path / name
     cli.main(["train", "--config", str(config), "--seed", "3", "--env-steps", str(env_steps),
               "--out", str(out)])
@@ -118,15 +122,94 @@ def test_cli_train_is_bit_exact_across_runs(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_learner_replays_the_actor_forward_exactly(tmp_path):
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_learner_replays_the_actor_forward_exactly(tmp_path, kind):
     """With batch == num_actors every batch is one unroll taken under the
     parameters the learner replays, so every importance weight is exactly 1,
     also across episode ends inside an unroll."""
-    out = _cli_train(tmp_path, "run", batch=3)
-    rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
-    assert len(rows) == 40
-    assert all(row["mean_rho"] == 1.0 for row in rows)
-    assert sum(row["episodes"] for row in rows) > 0
+    for batch, updates in ((3, 40), (8, 15)):
+        out = _cli_train(tmp_path, f"run{batch}", batch=batch, actors=batch,
+                         extra=f"drc.memory_kind = {kind}\n")
+        rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert len(rows) == updates
+        assert all(row["mean_rho"] == 1.0 for row in rows), batch
+        assert sum(row["episodes"] for row in rows) > 0
+
+
+def _replay_case(dtype, batch, flags, t_len=4):
+    """A gridworld12 DRC(2, 2) network in `dtype`, a random start state and
+    T = 4 steps of observations in which two columns end an episode."""
+    net = DrcNetwork.create(preset_config("gridworld12", 2, 2, **flags), seed=batch, dtype=dtype)
+    rng = np.random.default_rng(batch)
+    obs = rng.uniform(0.0, 1.0, (t_len + 1, batch) + net.config.obs_shape).astype(dtype)
+    dones = np.zeros((t_len, batch), dtype=bool)
+    dones[1, 0] = dones[2, batch - 1] = True
+    start = net.zero_state(batch)
+    for t in start.c + start.h:
+        t.data[...] = rng.normal(scale=0.5, size=t.shape)
+    actions = rng.integers(0, net.config.action_count, size=t_len * batch)
+    advantages, targets = rng.normal(size=(2, t_len * batch))
+    head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
+
+    def run(fn):
+        state, logits, values = fn(net, start, obs, dones)
+        loss, _ = compute_loss(logits, values, actions, advantages, targets, head_weights, TrainConfig())
+        return state, logits, values, compute_gradients(loss, net.params)
+
+    return run
+
+
+REPLAY_FLAGS = [{}] + [{flag: False} for flag in ("pool_and_inject", "top_down_skip", "vision_shortcut",
+                                                   "obs_skip_all_depths", "boundary_padding")] \
+    + [{"memory_kind": kind} for kind in MEMORY_KINDS[1:]]
+
+
+@pytest.mark.parametrize("batch", [3, 8])
+@pytest.mark.parametrize("flags", REPLAY_FLAGS, ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()) or "all")
+def test_replay_matches_the_per_step_forward(batch, flags):
+    """`replay` runs the encoder and observation convs once over all T*B
+    rows; the per-step loop of the actors' forward gives bit-identical
+    float32 logits and values, and in float64 the same logits, values,
+    final state and gradients to 1e-12."""
+    run = _replay_case(np.float32, batch, flags)
+    (_, logits, values, _), (_, want_logits, want_values, _) = run(replay), run(replay_reference)
+    for got, want in zip(logits + values, want_logits + want_values):
+        np.testing.assert_array_equal(got.data, want.data)
+
+    run = _replay_case(np.float64, batch, flags)
+    got, want = run(replay), run(replay_reference)
+    tensors = lambda r: [*r[0].c, *r[0].h, *r[1], *r[2]]  # final state, logits, values
+    pairs = [(a.data, b.data) for a, b in zip(tensors(got), tensors(want))]
+    assert sorted(got[3]) == sorted(want[3])
+    pairs += [(got[3][path], want[3][path]) for path in want[3]]
+    rel = lambda a, b: np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+    assert max(rel(a, b) for a, b in pairs) < 1e-12
+
+
+def test_the_replay_tape_stays_small():
+    """The tracemalloc peak of a Sokoban DRC(3, 3) replay and its backward
+    at B=2, T=4 stays within 5% of 36.85 MB (64.87 MB when every gate
+    preactivation took five tape nodes and every step ran its own encoder),
+    so a change that makes the learner hold more shows here."""
+    net = DrcNetwork.create(preset_config("sokoban", 3, 3), seed=0)
+    obs = np.random.default_rng(0).uniform(0.0, 1.0, (5, 2, 80, 80, 3)).astype(np.float32)
+    dones = np.zeros((4, 2), dtype=bool)
+    dones[1, 0] = True
+
+    def update():
+        _, logits, values = replay(net, net.zero_state(2), obs, dones)
+        loss, _ = compute_loss(logits, values, np.zeros(8, dtype=int), np.ones(8), np.ones(8),
+                               [], TrainConfig())
+        compute_gradients(loss, net.params)
+
+    update()  # warm-up: one-off allocations
+    tracemalloc.start()
+    try:
+        update()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36.85e6 * 1.05, peak
 
 
 @pytest.mark.parametrize("every", [0, 2])
