@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 This is not a general autodiff system: it implements exactly the op set the
-rest of the library needs (dense layers, 2D convolution, a fused gate
-preactivation, gate nonlinearities and a fused LSTM cell, spatial pooling,
-softmax losses). Image tensors are batched NHWC arrays, (N, H, W, C).
+rest of the library needs: elementwise arithmetic, dense layers, 2D
+convolution (`conv2d`) and a fused gate preactivation (`gate_conv`) that
+share one im2col builder and its col2im adjoint, gate nonlinearities and a
+fused LSTM cell (`convlstm_cell`), reductions, reshaping, spatial pooling and
+log-softmax. Image tensors are batched NHWC arrays, (N, H, W, C).
 
 Training runs in float32; gradient verification runs in float64 (central
 finite differences are unreliable at single precision). The dtype of a
@@ -194,11 +196,60 @@ def dense(x, w, b=None):
 # 2D convolution, NHWC x (K, K, Cin, Cout)
 
 
-def _same_pad(size, k, stride):
-    out = -(-size // stride)  # ceil
-    total = max((out - 1) * stride + k - size, 0)
-    lo = total // 2
-    return out, lo, total - lo  # extra padding goes on the bottom/right
+def _same_pad(h, w, k, stride):
+    """Output size (ceil(H/stride), ceil(W/stride)) of a "same" convolution and
+    its (top, bottom, left, right) zero padding. An odd total, as an even
+    kernel at stride 1 needs, puts the extra row and column bottom/right."""
+    oh, ow = -(-h // stride), -(-w // stride)
+    th, tw = max((oh - 1) * stride + k - h, 0), max((ow - 1) * stride + k - w, 0)
+    return oh, ow, (th // 2, th - th // 2, tw // 2, tw - tw // 2)
+
+
+def _im2col(xs, k, stride, pads):
+    """The (N*OH*OW, K*K*Cin) im2col matrix of the NHWC arrays `xs`, side by
+    side along channels (Cin = sum of theirs) and zero padded by `pads`:
+    row (n, oy, ox), column (tap row, tap column, channel).
+
+    The inputs go into one zeroed buffer (np.pad costs far more per call at
+    these sizes), windowed by a zero-copy strided view that the reshape
+    gathers. Callers rebuild the matrix in backward rather than keep it.
+    """
+    top, bot, left, right = pads
+    n, h, w, _ = xs[0].shape
+    cin = sum(x.shape[3] for x in xs)
+    xp = xs[0]
+    if len(xs) > 1 or any(pads):
+        xp = np.zeros((n, h + top + bot, w + left + right, cin), dtype=xs[0].dtype)
+        lo = 0
+        for x in xs:
+            xp[:, top:top + h, left:left + w, lo:lo + x.shape[3]] = x
+            lo += x.shape[3]
+    oh, ow = (xp.shape[1] - k) // stride + 1, (xp.shape[2] - k) // stride + 1
+    st = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, oh, ow, k, k, cin),
+        strides=(st[0], st[1] * stride, st[2] * stride, st[1], st[2], st[3]))
+    return view.reshape(n * oh * ow, k * k * cin)
+
+
+def _col2im(dcols, xs, k, stride, pads):
+    """The adjoint of `_im2col(xs, k, stride, pads)`: each tap's slice of
+    `dcols` is added back onto the windows it was read from, and the
+    gradient of each of `xs` is its slice of the unpadded result."""
+    top, bot, left, right = pads
+    n, h, w, _ = xs[0].shape
+    cin = sum(x.shape[3] for x in xs)
+    hp, wp = h + top + bot, w + left + right
+    oh, ow = (hp - k) // stride + 1, (wp - k) // stride + 1
+    dcols = dcols.reshape(n, oh, ow, k, k, cin)
+    dxp = np.zeros((n, hp, wp, cin), dtype=dcols.dtype)
+    for kh in range(k):
+        rows = slice(kh, kh + (oh - 1) * stride + 1, stride)
+        for kw in range(k):
+            cs = slice(kw, kw + (ow - 1) * stride + 1, stride)
+            dxp[:, rows, cs, :] += dcols[:, :, :, kh, kw, :]
+    ends = np.cumsum([0] + [x.shape[3] for x in xs])
+    return [dxp[:, top:top + h, left:left + w, lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 def conv2d(x, w, b=None, stride=1, padding="same"):
@@ -208,8 +259,8 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
     or "valid" (floor((in - K)/stride) + 1).
 
     Forward is one matmul over the im2col matrix `cols` (N*OH*OW, K*K*Cin).
-    Backward rebuilds `cols` from the padded input instead of keeping it, so
-    it stays transient; then dW = cols^T g is one matmul, and dX is one matmul
+    Backward rebuilds `cols` from the input instead of keeping it, so it
+    stays transient; then dW = cols^T g is one matmul, and dX is one matmul
     dcols = g W^T followed by a col2im of K*K strided adds.
     """
     if x.ndim != 4:
@@ -229,34 +280,16 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
     n, h, width, cin = x.shape
     cout = w.shape[3]
     if padding == "same":
-        out_h, pad_top, pad_bot = _same_pad(h, k, stride)
-        out_w, pad_left, pad_right = _same_pad(width, k, stride)
+        out_h, out_w, pads = _same_pad(h, width, k, stride)
     elif padding == "valid":
         if h < k or width < k:
             raise ShapeError(f"conv2d: valid padding needs input >= kernel, got {(h, width)} vs {k}")
-        out_h = (h - k) // stride + 1
-        out_w = (width - k) // stride + 1
-        pad_top = pad_bot = pad_left = pad_right = 0
+        out_h, out_w, pads = (h - k) // stride + 1, (width - k) // stride + 1, (0, 0, 0, 0)
     else:
         raise ValueError(f"conv2d: unknown padding {padding!r}")
 
-    xp = x.data
-    if pad_top or pad_bot or pad_left or pad_right:
-        # a zeroed buffer and one slice assignment: np.pad costs far more
-        # per call at these sizes
-        xp = np.zeros((n, h + pad_top + pad_bot, width + pad_left + pad_right, cin), dtype=x.dtype)
-        xp[:, pad_top:pad_top + h, pad_left:pad_left + width, :] = x.data
-
     w2 = w.data.reshape(k * k * cin, cout)
-    rows_out = n * out_h * out_w
-    # im2col as a zero-copy window view; reshaping it gathers `cols` for one
-    # matmul. Backward gathers it again: kept on the tape, `cols` would pin
-    # about 3.7 MB per gate conv (B=8) until the backward pass.
-    st = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, out_h, out_w, k, k, cin),
-        strides=(st[0], st[1] * stride, st[2] * stride, st[1], st[2], st[3]))
-    out_data = (view.reshape(rows_out, k * k * cin) @ w2).reshape(n, out_h, out_w, cout)
+    out_data = (_im2col([x.data], k, stride, pads) @ w2).reshape(n, out_h, out_w, cout)
     if b is not None:
         if b.shape != (cout,):
             raise ShapeError(f"conv2d: bias shape {b.shape} does not match Cout {cout}")
@@ -265,95 +298,34 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
-        g2 = g.reshape(rows_out, cout)
+        g2 = g.reshape(-1, cout)
         if w.requires_grad:
             # unnamed, the rebuilt `cols` is freed before dcols is allocated
-            dw = view.reshape(rows_out, k * k * cin).T @ g2
+            dw = _im2col([x.data], k, stride, pads).T @ g2
             _accumulate(w, dw.reshape(k, k, cin, cout))
         if x.requires_grad:
-            # col2im: scatter each tap's slice of dcols back onto the windows
-            dcols = (g2 @ w2.T).reshape(n, out_h, out_w, k, k, cin)
-            dxp = np.zeros(xp.shape, dtype=g.dtype)
-            for kh in range(k):
-                rows = slice(kh, kh + (out_h - 1) * stride + 1, stride)
-                for kw in range(k):
-                    cs = slice(kw, kw + (out_w - 1) * stride + 1, stride)
-                    dxp[:, rows, cs, :] += dcols[:, :, :, kh, kw, :]
-            _accumulate(x, dxp[:, pad_top:pad_top + h, pad_left:pad_left + width, :])
+            _accumulate(x, _col2im(g2 @ w2.T, [x.data], k, stride, pads)[0])
         if b is not None:
             _accumulate(b, g.sum(axis=(0, 1, 2)))
 
     return _node(out_data, parents, backward)
 
 
-def _tap_matrix(grid, k):
-    """(H*W, K*K) matrix of what each tap of a "same", stride-1 K x K window
-    reads from the zero-padded (H, W) map `grid`, row y*W + x, column i*K + j."""
-    h, w = grid.shape
-    _, top, bot = _same_pad(h, k, 1)
-    _, left, right = _same_pad(w, k, 1)
-    gp = np.zeros((h + top + bot, w + left + right), dtype=grid.dtype)
-    gp[top:top + h, left:left + w] = grid
-    st = gp.strides
-    view = np.lib.stride_tricks.as_strided(gp, shape=(h, w, k, k), strides=st + st)
-    return view.reshape(h * w, k * k)
-
-
 @functools.lru_cache(maxsize=None)
 def _uniform_taps(h, w, k, dtype):
-    """`_tap_matrix` of an all-ones (H, W) grid, read-only: where the pool
-    term of `gate_conv` lands. It depends on shapes alone, so it is built once."""
-    taps = _tap_matrix(np.ones((h, w), dtype=dtype), k)
+    """(H*W, K*K) matrix of which taps of each pixel's "same", stride-1 K x K
+    window fall inside the (H, W) grid, read-only: where the pool term of
+    `gate_conv` lands. It depends on shapes alone, so it is built once."""
+    taps = _im2col([np.ones((1, h, w, 1), dtype=dtype)], k, 1, _same_pad(h, w, k, 1)[2])
     taps.flags.writeable = False
     return taps
-
-
-def _tiled(v, wt, taps):
-    """(N, H*W, Cout): each pixel's taps (H*W, K*K) times v @ wt, the
-    (N, K*K*Cout) product of v (N, Cin) and the (Cin, K*K*Cout) kernel `wt`."""
-    return taps @ (v @ wt).reshape(v.shape[0], taps.shape[1], -1)
-
-
-def _tap_grad(g, taps):
-    """Backward of `_tiled` down to its (N, K*K*Cout) product, from g (N, H, W, Cout)."""
-    n, cout = g.shape[0], g.shape[-1]
-    return (taps.T @ g.reshape(n, taps.shape[0], cout)).reshape(n, -1)
-
-
-def tiled_conv2d(v, w, grid):
-    """conv2d(x, w, padding="same") of the input x[n, y, x, c] = grid[y, x] * v[n, c],
-    without building x.
-
-    `v` is (N, Cin), `w` a (K, K, Cin, Cout) kernel and `grid` a constant
-    (H, W) numpy map; the result is (N, H, W, Cout). Each output pixel sums
-    what its taps read from the zero-padded grid times v @ w[tap], so the
-    work is one (N, Cin) x (Cin, K*K*Cout) product and one (H*W, K*K) x
-    (K*K, Cout) product per row, and x is never built.
-    """
-    if v.ndim != 2 or w.ndim != 4 or w.shape[0] != w.shape[1] or v.shape[1] != w.shape[2]:
-        raise ShapeError(f"tiled_conv2d: vector {v.shape} does not fit kernel {w.shape}")
-    n, cin = v.shape
-    k, _, _, cout = w.shape
-    h, width = grid.shape
-    taps = _tap_matrix(np.asarray(grid, dtype=v.dtype), k)
-    wt = w.data.transpose(2, 0, 1, 3).reshape(cin, k * k * cout)
-    out_data = _tiled(v.data, wt, taps).reshape(n, h, width, cout)
-
-    def backward(g):
-        d_tap = _tap_grad(g, taps)
-        if v.requires_grad:
-            _accumulate(v, d_tap @ wt.T)
-        if w.requires_grad:
-            _accumulate(w, (v.data.T @ d_tap).reshape(cin, k, k, cout).transpose(1, 2, 0, 3))
-
-    return _node(out_data, (v, w), backward)
 
 
 def gate_conv(xs, w, bases, pool=None, w_pool=None):
     """A memory module's gate preactivation as one tape node:
 
         conv2d(concat(xs, axis=-1), w, padding="same") + sum(bases)
-            + tiled_conv2d(pool, w_pool, all-ones grid)
+            + conv2d(pool tiled over the grid, w_pool, padding="same")
 
     `xs` are (N, H, W, C_i) maps, or (N, C_i) vectors taken as a 1 x 1 grid.
     `w` is the kernel as its (K*K*Cin, Cout) im2col matrix, rows ordered
@@ -364,12 +336,12 @@ def gate_conv(xs, w, bases, pool=None, w_pool=None):
 
     The inputs are padded straight into one im2col buffer, one GEMM writes
     the output, and the bases and the pool term are added to it in place.
-    Backward rebuilds the padded buffer from `xs` rather than keeping it, and
-    splits dX back to each input.
+    The pool term is never tiled: each pixel sums pool @ w_pool over the taps
+    of its window that fall inside the grid. Backward rebuilds the padded
+    buffer from `xs` rather than keeping it, and splits dX back to each input.
     """
     lead = xs[0].shape[:-1]
-    sizes = [x.shape[-1] for x in xs]
-    cin = sum(sizes)
+    cin = sum(x.shape[-1] for x in xs)
     k = math.isqrt(w.shape[0] // cin) if w.ndim == 2 and cin else 0
     if len(lead) not in (1, 3) or any(x.shape[:-1] != lead for x in xs) or k * k * cin != w.shape[0]:
         raise ShapeError(f"gate_conv: inputs {[x.shape for x in xs]} do not fit kernel matrix {w.shape}")
@@ -377,24 +349,15 @@ def gate_conv(xs, w, bases, pool=None, w_pool=None):
     cout = w.shape[1]
     if pool is not None and (pool.shape[0] != n or w_pool.shape != (pool.shape[1], k * k * cout)):
         raise ShapeError(f"gate_conv: pool {pool.shape} and kernel {w_pool.shape} do not fit")
-    pad = (k - 1) // 2  # "same" at stride 1: an even kernel's extra row and column go bottom/right
-    ends = np.cumsum([0] + sizes)
+    pads = _same_pad(h, width, k, 1)[2]
+    grids = [x.data.reshape(n, h, width, -1) for x in xs]
 
-    def cols():
-        xp = np.zeros((n, h + k - 1, width + k - 1, cin), dtype=xs[0].dtype)
-        for x, lo, hi in zip(xs, ends[:-1], ends[1:]):
-            xp[:, pad:pad + h, pad:pad + width, lo:hi] = x.data.reshape(n, h, width, hi - lo)
-        st = xp.strides
-        view = np.lib.stride_tricks.as_strided(xp, shape=(n, h, width, k, k, cin),
-                                               strides=st[:3] + st[1:])
-        return view.reshape(n * h * width, k * k * cin)
-
-    out = (cols() @ w.data).reshape(lead + (cout,))
+    out = (_im2col(grids, k, 1, pads) @ w.data).reshape(lead + (cout,))
     for b in bases:
         out += b.data
     if pool is not None:
         taps = _uniform_taps(h, width, k, np.dtype(out.dtype))
-        out += _tiled(pool.data, w_pool.data, taps).reshape(out.shape)
+        out += (taps @ (pool.data @ w_pool.data).reshape(n, k * k, cout)).reshape(out.shape)
     parents = tuple(xs) + (w,) + tuple(bases) + (() if pool is None else (pool, w_pool))
 
     def backward(g):
@@ -402,17 +365,12 @@ def gate_conv(xs, w, bases, pool=None, w_pool=None):
             _accumulate(b, _unbroadcast(g, b.shape))
         g2 = g.reshape(n * h * width, cout)
         if w.requires_grad:
-            _accumulate(w, cols().T @ g2)  # unnamed, the rebuilt cols is freed at once
+            _accumulate(w, _im2col(grids, k, 1, pads).T @ g2)  # unnamed, the rebuilt cols is freed at once
         if any(x.requires_grad for x in xs):
-            dcols = (g2 @ w.data.T).reshape(n, h, width, k, k, cin)
-            dxp = np.zeros((n, h + k - 1, width + k - 1, cin), dtype=g.dtype)
-            for kh in range(k):
-                for kw in range(k):
-                    dxp[:, kh:kh + h, kw:kw + width, :] += dcols[:, :, :, kh, kw, :]
-            for x, lo, hi in zip(xs, ends[:-1], ends[1:]):
-                _accumulate(x, dxp[:, pad:pad + h, pad:pad + width, lo:hi].reshape(x.shape))
+            for x, dx in zip(xs, _col2im(g2 @ w.data.T, grids, k, 1, pads)):
+                _accumulate(x, dx.reshape(x.shape))
         if pool is not None:
-            d_tap = _tap_grad(g, taps)
+            d_tap = (taps.T @ g.reshape(n, h * width, cout)).reshape(n, -1)
             if pool.requires_grad:
                 _accumulate(pool, d_tap @ w_pool.data.T)
             if w_pool.requires_grad:

@@ -25,19 +25,20 @@ computed as a sum of four terms, each with its slice of the one gate kernel
 - observation term, conv(i_t, w_obs): i_t is the same at every tick, so it
   runs once per step and depth (`gate_terms`); the learner runs it once per
   unroll over all T*B rows (`step_inputs`);
-- fixed term: the bias plus the boundary term. The boundary channel is a
-  fixed map, so its term is a fixed (H, W, Cout) map, also once per step
-  and depth;
+- fixed term: the bias plus conv(edge map, w_edge). The boundary channel is
+  the same (H, W) edge map for every row, so its term is a (1, H, W, Cout)
+  map, also once per step and depth;
 - recurrent term, conv([h below, own h], w_rec): per tick;
 - pool term: the pooled projection is spatially constant, so per tick it is
   a (B, C) x (C, K*K*Cout) product spread over the pixels by which kernel
   taps fall inside the grid, never tiled.
 
 Per tick, one `autodiff.gate_conv` node computes the recurrent term and adds
-the others to it in place; the kernel matrices it takes are prepared with
-the step's fixed terms (once per unroll in the learner). The ConvLSTM cell on that preactivation is one fused op
-(`autodiff.convlstm_cell`). `vector_lstm` takes the same path on a 1 x 1
-grid, its dense gate weight being a 1 x 1 kernel.
+the others to it in place. The kernel matrices it takes are prepared with
+the step's fixed terms, once per unroll in the learner. The ConvLSTM cell on
+that preactivation is one fused op (`autodiff.convlstm_cell`). `vector_lstm`
+takes the same path on a 1 x 1 grid, its dense gate weight being a 1 x 1
+kernel.
 """
 
 from __future__ import annotations
@@ -252,9 +253,8 @@ class DrcNetwork:
             obs = (ad.dense(i_t, w_obs) if cfg.memory_kind == "vector_lstm"
                    else ad.conv2d(i_t, w_obs, stride=1, padding="same"))
         if boundary:
-            eh, ew, _ = cfg.encoded_shape
-            ones = ad.constant(np.ones((1, 1)), dtype=self.dtype)
-            fixed = ad.add(fixed, ad.tiled_conv2d(ones, w_edge, _edge_map(eh, ew)))
+            edge = ad.constant(_edge_map(*cfg.encoded_shape[:2])[None, :, :, None], dtype=self.dtype)
+            fixed = ad.add(fixed, ad.conv2d(edge, w_edge, stride=1, padding="same"))
         w_rec = ad.reshape(w_rec, (-1, w.shape[-1]))  # a dense weight is already a 1 x 1 kernel's matrix
         w_pool = ad.reshape(ad.transpose(w_pool, (2, 0, 1, 3)), (pool, -1)) if pool else None
         return GateTerms(obs, fixed, w_rec, w_pool)

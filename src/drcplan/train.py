@@ -224,8 +224,8 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
     mean-squared penalty on the policy logits, and L2 on the output-head
     weight matrices. Returns the scalar loss tensor and per-term floats.
     """
-    logits_all = ad.concat(logits_steps, axis=0) if len(logits_steps) > 1 else logits_steps[0]
-    values_all = ad.concat(values_steps, axis=0) if len(values_steps) > 1 else values_steps[0]
+    logits_all = ad.concat(logits_steps, axis=0)
+    values_all = ad.concat(values_steps, axis=0)
     dt = logits_all.dtype
 
     lp = ad.log_softmax(logits_all)

@@ -49,8 +49,6 @@ def _rng_arrays(seed, shapes):
     return [rng.normal(size=s).astype(np.float64) for s in shapes]
 
 
-GRID = np.random.default_rng(99).normal(size=(3, 5))
-
 OPS = {
     "add": (lambda a, b: ad.add(a, b), [(2, 3), (2, 3)]),
     "add_broadcast": (lambda a, b: ad.add(a, b), [(2, 3), (3,)]),
@@ -70,9 +68,6 @@ OPS = {
     # the last input row and column lie in no window
     "conv_stride3_valid_remainder": (lambda x, w: ad.conv2d(x, w, stride=3, padding="valid"),
                                      [(1, 7, 7, 2), (3, 3, 2, 2)]),
-    # conv2d of the tiled vector grid[y, x] * v[n, c] on a non-square grid
-    "tiled_conv2d_k3": (lambda v, w: ad.tiled_conv2d(v, w, GRID), [(2, 3), (3, 3, 3, 2)]),
-    "tiled_conv2d_even_k": (lambda v, w: ad.tiled_conv2d(v, w, GRID), [(2, 3), (4, 4, 3, 2)]),
     # two maps on a non-square grid, a per-row and a broadcast base, and the
     # pool term; squared so that every gradient depends on the position
     "gate_conv_k3_pool": (lambda x1, x2, w, base, b, pool, wp: ad.square(
@@ -81,6 +76,9 @@ OPS = {
     # an even kernel pads one more row and column at the bottom/right
     "gate_conv_even_k": (lambda x, w, b: ad.square(ad.gate_conv([x], w, [b])),
                          [(1, 3, 3, 2), (8, 2), (2,)]),
+    # the pool term of an even kernel, whose taps overhang one side more
+    "gate_conv_even_k_pool": (lambda x, w, pool, wp: ad.square(ad.gate_conv([x], w, [], pool, wp)),
+                              [(2, 3, 2, 1), (4, 2), (2, 2), (2, 8)]),
     # vectors as a 1 x 1 grid: the vector LSTM's dense gate
     "gate_conv_vectors": (lambda h1, h2, w, base: ad.square(ad.gate_conv([h1, h2], w, [base])),
                           [(3, 2), (3, 1), (3, 4), (3, 4)]),
@@ -209,33 +207,84 @@ def test_conv2d_matches_loop_oracles(case, dtype):
     assert _rel_err(w.grad, dw) < tol
 
 
+@st.composite
+def gate_conv_cases(draw):
+    k, cout = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    vectors = draw(st.booleans())
+    hw = (1, 1) if vectors else (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    return (draw(st.integers(1, 2)),) + hw, vectors, sizes, k, cout, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=gate_conv_cases(), dtype=st.sampled_from([np.float64, np.float32]))
+def test_gate_conv_matches_loop_oracles(case, dtype):
+    """Forward, each input's gradient and the kernel's against direct
+    summation and the per-tap backward of a conv over the inputs'
+    concatenation: 1-3 maps, or N x 1 x 1 vectors, split along channels,
+    with odd and even kernels."""
+    (n, h, wd), vectors, sizes, k, cout, seed = case
+    rng = np.random.default_rng(seed)
+    maps = [rng.normal(size=(n, h, wd, c)).astype(dtype) for c in sizes]
+    w_np = rng.normal(size=(k, k, sum(sizes), cout)).astype(dtype)
+    xs = [Tensor(m.reshape(n, -1) if vectors else m, requires_grad=True) for m in maps]
+    w = Tensor(w_np.reshape(-1, cout), requires_grad=True)
+    out = ad.gate_conv(xs, w, [])
+    x_np = np.concatenate(maps, axis=-1)
+    tol = 1e-10 if dtype == np.float64 else 1e-5
+    assert out.dtype == dtype
+    assert _rel_err(out.data.reshape(n, h, wd, cout), conv2d_reference(x_np, w_np)) < tol
+    g = rng.normal(size=out.shape).astype(dtype)
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=dtype))))
+    dx, dw = conv2d_backward_reference(x_np, w_np, g.reshape(n, h, wd, cout))
+    for x, want in zip(xs, np.split(dx, np.cumsum(sizes)[:-1], axis=-1)):
+        assert x.grad.shape == x.shape
+        assert _rel_err(x.grad, want.reshape(x.shape)) < tol
+    assert _rel_err(w.grad, dw.reshape(-1, cout)) < tol
+
+
+def _check_pool_term(rng, k, hw):
+    """`gate_conv`'s pool term alone (zero map, zero kernel), pool (2, 3)
+    spread over an `hw` grid, against direct summation over the explicitly
+    tiled input: float64 values and the gradients of the pool and of its
+    (K, K, 3, 2) kernel, to a relative error of 1e-12."""
+    pool_np, wp_np = rng.normal(size=(2, 3)), rng.normal(size=(k, k, 3, 2))
+    pool, wp = Tensor(pool_np, requires_grad=True), Tensor(wp_np, requires_grad=True)
+    zeros = Tensor(np.zeros((2,) + hw + (1,)))
+    w_pool = ad.reshape(ad.transpose(wp, (2, 0, 1, 3)), (3, -1))
+    out = ad.gate_conv([zeros], Tensor(np.zeros((k * k, 2))), [], pool, w_pool)
+    tiled = np.broadcast_to(pool_np[:, None, None, :], (2,) + hw + (3,))
+    assert _rel_err(out.data, conv2d_reference(tiled, wp_np, stride=1, padding="same")) < 1e-12
+    g = rng.normal(size=out.shape)
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=np.float64))))
+    dx, dw = conv2d_backward_reference(tiled, wp_np, g)
+    assert _rel_err(pool.grad, dx.sum(axis=(1, 2))) < 1e-12
+    assert _rel_err(wp.grad, dw) < 1e-12
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_tiled_conv2d_matches_conv_of_the_tiled_input(k):
+def test_gate_conv_pool_term_matches_conv_of_the_tiled_input(k):
     rng = np.random.default_rng(k)
-    v, w = rng.normal(size=(2, 3)), rng.normal(size=(k, k, 3, 2))
-    for grid in (GRID, np.ones((4, 2)), rng.normal(size=(1, 3))):
-        x = grid[None, :, :, None] * v[:, None, None, :]
-        got = ad.tiled_conv2d(Tensor(v), Tensor(w), grid).data
-        assert _rel_err(got, conv2d_reference(x, w, stride=1, padding="same")) < 1e-12
+    for hw in ((3, 5), (4, 2), (1, 3)):
+        _check_pool_term(rng, k, hw)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gate_conv_is_the_chain_it_replaces(k):
-    """One `gate_conv` node against concat -> conv2d -> add -> tiled_conv2d
-    -> add: the same float32 values bit for bit, and the same gradients."""
+    """One `gate_conv` node against concat -> conv2d -> add: the same
+    float32 values bit for bit, and the same gradients. Its pool term is
+    checked against the conv of the tiled pool, as above."""
     rng = np.random.default_rng(k)
     arrays = [rng.normal(size=s).astype(np.float32) for s in
-              ((2, 3, 4, 2), (2, 3, 4, 3), (k, k, 5, 6), (2, 3, 4, 6), (2, 4), (k, k, 4, 6))]
+              ((2, 3, 4, 2), (2, 3, 4, 3), (k, k, 5, 6), (2, 3, 4, 6))]
     g = ad.constant(rng.normal(size=(2, 3, 4, 6)))
 
     def run(fused):
-        x1, x2, w, base, pool, wp = tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        x1, x2, w, base = tensors = [Tensor(a, requires_grad=True) for a in arrays]
         if fused:
-            wt = ad.reshape(ad.transpose(wp, (2, 0, 1, 3)), (4, -1))
-            out = ad.gate_conv([x1, x2], ad.reshape(w, (-1, 6)), [base], pool, wt)
+            out = ad.gate_conv([x1, x2], ad.reshape(w, (-1, 6)), [base])
         else:
-            out = ad.add(ad.add(ad.conv2d(ad.concat([x1, x2]), w), base),
-                         ad.tiled_conv2d(pool, wp, np.ones((3, 4))))
+            out = ad.add(ad.conv2d(ad.concat([x1, x2]), w), base)
         ad.backward(ad.sum_all(ad.mul(out, g)))
         return out.data, [t.grad for t in tensors]
 
@@ -243,6 +292,7 @@ def test_gate_conv_is_the_chain_it_replaces(k):
     np.testing.assert_array_equal(fused, chain)
     for got, want in zip(fused_grads, chain_grads):
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+    _check_pool_term(rng, k, (3, 4))
     with pytest.raises(ShapeError, match="gate_conv"):
         ad.gate_conv([Tensor(arrays[0])], Tensor(np.zeros((k * k * 5, 6))), [])
 

@@ -5,7 +5,8 @@ name and `perfbench/workloads.py` imports more, so a rename in `src` would
 break `--trace 1` or a workload without failing any test here. This imports
 both and installs and removes every wrapper once, and trains under them: a
 wrapper passes a fixed argument list through (`conv2d(x, w, b, stride,
-padding)`), so a call the wrapper cannot pass on fails only when traced.
+padding)`), so a call the wrapper cannot pass on fails only when traced, and
+a conv that bypasses the wrapped name drops out of the per-layer counts.
 """
 
 import importlib
@@ -41,3 +42,10 @@ def test_a_training_update_runs_traced(monkeypatch):
     assert np.isfinite(metrics["loss"]) and metrics["mean_rho"] == 1.0
     assert {"drc.encode", "drc.tick", "autodiff.conv2d.fwd", "autodiff.conv2d.bwd",
             "train.learner_update"} <= set(tracer.names)
+    # Every conv the model runs is counted: per forward, the encoder layers
+    # and the depth's observation and boundary convs. The actors run one
+    # forward per step; the learner runs them once for the replay of the
+    # unroll and once for the bootstrap forward.
+    per_forward = len(net.config.encoder) + 2 * net.config.depth
+    forwards = trainer.config.unroll_length + 2
+    assert tracer.counts["autodiff.conv2d.calls"] == forwards * per_forward
