@@ -1,130 +1,75 @@
-"""Binary checkpoint container for parameters and optimizer state.
+"""Checkpoint container for parameters and optimizer state.
 
-Layout (all integers little-endian, raw array data little-endian too):
+A checkpoint is a run of `.npy` records, each written by
+`numpy.lib.format.write_array` and read by `read_array`. The first is a 0-d
+string array holding a JSON header: `magic` "DRCK", `version` 2, `params` as
+[path, trainable] pairs in parameter order, and `adam`, null or {beta1,
+beta2, eps, step, moments: [path, ...]}. The parameter arrays follow in
+header order, then the m and the v array of each moment path in turn.
 
-    magic   4 bytes  b"DRCK"
-    version u32      currently 1
-    nparams u32
-    per parameter:
-        path_len u16, path utf-8 bytes
-        trainable u8
-        dtype    u8   0 = float32, 1 = float64
-        rank     u8
-        dims     u32 * rank
-        data     raw bytes, C order
-    has_adam u8
-    if has_adam:
-        beta1 f64, beta2 f64, eps f64, step u64
-        nmoments u32
-        per moment pair: path (as above), dtype u8, rank u8, dims u32*rank,
-        m data, v data
-
-The same array bytes written are read back, so a save/load round trip is
-bit-exact. A truncated or malformed file raises `ValueError` naming it.
+Arrays are float32 or float64 and keep their dtype, shape and bytes, so a
+round trip is bit-exact and saving the loaded state writes the same file.
+The container is not `.npz`: zip entries carry their write time, so two
+identical runs would write different bytes, and `np.savez` appends `.npz` to
+the path. A truncated or malformed file raises `ValueError` naming it.
 """
 
 from __future__ import annotations
 
-import struct
+import json
 
 import numpy as np
+from numpy.lib.format import read_array, write_array
 
 from .nn import ParameterSet
 from .optim import AdamState
 
-MAGIC = b"DRCK"
-VERSION = 1
-
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-
-
-def _write_path(f, path):
-    raw = path.encode("utf-8")
-    f.write(struct.pack("<H", len(raw)))
-    f.write(raw)
-
-
-def _take(f, n):
-    raw = f.read(n)
-    if len(raw) != n:
-        raise ValueError(f"truncated: {n} bytes wanted at offset {f.tell() - len(raw)}, "
-                         f"{len(raw)} left")
-    return raw
-
-
-def _unpack(f, fmt):
-    return struct.unpack(fmt, _take(f, struct.calcsize(fmt)))
-
-
-def _read_path(f):
-    (n,) = _unpack(f, "<H")
-    return _take(f, n).decode("utf-8")
-
-
-def _write_array(f, arr):
-    code = _DTYPE_CODES[np.dtype(arr.dtype)]
-    f.write(struct.pack("<BB", code, arr.ndim))
-    f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    f.write(np.ascontiguousarray(arr).astype(_CODE_DTYPES[code], copy=False).tobytes())
-
-
-def _read_array(f):
-    code, rank = _unpack(f, "<BB")
-    dims = _unpack(f, f"<{rank}I")
-    if code not in _CODE_DTYPES:
-        raise ValueError(f"unknown dtype code {code}")
-    dtype = _CODE_DTYPES[code]
-    count = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(_take(f, count * dtype.itemsize), dtype=dtype)
-    return data.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
+MAGIC = "DRCK"
+VERSION = 2
 
 
 def save_checkpoint(path, params, adam=None):
+    header = {"magic": MAGIC, "version": VERSION,
+              "params": [[name, params.is_trainable(name)] for name in params],
+              "adam": None if adam is None else {
+                  "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps, "step": adam.step,
+                  "moments": list(adam.m)}}
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(params)))
-        for name, t in params.items():
-            _write_path(f, name)
-            f.write(struct.pack("<B", 1 if params.is_trainable(name) else 0))
-            _write_array(f, t.data)
-        f.write(struct.pack("<B", 1 if adam is not None else 0))
-        if adam is not None:
-            f.write(struct.pack("<dddQ", adam.beta1, adam.beta2, adam.eps, adam.step))
-            f.write(struct.pack("<I", len(adam.m)))
-            for name in adam.m:
-                _write_path(f, name)
-                _write_array(f, adam.m[name])
-                _write_array(f, adam.v[name])
+        write_array(f, np.array(json.dumps(header)))
+        for _, t in params.items():
+            write_array(f, t.data)
+        for name in adam.m if adam is not None else ():
+            write_array(f, adam.m[name])
+            write_array(f, adam.v[name])
+
+
+def _read_float_array(f):
+    arr = read_array(f)
+    if arr.dtype not in (np.float32, np.float64):
+        raise ValueError(f"array of dtype {arr.dtype}, not float32 or float64")
+    return arr
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (ParameterSet, AdamState or None)."""
     with open(path, "rb") as f:
         try:
-            if f.read(4) != MAGIC:
+            header = json.loads(read_array(f)[()])
+            if not isinstance(header, dict) or header.get("magic") != MAGIC:
                 raise ValueError("not a checkpoint file")
-            (version,) = _unpack(f, "<I")
-            if version != VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
-            (nparams,) = _unpack(f, "<I")
+            if header["version"] != VERSION:
+                raise ValueError(f"unsupported checkpoint version {header['version']}")
             params = ParameterSet()
-            for _ in range(nparams):
-                name = _read_path(f)
-                (trainable,) = _unpack(f, "<B")
-                params.add(name, _read_array(f), trainable=bool(trainable))
-            (has_adam,) = _unpack(f, "<B")
+            for name, trainable in header["params"]:
+                params.add(name, _read_float_array(f), trainable=bool(trainable))
             adam = None
-            if has_adam:
-                beta1, beta2, eps, step = _unpack(f, "<dddQ")
-                adam = AdamState(beta1=beta1, beta2=beta2, eps=eps)
-                adam.step = step
-                (nmoments,) = _unpack(f, "<I")
-                for _ in range(nmoments):
-                    name = _read_path(f)
-                    adam.m[name] = _read_array(f)
-                    adam.v[name] = _read_array(f)
+            if header["adam"] is not None:
+                h = header["adam"]
+                adam = AdamState(beta1=h["beta1"], beta2=h["beta2"], eps=h["eps"])
+                adam.step = h["step"]
+                for name in h["moments"]:
+                    adam.m[name] = _read_float_array(f)
+                    adam.v[name] = _read_float_array(f)
             return params, adam
-        except ValueError as e:
+        except (ValueError, KeyError, TypeError) as e:
             raise ValueError(f"{path}: {e}") from None

@@ -60,12 +60,15 @@ class TrainConfig:
     def __post_init__(self):
         if not (0 < self.gamma <= 1 and 0 <= self.lam <= 1):
             raise ValueError("gamma must be in (0,1], lambda in [0,1]")
-        for name in ("entropy_cost", "baseline_cost", "logit_l2_cost", "head_l2_cost"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("num_actors", "batch_size", "unroll_length"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for names, ok, rule in (
+                (("num_actors", "batch_size", "unroll_length"), lambda v: v >= 1, ">= 1"),
+                (("entropy_cost", "baseline_cost", "logit_l2_cost", "head_l2_cost", "lr_init",
+                  "checkpoint_every", "clip_grad_norm"), lambda v: v >= 0, ">= 0"),
+                (("anneal_horizon", "adam_eps"), lambda v: v > 0, "> 0"),
+                (("adam_beta1", "adam_beta2"), lambda v: 0 <= v < 1, "in [0, 1)")):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 def anneal_lr(step, config):
@@ -362,7 +365,9 @@ class Trainer:
         return metrics
 
     def run(self, max_env_steps, metrics_path=None, log_every=1):
-        """Train until the frame budget is exhausted."""
+        """Train until the frame budget is exhausted, logging every `log_every` updates."""
+        if log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {log_every}")
         out = open(metrics_path, "w") if metrics_path else None
         try:
             while self.env_steps < max_env_steps:

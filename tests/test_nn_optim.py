@@ -1,9 +1,17 @@
 """ParameterSet bookkeeping, gradient records, Adam, and checkpoints."""
 
+import io
+import json
+import os
 import re
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.lib.format import write_array
 
 from drcplan import autodiff as ad
 from drcplan.autodiff import Tensor
@@ -196,10 +204,80 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_checkpoint_rejects_other_files(tmp_path):
+@st.composite
+def checkpoint_states(draw):
+    """1-4 parameters with distinct unicode paths, float32 or float64 arrays
+    of rank 0-4 (dims of size zero included) and mixed trainable flags, and
+    either no Adam state or one with moments for some of the paths."""
+    paths = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    params, arrays = ParameterSet(), {}
+    for path in paths:
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        arrays[path] = draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0,
+                                                                max_side=3)))
+        params.add(path, arrays[path], trainable=draw(st.booleans()))
+    if draw(st.booleans()):
+        return params, None
+    adam = AdamState(beta1=draw(st.floats(0, 1, exclude_max=True)),
+                     beta2=draw(st.floats(0, 1, exclude_max=True)),
+                     eps=draw(st.floats(0, 1, exclude_min=True)))
+    adam.step = draw(st.integers(0, 2**40))
+    for path in draw(st.permutations(paths))[:draw(st.integers(0, len(paths)))]:
+        like = arrays[path]
+        adam.m[path], adam.v[path] = (draw(hnp.arrays(like.dtype, like.shape)) for _ in range(2))
+    return params, adam
+
+
+def _same_array(a, b):
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(state=checkpoint_states())
+def test_checkpoint_round_trip_keeps_every_byte(state):
+    ps, adam = state
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.bin"), os.path.join(tmp, "b.bin")
+        save_checkpoint(first, ps, adam)
+        ps2, adam2 = load_checkpoint(first)
+        assert ps2.paths() == ps.paths()
+        for path in ps.paths():
+            assert _same_array(ps2[path].data, ps[path].data)
+            assert ps2.is_trainable(path) == ps.is_trainable(path)
+        if adam is None:
+            assert adam2 is None
+        else:
+            assert (adam2.beta1, adam2.beta2, adam2.eps, adam2.step) == \
+                (adam.beta1, adam.beta2, adam.eps, adam.step)
+            assert list(adam2.m) == list(adam2.v) == list(adam.m)
+            for path in adam.m:
+                assert _same_array(adam2.m[path], adam.m[path])
+                assert _same_array(adam2.v[path], adam.v[path])
+        save_checkpoint(second, ps2, adam2)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+
+def _npy(arr):
+    buf = io.BytesIO()
+    write_array(buf, arr)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(b"NOPE" + b"\0" * 32, id="junk"),
+    pytest.param(b"", id="empty"),
+    pytest.param(b"DRCK" + struct.pack("<II", 1, 0), id="v1_header"),
+    pytest.param(_npy(np.arange(3.0)), id="float_npy"),
+    pytest.param(_npy(np.array(json.dumps({"version": 2, "params": [], "adam": None}))),
+                 id="header_without_magic"),
+    pytest.param(_npy(np.array(json.dumps({"magic": "DRCK", "version": 3, "params": [],
+                                           "adam": None}))), id="other_version"),
+])
+def test_checkpoint_rejects_other_files(tmp_path, raw):
     path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\0" * 32)
-    with pytest.raises(ValueError):
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         load_checkpoint(path)
 
 

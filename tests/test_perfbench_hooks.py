@@ -6,7 +6,9 @@ break `--trace 1` or a workload without failing any test here. This imports
 both and installs and removes every wrapper once, and trains under them: a
 wrapper passes a fixed argument list through (`conv2d(x, w, b, stride,
 padding)`), so a call the wrapper cannot pass on fails only when traced, and
-a conv that bypasses the wrapped name drops out of the per-layer counts.
+a conv that bypasses the wrapped name drops out of the per-layer counts. A
+toy evaluation workload saves, loads and copies a checkpoint the way the
+benchmark does.
 """
 
 import importlib
@@ -49,3 +51,16 @@ def test_a_training_update_runs_traced(monkeypatch):
     per_forward = len(net.config.encoder) + 2 * net.config.depth
     forwards = trainer.config.unroll_length + 2
     assert tracer.counts["autodiff.conv2d.calls"] == forwards * per_forward
+
+
+def test_a_toy_eval_workload_runs_and_checks_clean(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    workload = importlib.import_module("perfbench.workloads").EvalWorkload(
+        batch=2, k_max=0, limits=(2, 4), setup_reps=1)
+    workload.prepare(1)
+    try:
+        workload.setup(1)
+        assert workload.op().failed == 0
+        assert workload.check() == []
+    finally:
+        workload.close()

@@ -1,6 +1,7 @@
 """Trainer configuration checks and the actor-critic loss terms."""
 
 import json
+import re
 import tracemalloc
 from collections import deque
 
@@ -19,10 +20,25 @@ from drcplan.train import TrainConfig, Trainer, Unroll, compute_loss, replay, ta
 from oracles import replay_reference
 
 
-@pytest.mark.parametrize("name", ["num_actors", "batch_size", "unroll_length"])
-def test_config_rejects_counts_below_one(name):
-    with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
-        TrainConfig(**{name: 0})
+@pytest.mark.parametrize("field, value, message", [
+    *(pytest.param(name, 0, f"{name} must be >= 1, got 0", id=name)
+      for name in ("num_actors", "batch_size", "unroll_length")),
+    pytest.param("lr_init", -0.001, "lr_init must be >= 0, got -0.001", id="lr_init"),
+    pytest.param("anneal_horizon", 0, "anneal_horizon must be > 0, got 0", id="anneal_horizon"),
+    pytest.param("adam_beta1", 1, "adam_beta1 must be in [0, 1), got 1", id="adam_beta1"),
+    pytest.param("adam_beta2", 1, "adam_beta2 must be in [0, 1), got 1", id="adam_beta2"),
+    pytest.param("adam_beta2", -0.5, "adam_beta2 must be in [0, 1), got -0.5",
+                 id="adam_beta2_negative"),
+    pytest.param("adam_eps", 0, "adam_eps must be > 0, got 0", id="adam_eps"),
+    pytest.param("checkpoint_every", -1, "checkpoint_every must be >= 0, got -1",
+                 id="checkpoint_every"),
+    pytest.param("clip_grad_norm", -1, "clip_grad_norm must be >= 0, got -1", id="clip_grad_norm"),
+])
+def test_config_rejects_counts_below_one(field, value, message):
+    """Counts below one and rates, horizons and Adam constants out of range
+    fail when the config is built, not in the first update."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**{field: value})
 
 
 def test_actors_filling_the_queue_exactly_still_train():
@@ -105,13 +121,21 @@ train.unroll_length = 5
 """
 
 
-def _cli_train(tmp_path, name, batch, extra="", env_steps=600, actors=3):
+def _cli_train(tmp_path, name, batch, extra="", env_steps=600, actors=3, flags=()):
     config = tmp_path / f"{name}.cfg"
     config.write_text(GRIDWORLD_RUN.format(batch=batch, actors=actors) + extra)
     out = tmp_path / name
     cli.main(["train", "--config", str(config), "--seed", "3", "--env-steps", str(env_steps),
-              "--out", str(out)])
+              "--out", str(out), *flags])
     return out
+
+
+def test_cli_train_rejects_log_every_below_one(tmp_path, monkeypatch):
+    """`--log-every 0` fails before the first update and opens no metrics file."""
+    monkeypatch.setattr(Trainer, "train_one_update", lambda self: pytest.fail("an update ran"))
+    with pytest.raises(ValueError, match="^log_every must be >= 1, got 0$"):
+        _cli_train(tmp_path, "run", batch=4, flags=["--log-every", "0"])
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
 def test_cli_train_is_bit_exact_across_runs(tmp_path):
