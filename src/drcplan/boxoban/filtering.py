@@ -33,29 +33,6 @@ class UniformRandomPolicy:
         return int(rng.integers(0, self.action_count))
 
 
-class CyclePolicy:
-    """Deterministic fixed action cycle; a deliberately weak probe agent.
-
-    A sanity probe, not a tier filter: every generated level starts with all
-    boxes off their targets, and the cycle solved none of 400 generated 4-box
-    levels in any of the 24 move orders, so filtering with it keeps every
-    level.
-    """
-
-    actions = (0, 3, 1, 2)
-
-    def __init__(self):
-        self._i = 0
-
-    def begin_episode(self, env):
-        self._i = 0
-
-    def __call__(self, obs, rng):
-        a = self.actions[self._i % len(self.actions)]
-        self._i += 1
-        return a
-
-
 class SolutionReplayPolicy:
     """Replays known solutions keyed by level hash; no-ops once exhausted."""
 
@@ -86,15 +63,9 @@ def play_scripted(policy, env_factories, seed=0):
         obs = env.reset()
         if hasattr(policy, "begin_episode"):
             policy.begin_episode(env)
-        ret, length = 0.0, 0
-        while True:
-            res = env.step(policy(obs, rng))
-            ret += res.reward
-            length += 1
-            if res.done:
-                outcomes.append((bool(res.solved), ret, length))
-                break
-            obs = res.obs
+        while not env.done:
+            obs = env.step(policy(obs, rng)).obs
+        outcomes.append((env.solved, env.episode_return, env.steps))
     return outcomes
 
 

@@ -128,7 +128,8 @@ class LevelSet:
     def __post_init__(self):
         if len(self.levels) != len(self.ids):
             raise ValueError("levels and ids must be parallel")
-        if len(set(self.ids)) != len(self.ids):
+        self._id_set = set(self.ids)  # for O(1) duplicate checks in `add`
+        if len(self._id_set) != len(self.ids):
             raise ValueError("duplicate level ids")
 
     def __len__(self):
@@ -140,10 +141,11 @@ class LevelSet:
     def add(self, level, level_id=None):
         if level_id is None:
             level_id = self.ids[-1] + 1 if self.ids else 0
-        if level_id in self.ids:
+        if level_id in self._id_set:
             raise ValueError(f"duplicate level id {level_id}")
         self.levels.append(level)
         self.ids.append(level_id)
+        self._id_set.add(level_id)
 
 
 def parse_levels(text, tier="unfiltered", split="train"):
@@ -165,7 +167,7 @@ def parse_levels(text, tier="unfiltered", split="train"):
             level_id = int(header[2:])
         except ValueError:
             raise ValueError(f"line {i + 1}: malformed level id in {header!r}") from None
-        if i + GRID_SIZE >= len(lines) + 1 and len(lines) - (i + 1) < GRID_SIZE:
+        if len(lines) - (i + 1) < GRID_SIZE:
             raise ValueError(f"line {i + 1}: truncated level (expected {GRID_SIZE} rows)")
         block = lines[i + 1:i + 1 + GRID_SIZE]
         level = SokobanLevel.from_lines(block, lineno=i + 1)

@@ -11,7 +11,9 @@ Arrays are float32 or float64 and keep their dtype, shape and bytes, so a
 round trip is bit-exact and saving the loaded state writes the same file.
 The container is not `.npz`: zip entries carry their write time, so two
 identical runs would write different bytes, and `np.savez` appends `.npz` to
-the path. A truncated or malformed file raises `ValueError` naming it.
+the path. A truncated or malformed file raises `ValueError` naming it, as
+does a version 1 file (raw bytes behind a bare `DRCK`), which is no longer
+read.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (ParameterSet, AdamState or None)."""
     with open(path, "rb") as f:
         try:
+            if f.read(len(MAGIC)) == MAGIC.encode():
+                raise ValueError("a version 1 checkpoint, an old format that is no longer read")
+            f.seek(0)
             header = json.loads(read_array(f)[()])
             if not isinstance(header, dict) or header.get("magic") != MAGIC:
                 raise ValueError("not a checkpoint file")

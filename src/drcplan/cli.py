@@ -17,9 +17,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .boxoban import (SOLVED, CyclePolicy, UniformRandomPolicy, filter_by_agent,
-                      generate_level_set, level_hash, parse_levels, play_scripted,
-                      serialize_levels, solve_bfs)
+from .boxoban import (SOLVED, UniformRandomPolicy, filter_by_agent, generate_level_set,
+                      level_hash, parse_levels, play_scripted, serialize_levels, solve_bfs)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_run_config
 from .drc import DrcNetwork, build_parameters, count_parameters, format_count_report
@@ -184,8 +183,7 @@ def cmd_filter_levels(args):
             raise ValueError("filter-levels --policy network needs --params <checkpoint>")
         play = partial(run_episodes, _load_net(args, run), batch_size=run.eval_batch_size)
     else:
-        policy = UniformRandomPolicy(SokobanEnv.action_count) if args.policy == "random" else CyclePolicy()
-        play = partial(play_scripted, policy)
+        play = partial(play_scripted, UniformRandomPolicy(SokobanEnv.action_count))
     kept = filter_by_agent(levels, play, attempts=args.attempts, step_limit=run.step_limit,
                            seed=args.seed, tier=args.tier)
     path = os.path.join(out, f"{args.tier}.txt")
@@ -280,9 +278,8 @@ def build_parser():
                        "attempt (env.step_limit steps; eval.batch_size attempts per forward)")
     _add_common(p)
     p.add_argument("--levels", required=True)
-    p.add_argument("--policy", choices=("random", "cycle", "network"), default="random",
-                   help="probe agent; 'cycle' is a sanity probe that solves no generated "
-                        "4-box level, 'network' samples from the --params checkpoint")
+    p.add_argument("--policy", choices=("random", "network"), default="random",
+                   help="probe agent; 'network' samples from the --params checkpoint")
     p.add_argument("--params", default=None)
     p.add_argument("--attempts", type=int, default=10)
     p.add_argument("--tier", default="medium")

@@ -284,9 +284,9 @@ class DrcNetwork:
         return [(i_t, [tm if o is None else tm._replace(obs=o[t]) for tm, o in zip(terms, obs_terms)])
                 for t, i_t in enumerate(ad.split(x, steps, axis=0))]
 
-    def memory_step(self, depth, terms, c_prev, h_prev, h_below, pool):
-        """One memory module update at `depth` (0-based) from its fixed
-        `terms` (`gate_terms`), the per-tick inputs and the (B, C) pooled
+    def memory_step(self, terms, c_prev, h_prev, h_below, pool):
+        """One memory module update from its depth's fixed `terms`
+        (`gate_terms`), the per-tick inputs and the (B, C) pooled
         projection (None without). The gate preactivation is one
         `autodiff.gate_conv` node."""
         bases = (terms.fixed,) if terms.obs is None else (terms.obs, terms.fixed)
@@ -317,7 +317,7 @@ class DrcNetwork:
             if terms[d].w_pool is not None:
                 pool = pool_and_inject(prev_h[d], self.params[f"core.d{d + 1}.pool.w"],
                                        self.params[f"core.d{d + 1}.pool.b"])
-            c, h = self.memory_step(d, terms[d], prev_c[d], prev_h[d], h_below, pool)
+            c, h = self.memory_step(terms[d], prev_c[d], prev_h[d], h_below, pool)
             new_c.append(c)
             new_h.append(h)
         return DrcState(tuple(new_c), tuple(new_h))

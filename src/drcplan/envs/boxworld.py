@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DIRECTIONS, Env, StepResult
+from .base import DIRECTIONS, Env
 
 SIZE = 14  # full observation, including the 1-pixel border
 
@@ -137,8 +137,8 @@ class BoxworldEnv(Env):
     action_count = 4
 
     def __init__(self, level, step_limit=None):
+        super().__init__(step_limit)
         self.level = level
-        self.step_limit = self.step_limit if step_limit is None else step_limit
         self.reset()
 
     def reset(self):
@@ -152,14 +152,11 @@ class BoxworldEnv(Env):
         for i, box in enumerate(self.level.boxes):
             self.locks[box.lock_pos] = i
             self.contents[box.content_pos] = i
-        self.steps = 0
-        self.done = False
-        self.solved = False
+        self._begin_episode()
         return self.render()
 
     def step(self, action):
-        self._check_not_done(self.done)
-        self._check_action(action)
+        self._check_step(action)
         reward = 0.0
         dr, dc = DIRECTIONS[action]
         nr, nc = self.agent[0] + dr, self.agent[1] + dc
@@ -187,15 +184,11 @@ class BoxworldEnv(Env):
                 self.gem_pos = None
                 reward += 10.0
                 self.solved = True
-                self.done = True
             else:
                 self.agent = dest
                 if dest in self.loose:
                     self.hand = self.loose.pop(dest)
-        self.steps += 1
-        if not self.done and self.steps >= self.step_limit:
-            self.done = True
-        return StepResult(self.render(), reward, self.done, self.solved)
+        return self._end_step(reward)
 
     def render(self):
         obs = np.zeros((SIZE, SIZE, 3), dtype=np.float32)

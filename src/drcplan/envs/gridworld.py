@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DIRECTIONS, Env, StepResult
+from .base import DIRECTIONS, Env
 
 EMPTY_VALUE, OBSTACLE_VALUE, GOAL_VALUE, PLAYER_VALUE = 0.0, 1.0, 0.5, 0.25
 
@@ -86,8 +86,8 @@ class GridworldEnv(Env):
     action_count = 4
 
     def __init__(self, seed, config=GridworldConfig(), step_limit=None):
+        super().__init__(step_limit)
         self.config = config
-        self.step_limit = self.step_limit if step_limit is None else step_limit
         self.layout = generate_gridworld(seed, config)
         self._base = np.full((config.size, config.size, 1), EMPTY_VALUE, dtype=np.float32)
         for r, row in enumerate(self.layout.obstacles):
@@ -99,32 +99,25 @@ class GridworldEnv(Env):
 
     def reset(self):
         self.player = self.layout.player
-        self.steps = 0
-        self.done = False
-        self.solved = False
+        self._begin_episode()
         return self.render()
 
     def step(self, action):
-        self._check_not_done(self.done)
-        self._check_action(action)
+        self._check_step(action)
         size = self.config.size
         dr, dc = DIRECTIONS[action]
         nr = min(max(self.player[0] + dr, 0), size - 1)
         nc = min(max(self.player[1] + dc, 0), size - 1)
         self.player = (nr, nc)
-        self.steps += 1
         if (nr, nc) == self.layout.goal:
             reward = 1.0
             self.solved = True
-            self.done = True
         elif self.layout.obstacles[nr][nc]:
             reward = -1.0
             self.done = True
         else:
             reward = -0.01
-            if self.steps >= self.step_limit:
-                self.done = True
-        return StepResult(self.render(), reward, self.done, self.solved)
+        return self._end_step(reward)
 
     def render(self):
         obs = self._base.copy()

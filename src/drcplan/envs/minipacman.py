@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DIRECTIONS, Env, StepResult
+from .base import DIRECTIONS, Env
 
 MAZE = (
     "###################",
@@ -82,16 +82,14 @@ class MiniPacmanEnv(Env):
     step_limit = 500
 
     def __init__(self, seed, config=MiniPacmanConfig(), step_limit=None):
+        super().__init__(step_limit)
         self.config = config
-        self.step_limit = self.step_limit if step_limit is None else step_limit
         self.seed = seed
         self.reset()
 
     def reset(self):
         self.rng = np.random.default_rng(self.seed)
-        self.steps = 0
-        self.done = False
-        self.solved = False
+        self._begin_episode()
         self._populate(first=True)
         return self.render()
 
@@ -146,8 +144,7 @@ class MiniPacmanEnv(Env):
         ghost.edible = 0
 
     def step(self, action):
-        self._check_not_done(self.done)
-        self._check_action(action)
+        self._check_step(action)
         cfg = self.config
         reward = 0.0
         player_prev = self.player
@@ -179,12 +176,9 @@ class MiniPacmanEnv(Env):
             if g.edible > 0:
                 g.edible -= 1
 
-        self.steps += 1
         if not self.done and not self.food:
             self._populate(first=False)
-        if self.steps >= self.step_limit:
-            self.done = True
-        return StepResult(self.render(), reward, self.done, self.solved)
+        return self._end_step(reward)
 
     def render(self):
         obs = np.empty((HEIGHT, WIDTH, 3), dtype=np.float32)

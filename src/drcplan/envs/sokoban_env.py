@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import DIRECTIONS, Env, StepResult
+from .base import DIRECTIONS, Env
 
 ACTION_UP, ACTION_DOWN, ACTION_LEFT, ACTION_RIGHT, ACTION_NOOP = range(5)
 
@@ -51,25 +51,22 @@ class SokobanEnv(Env):
     noop_action = ACTION_NOOP
 
     def __init__(self, level, step_limit=None):
+        super().__init__(step_limit)
         self.level = level
-        self.step_limit = self.step_limit if step_limit is None else step_limit
         self._wall_grid = np.array(level.walls, dtype=bool)
         self.reset()
 
     def reset(self):
         self.boxes = set(self.level.boxes)
         self.player = self.level.player
-        self.steps = 0
-        self.done = False
-        self.solved = False
+        self._begin_episode()
         return self.render()
 
     def boxes_on_target(self):
         return len(self.boxes & self.level.targets)
 
     def step(self, action):
-        self._check_not_done(self.done)
-        self._check_action(action)
+        self._check_step(action)
         reward = -0.01
         if action != ACTION_NOOP:
             dr, dc = DIRECTIONS[action]
@@ -87,14 +84,10 @@ class SokobanEnv(Env):
                         self.player = (nr, nc)
                 else:
                     self.player = (nr, nc)
-        self.steps += 1
         if self.boxes == set(self.level.targets):
             reward += 10.0
             self.solved = True
-            self.done = True
-        elif self.steps >= self.step_limit:
-            self.done = True
-        return StepResult(self.render(), reward, self.done, self.solved)
+        return self._end_step(reward)
 
     def render(self):
         grid = np.where(self._wall_grid, _WALL, _FLOOR).astype(np.int8)

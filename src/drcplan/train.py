@@ -129,8 +129,8 @@ def sample_action(logits, rng):
 class ActorGroup:
     """Rows of environments stepped in lockstep through one batched forward.
 
-    Each row owns an environment, an RNG, its recurrent-state row and the
-    return and length of its running episode. `next_episode(row)` returns
+    Each row owns an environment, which keeps its episode's return and
+    length, an RNG and its recurrent-state row. `next_episode(row)` returns
     `(env, rng, noop_steps, tag)` for the row's next episode, or None when
     its stream is empty; the first `noop_steps` actions of that episode are
     the environment's no-op. A row whose stream is empty leaves the batch, so
@@ -147,8 +147,6 @@ class ActorGroup:
         self.k = rows
         self.obs = np.stack([env.reset() for env, _, _, _ in self.episodes]).astype(np.float32)
         self.state = net.zero_state(batch=self.k)
-        self.episode_return = [0.0] * self.k
-        self.episode_length = [0] * self.k
         self.finished = []
 
     def drain_episode_stats(self):
@@ -163,7 +161,7 @@ class ActorGroup:
         logits = logits.data
         actions, rewards, dones, emptied = [], [], [], []
         for i, (env, rng, noop_steps, tag) in enumerate(self.episodes):
-            if self.episode_length[i] < noop_steps:
+            if env.steps < noop_steps:
                 a = env.noop_action
             elif self.greedy:
                 a = int(np.argmax(logits[i]))
@@ -173,14 +171,10 @@ class ActorGroup:
             actions.append(a)
             rewards.append(res.reward)
             dones.append(res.done)
-            self.episode_return[i] += res.reward
-            self.episode_length[i] += 1
             if not res.done:
                 self.obs[i] = res.obs
                 continue
-            self.finished.append((tag, bool(res.solved), self.episode_return[i],
-                                  self.episode_length[i]))
-            self.episode_return[i], self.episode_length[i] = 0.0, 0
+            self.finished.append((tag, env.solved, env.episode_return, env.steps))
             self.episodes[i] = self.next_episode(i)
             if self.episodes[i] is None:
                 emptied.append(i)
@@ -192,7 +186,7 @@ class ActorGroup:
             keep = np.setdiff1d(np.arange(self.k), emptied)
             self.obs, self.state, self.k = self.obs[keep], self.state.rows(keep), len(keep)
             for i in reversed(emptied):
-                del self.episodes[i], self.episode_return[i], self.episode_length[i]
+                del self.episodes[i]
         return logits, actions, rewards, dones
 
     def run_unroll(self):

@@ -81,6 +81,37 @@ def test_parse_error_wrong_dimensions():
         parse_levels(bad)
 
 
+@pytest.mark.parametrize("rows", [9, 4])
+def test_parse_error_truncated_last_level(rows):
+    cut = "\n".join(GOLDEN.split("\n")[:13 + rows]) + "\n"
+    with pytest.raises(ValueError, match="line 13: truncated level"):
+        parse_levels(cut)
+
+
+def test_level_set_add_checks_duplicates_without_scanning_the_ids():
+    """Each `add` looks its id up in a set, not by comparing it with every
+    id so far, so building a set of n levels is linear in n."""
+    calls = [0]
+
+    class Id(int):
+        __hash__ = int.__hash__
+
+        def __eq__(self, other):
+            calls[0] += 1
+            return int(self) == int(other)
+
+    level = parse_levels(GOLDEN).levels[0]
+    ls = LevelSet()
+    for i in range(200):
+        ls.add(level, Id(i))
+    assert calls[0] < 200  # a scan of the list makes 19,900 calls
+    assert ls.ids == list(range(200))
+    with pytest.raises(ValueError, match="duplicate level id 7"):
+        ls.add(level, Id(7))
+    with pytest.raises(ValueError, match="duplicate level ids"):
+        LevelSet(levels=[level, level], ids=[Id(3), Id(3)])
+
+
 def test_parse_error_missing_header():
     with pytest.raises(ValueError, match="header"):
         parse_levels("##########\n" * 10)
@@ -308,8 +339,7 @@ def test_filtered_set_is_strictly_harder_for_the_probe_policy():
     filtered set is 0, hence strictly below its rate on the source set.
 
     The probe replays solver solutions for the even ids only, so its solve
-    set on the source is known and non-empty. (A fixed action cycle is no
-    such probe: it solves no generated 4-box level, see `CyclePolicy`.)"""
+    set on the source is known and non-empty."""
     ls = generate_level_set(23, 25)
     solvable = [i for i in ls.ids if i % 2 == 0]
     policy = partial(play_scripted, SolutionReplayPolicy(

@@ -77,7 +77,7 @@ def test_convlstm_zero_weights_and_inputs():
         net.params[path].data[...] = 0
     z = Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32))
     pool = Tensor(np.zeros((1, 4), dtype=np.float32))
-    c, h = net.memory_step(0, net.gate_terms(0, z), z, z, z, pool)
+    c, h = net.memory_step(net.gate_terms(0, z), z, z, z, pool)
     # all-zero preactivations: every gate sits at 0.5, candidate tanh at 0
     np.testing.assert_array_equal(c.data, 0)
     np.testing.assert_array_equal(h.data, 0)
@@ -109,7 +109,7 @@ def test_convlstm_matches_scalar_hand_recurrence():
     i_t, c0, h0, below, pool = 0.8, -0.3, 0.25, 0.6, -0.45
     mk = lambda v: Tensor(np.full((1, 1, 1, 1), v, dtype=np.float64))
     pool_proj = Tensor(np.full((1, 1), pool, dtype=np.float64))  # (B, C), untiled
-    c, h = net.memory_step(0, net.gate_terms(0, mk(i_t)), mk(c0), mk(h0), mk(below), pool_proj)
+    c, h = net.memory_step(net.gate_terms(0, mk(i_t)), mk(c0), mk(h0), mk(below), pool_proj)
     c_ref, h_ref = scalar_convlstm_reference(weights, i_t, c0, h0, below, pool)
     assert c.data.item() == pytest.approx(c_ref, abs=1e-12)
     assert h.data.item() == pytest.approx(h_ref, abs=1e-12)

@@ -1,7 +1,9 @@
 """Episode sources: `env.step_limit` reaches the envs of every game, an
 unset limit keeps each game's own cap (500 steps for MiniPacman, 120 for the
-others), and each game's network preset fits the envs its source makes."""
+others), each game's network preset fits the envs its source makes, and
+every env keeps its running episode's record."""
 
+import numpy as np
 import pytest
 
 from drcplan.boxoban import generate_level_set
@@ -60,6 +62,28 @@ def test_step_limit_caps_the_episodes_of_every_game(game):
 def test_unset_step_limit_keeps_the_games_own_cap(game):
     cap = 500 if game == "minipacman" else 120
     assert _episode_lengths(game) == [cap] * 3
+
+
+@pytest.mark.parametrize("game", sorted(GAMES))
+def test_each_env_keeps_its_episode_record(game):
+    """`steps`, `episode_return`, `done` and `solved` follow the step
+    results, a finished episode refuses another step, and `reset()` starts
+    a new record."""
+    kwargs = {"levels": generate_level_set(3, 2, boxes=1)} if game == "sokoban" else {}
+    env = source_factory(game, **kwargs, step_limit=9)(seed=4, actor_index=1).next_env()
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        assert (env.steps, env.episode_return, env.done, env.solved) == (0, 0.0, False, False)
+        ret, length, res = 0.0, 0, None
+        while not env.done:
+            res = env.step(int(rng.integers(env.action_count)))
+            ret += res.reward
+            length += 1
+            assert (env.steps, env.episode_return, env.done) == (length, ret, res.done)
+        assert env.solved == res.solved and length <= 9
+        with pytest.raises(RuntimeError, match="after the episode ended"):
+            env.step(0)
+        env.reset()
 
 
 @pytest.mark.parametrize("game", sorted(GAMES))
