@@ -43,6 +43,7 @@ kernel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -173,11 +174,15 @@ def pool_and_inject(h, w_p, b_p):
     return ad.dense(ad.concat([mx, mn], axis=-1), w_p, b_p)
 
 
-def _edge_map(h, w):
-    """The boundary channel: 1 on the spatial edges, 0 inside, (H, W)."""
-    m = np.ones((h, w))
-    m[1:-1, 1:-1] = 0
-    return m
+@functools.lru_cache(maxsize=None)
+def _edge_map(h, w, dtype):
+    """The boundary channel as a read-only (1, H, W, 1) constant: 1 on the
+    spatial edges, 0 inside. It depends on its shape and dtype alone, so it
+    is built once."""
+    m = np.ones((1, h, w, 1), dtype=dtype)
+    m[:, 1:-1, 1:-1] = 0
+    m.flags.writeable = False
+    return Tensor(m)
 
 
 class GateTerms(NamedTuple):
@@ -253,7 +258,7 @@ class DrcNetwork:
             obs = (ad.dense(i_t, w_obs) if cfg.memory_kind == "vector_lstm"
                    else ad.conv2d(i_t, w_obs, stride=1, padding="same"))
         if boundary:
-            edge = ad.constant(_edge_map(*cfg.encoded_shape[:2])[None, :, :, None], dtype=self.dtype)
+            edge = _edge_map(*cfg.encoded_shape[:2], self.dtype)
             fixed = ad.add(fixed, ad.conv2d(edge, w_edge, stride=1, padding="same"))
         w_rec = ad.reshape(w_rec, (-1, w.shape[-1]))  # a dense weight is already a 1 x 1 kernel's matrix
         w_pool = ad.reshape(ad.transpose(w_pool, (2, 0, 1, 3)), (pool, -1)) if pool else None

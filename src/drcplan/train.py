@@ -3,24 +3,30 @@
 The pipeline follows a single-process multi-worker contract: K actors each
 own an environment stream and a recurrent state and produce fixed-length
 unrolls against the latest parameters (they refresh between unrolls, never
-inside one). `ActorGroup` steps the K actors in lockstep, one batched no-grad
-forward per step, and writes each unroll as (T, K) arrays. The FIFO queue
-keeps those arrays as column blocks; actors run only while it holds fewer
-than B columns, so it never holds more than B + K - 1. The learner takes
-its B columns in queue order, even when a batch spans two unrolls, replays
-the forward passes from the stored initial state under the current
-parameters, and applies one Adam step per batch. The replay runs the convs
-that do not depend on the recurrent state once over all T*B rows and the
-rest step by step, so its logits match the actors' bit for bit. Evaluation
-drives the same stepper, where a row whose stream of episodes runs out
-leaves the batch. The whole schedule is
-deterministic: a fixed (config, seed) pair reproduces training bit for bit.
+inside one). `ActorGroup` steps the K actors in lockstep, one batched forward
+per step, and writes each unroll as (T, K) arrays. The FIFO queue keeps those
+arrays as column blocks; actors run only while it holds fewer than B
+columns, so it never holds more than B + K - 1. The learner takes its B
+columns in queue order and applies one Adam step per batch.
+
+When B is a multiple of K, the queue is empty at the start of every update,
+so each batch is B / K whole unrolls run under the parameters the learner
+updates. The actors then record their forward on the autodiff tape, and the
+learner backpropagates through it. Otherwise a batch may span two unrolls
+and hold columns run under older parameters, and the learner replays the
+forward from each column's stored initial state (`replay`). The replay runs
+the convs that do not depend on the recurrent state once over all T*B rows
+and the rest step by step, so its logits match the actors' bit for bit.
+Evaluation drives the same stepper without a tape, where a row whose stream
+of episodes runs out leaves the batch. The whole schedule is deterministic:
+a fixed (config, seed) pair reproduces training bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,7 +87,8 @@ class Unroll(NamedTuple):
 
     Every field keeps its columns on axis 1, so blocks slice and join field
     by field. `obs` has a last entry, after the final step, to bootstrap
-    from; the learner replays from the recurrent state `initial_c/h`.
+    from; a replay of the block starts from the recurrent state
+    `initial_c/h`.
     """
 
     obs: np.ndarray  # (T + 1, K, H, W, C)
@@ -136,13 +143,20 @@ class ActorGroup:
     the environment's no-op. A row whose stream is empty leaves the batch, so
     no forward runs on finished episodes. Finished episodes are recorded as
     `(tag, solved, return, length)`.
+
+    Without `tape` every forward runs under `autodiff.no_grad`, as evaluation
+    needs. With it, the forward is recorded on the autodiff tape, and
+    `run_unroll` hands it to the learner with the unroll; the state is
+    detached to leaves after each unroll, so each unroll's graph starts from
+    its stored initial state, as a replay of it would (truncated BPTT).
     """
 
-    def __init__(self, net, next_episode, rows, unroll_length=0, greedy=False):
+    def __init__(self, net, next_episode, rows, unroll_length=0, greedy=False, tape=False):
         self.net = net
         self.next_episode = next_episode
         self.unroll_length = unroll_length
         self.greedy = greedy
+        self.tape = tape
         self.episodes = [next_episode(i) for i in range(rows)]
         self.k = rows
         self.obs = np.stack([env.reset() for env, _, _, _ in self.episodes]).astype(np.float32)
@@ -155,18 +169,19 @@ class ActorGroup:
         return out
 
     def step(self):
-        """Advance every row one env step; returns (logits, actions, rewards, dones)."""
-        with ad.no_grad():
-            self.state, logits, _ = self.net.forward(self.state, Tensor(self.obs))
-        logits = logits.data
+        """Advance every row one env step; returns (logits, values, actions,
+        rewards, dones), the logits and values as the forward's tensors."""
+        with nullcontext() if self.tape else ad.no_grad():
+            self.state, logits, values = self.net.forward(self.state, Tensor(self.obs))
+        self.obs = self.obs.copy()  # the tape may hold the array just fed, so it is not written
         actions, rewards, dones, emptied = [], [], [], []
         for i, (env, rng, noop_steps, tag) in enumerate(self.episodes):
             if env.steps < noop_steps:
                 a = env.noop_action
             elif self.greedy:
-                a = int(np.argmax(logits[i]))
+                a = int(np.argmax(logits.data[i]))
             else:
-                a = sample_action(logits[i], rng)
+                a = sample_action(logits.data[i], rng)
             res = env.step(a)
             actions.append(a)
             rewards.append(res.reward)
@@ -180,28 +195,37 @@ class ActorGroup:
                 emptied.append(i)
                 continue
             self.obs[i] = self.episodes[i][0].reset()
-            for comp in self.state.c + self.state.h:
-                comp.data[i] = 0
+        if any(dones):  # a new episode starts from the zero state, as in `replay`
+            self.state = self.state.scale(1.0 - np.array(dones, dtype=np.float32))
         if emptied:  # those rows leave the batch
             keep = np.setdiff1d(np.arange(self.k), emptied)
             self.obs, self.state, self.k = self.obs[keep], self.state.rows(keep), len(keep)
             for i in reversed(emptied):
                 del self.episodes[i]
-        return logits, actions, rewards, dones
+        return logits, values, actions, rewards, dones
 
     def run_unroll(self):
-        """Collect one (T, K) unroll under the current parameters."""
+        """Collect one (T, K) unroll under the current parameters.
+
+        Returns (the `Unroll`, its forward): with `tape` set, the forward is
+        (the state after step T, T logits, T values) on the autodiff tape, as
+        `replay` of the unroll returns it; otherwise None.
+        """
         initial_c = np.stack([t.data for t in self.state.c])
         initial_h = np.stack([t.data for t in self.state.h])
         obs = np.empty((self.unroll_length + 1,) + self.obs.shape, dtype=np.float32)
         steps = []
         for t in range(self.unroll_length):
             obs[t] = self.obs
+            self.obs = obs[t]  # so the tape holds the unroll's rows, not a second copy
             steps.append(self.step())
         obs[-1] = self.obs
-        logits, actions, rewards, dones = (np.array(x) for x in zip(*steps))
-        return Unroll(obs, actions, rewards.astype(np.float32), dones,
-                      logits.astype(np.float32, copy=False), initial_c, initial_h)
+        logits, values, actions, rewards, dones = zip(*steps)
+        unroll = Unroll(obs, np.array(actions), np.array(rewards).astype(np.float32), np.array(dones),
+                        np.stack([l.data for l in logits]), initial_c, initial_h)
+        forward = (self.state, logits, values) if self.tape else None
+        self.state = self.state.rows(slice(None))  # leaves: the next unroll's graph starts here
+        return unroll, forward
 
 
 def _action_log_probs(logits, actions):
@@ -281,11 +305,21 @@ def replay(net, state, obs, dones):
     return state, logits_steps, values_steps
 
 
-def learner_update(net, batch, adam, config, env_steps):
-    """Replay a (T, B) `Unroll` batch, build targets, apply one Adam step."""
-    state = DrcState(tuple(Tensor(a) for a in batch.initial_c),
-                     tuple(Tensor(a) for a in batch.initial_h))
-    state, logits_steps, values_steps = replay(net, state, batch.obs, batch.dones)
+def join_forwards(forwards):
+    """One forward (state, T logits, T values) for the columns of several
+    unrolls' forwards, side by side in order, as `take_columns` joins them."""
+    states, logits, values = zip(*forwards)
+    cat = lambda ts: ad.concat(ts, axis=0)
+    state = DrcState(tuple(map(cat, zip(*(s.c for s in states)))),
+                     tuple(map(cat, zip(*(s.h for s in states)))))
+    return state, list(map(cat, zip(*logits))), list(map(cat, zip(*values)))
+
+
+def learner_update(net, batch, forward, adam, config, env_steps):
+    """Build targets for a (T, B) `Unroll` batch, backpropagate the loss
+    through its `forward` (the state after step T, T logits and T values,
+    on the autodiff tape) and apply one Adam step."""
+    state, logits_steps, values_steps = forward
     with ad.no_grad():
         _, _, boot = net.forward(state, Tensor(batch.obs[-1]))
 
@@ -324,8 +358,11 @@ class Trainer:
         self.out_dir = out_dir
         sources = [source_factory(config.seed, i) for i in range(config.num_actors)]
         rngs = [np.random.default_rng([config.seed, i]) for i in range(config.num_actors)]
+        # with B a multiple of K every batch is whole unrolls run under the
+        # current parameters, so the learner takes the actors' own forward
         self.actors = ActorGroup(net, lambda i: (sources[i].next_env(), rngs[i], 0, i),
-                                 config.num_actors, config.unroll_length)
+                                 config.num_actors, config.unroll_length,
+                                 tape=config.batch_size % config.num_actors == 0)
         self.queue = deque()  # Unroll column blocks, oldest first
         self.adam = AdamState(config.adam_beta1, config.adam_beta2, config.adam_eps)
         self.env_steps = 0
@@ -338,11 +375,20 @@ class Trainer:
 
     def train_one_update(self):
         cfg = self.config
+        forwards = []
         while self.queue_depth < cfg.batch_size:
-            self.queue.append(self.actors.run_unroll())
+            unroll, forward = self.actors.run_unroll()
+            self.queue.append(unroll)
+            forwards.append(forward)
             self.env_steps += cfg.unroll_length * self.actors.k
         batch = take_columns(self.queue, cfg.batch_size)
-        metrics = learner_update(self.net, batch, self.adam, cfg, self.env_steps)
+        if self.actors.tape:
+            forward = join_forwards(forwards)
+        else:
+            state = DrcState(tuple(Tensor(a) for a in batch.initial_c),
+                             tuple(Tensor(a) for a in batch.initial_h))
+            forward = replay(self.net, state, batch.obs, batch.dones)
+        metrics = learner_update(self.net, batch, forward, self.adam, cfg, self.env_steps)
         self.updates += 1
 
         episodes = self.actors.drain_episode_stats()

@@ -325,9 +325,12 @@ def test_boundary_channel_counts(hw, ones):
     x = np.zeros((2,) + hw + (2,), dtype=np.float32)
     out = boundary_channel_reference(x)
     assert out.shape == (2,) + hw + (3,)
+    convolved = _edge_map(*hw, np.dtype(np.float32)).data  # the map the network convolves
+    assert convolved.shape == (1,) + hw + (1,) and not convolved.flags.writeable
+    assert _edge_map(*hw, np.dtype(np.float32)).data is convolved  # built once per shape
     for edge in out[..., -1]:
         assert int(edge.sum()) == ones
-        np.testing.assert_array_equal(edge, _edge_map(*hw))  # the map the network convolves
+        np.testing.assert_array_equal(edge, convolved[0, ..., 0])
     assert set(np.unique(edge)) <= {0.0, 1.0}
 
 

@@ -46,10 +46,10 @@ def test_a_training_update_runs_traced(monkeypatch):
             "train.learner_update"} <= set(tracer.names)
     # Every conv the model runs is counted: per forward, the encoder layers
     # and the depth's observation and boundary convs. The actors run one
-    # forward per step; the learner runs them once for the replay of the
-    # unroll and once for the bootstrap forward.
+    # forward per step; with batch == num_actors the learner backpropagates
+    # through those and runs only the bootstrap forward.
     per_forward = len(net.config.encoder) + 2 * net.config.depth
-    forwards = trainer.config.unroll_length + 2
+    forwards = trainer.config.unroll_length + 1
     assert tracer.counts["autodiff.conv2d.calls"] == forwards * per_forward
 
 

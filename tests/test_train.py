@@ -11,7 +11,7 @@ import pytest
 from drcplan import cli, train
 from drcplan.autodiff import Tensor
 from drcplan.checkpoint import load_checkpoint
-from drcplan.drc import MEMORY_KINDS, DrcNetwork, preset_config
+from drcplan.drc import MEMORY_KINDS, DrcNetwork, DrcState, preset_config
 from drcplan.gradcheck import finite_difference_check, tiny_drc_config
 from drcplan.nn import compute_gradients
 from drcplan.sources import source_factory
@@ -158,6 +158,98 @@ def test_learner_replays_the_actor_forward_exactly(tmp_path, kind):
         assert len(rows) == updates
         assert all(row["mean_rho"] == 1.0 for row in rows), batch
         assert sum(row["episodes"] for row in rows) > 0
+
+
+def _taped_batch(kind, dtype, unrolls, rows=3, t_len=4):
+    """A gridworld12 DRC(2, 2) network in `dtype` and a batch of `unrolls`
+    unrolls its taped actors ran after a first unroll, so the batch starts
+    from a state that is not zero. Episodes last at most 3 steps, so every
+    row ends one inside the batch. Returns the network, the batch, the
+    actors' forward joined over the unrolls and the forward `replay`
+    computes from the batch."""
+    net = DrcNetwork.create(preset_config("gridworld12", 2, 2, memory_kind=kind), seed=1, dtype=dtype)
+    sources = [source_factory("gridworld12", step_limit=3)(5, i) for i in range(rows)]
+    rngs = [np.random.default_rng(i) for i in range(rows)]
+    actors = train.ActorGroup(net, lambda i: (sources[i].next_env(), rngs[i], 0, i), rows, t_len,
+                              tape=True)
+    actors.run_unroll()
+    parts = [actors.run_unroll() for _ in range(unrolls)]
+    batch = take_columns(deque(unroll for unroll, _ in parts), rows * unrolls)
+    assert batch.dones[:-1].any()
+    state = DrcState(tuple(map(Tensor, batch.initial_c)), tuple(map(Tensor, batch.initial_h)))
+    return (net, batch, train.join_forwards([forward for _, forward in parts]),
+            replay(net, state, batch.obs, batch.dones))
+
+
+def _loss_and_gradients(net, batch, forward):
+    advantages, targets = np.random.default_rng(0).normal(size=(2, batch.actions.size))
+    head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
+    _, logits, values = forward
+    loss, _ = compute_loss(logits, values, batch.actions.reshape(-1), advantages, targets,
+                           head_weights, TrainConfig())
+    return loss, compute_gradients(loss, net.params)
+
+
+@pytest.mark.parametrize("unrolls", [1, 2])
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_the_actor_tape_and_the_replay_agree(kind, unrolls):
+    """The forward the actors record on the tape is the one `replay`
+    computes for their batch, across episode ends and unroll boundaries.
+    For one unroll, float32 logits, values, final state and loss are
+    bit-identical. Two unrolls side by side run their dense layers over
+    fewer rows than the replay does, so their last bits may differ. The
+    gradients agree to 1e-5 in float32 and 1e-12 in float64 (relative)."""
+    rel = lambda a, b: float(np.abs(a - b).max()) / max(float(np.abs(b).max()), 1e-300)
+    for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+        net, batch, taped, replayed = _taped_batch(kind, dtype, unrolls)
+        np.testing.assert_array_equal(batch.behaviour_logits, np.stack([l.data for l in taped[1]]))
+        tensors = lambda f: [*f[0].c, *f[0].h, *f[1], *f[2]]  # final state, logits, values
+        (loss, grads), (want_loss, want_grads) = (_loss_and_gradients(net, batch, f)
+                                                  for f in (taped, replayed))
+        pairs = [(got.data, want.data) for got, want in zip(tensors(taped), tensors(replayed))]
+        assert all(got.dtype == want.dtype == dtype for got, want in pairs)
+        if unrolls == 1:
+            for got, want in pairs:
+                np.testing.assert_array_equal(got, want)
+            assert loss.item() == want_loss.item()
+        assert sorted(grads) == sorted(want_grads) == sorted(net.params.paths())
+        pairs += [(loss.data, want_loss.data)] + [(grads[p], want_grads[p]) for p in grads]
+        assert max(rel(got, want) for got, want in pairs) < tol, dtype
+
+
+@pytest.mark.parametrize("actors, replays", [(2, False), (4, False), (3, True), (5, True)])
+def test_the_learner_replays_only_batches_that_span_unrolls(monkeypatch, actors, replays):
+    """At batch 4, 2 or 4 actors fill each batch with whole unrolls run
+    under the current parameters, so the learner never replays; 3 or 5
+    actors make batches that span unrolls, replayed at every update. After
+    every update the actors' state holds leaves, so no update's graph
+    reaches into the next."""
+    calls, real = [], train.replay
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(train, "replay", spy)
+    net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0)
+    trainer = Trainer(net, source_factory("gridworld12"),
+                      TrainConfig(num_actors=actors, batch_size=4, unroll_length=3))
+    for update in range(1, 4):
+        trainer.train_one_update()
+        assert len(calls) == (update if replays else 0)
+        for t in trainer.actors.state.c + trainer.actors.state.h:
+            assert not t.requires_grad and t._parents == ()
+
+
+@pytest.mark.parametrize("actors, batch", [(2, 2), (2, 4)])
+def test_float64_training_keeps_every_importance_weight_at_one(actors, batch):
+    """The actors keep their behaviour logits in the network's dtype, so a
+    float64 run whose batches are whole fresh unrolls reads mean_rho 1
+    exactly."""
+    net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0, dtype=np.float64)
+    trainer = Trainer(net, source_factory("gridworld12"),
+                      TrainConfig(num_actors=actors, batch_size=batch, unroll_length=3))
+    assert [trainer.train_one_update()["mean_rho"] for _ in range(3)] == [1.0] * 3
 
 
 def _replay_case(dtype, batch, flags, t_len=4):
