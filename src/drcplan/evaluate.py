@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .boxoban.generator import generate_level_set
 from .envs.sokoban_env import SokobanEnv
 from .train import ActorGroup
@@ -92,8 +93,9 @@ def run_episodes(net, env_factories, mode="sample", seed=0, batch_size=64,
 
     rows = ActorGroup(net, next_episode, min(batch_size, len(env_factories)),
                       greedy=mode == "greedy")
-    while rows.k:
-        rows.step()
+    with ad.no_grad():
+        while rows.k:
+            rows.step(rows.obs)
     return [(solved, ret, length) for _, solved, ret, length in sorted(rows.drain_episode_stats())]
 
 

@@ -9,14 +9,16 @@ arrays as column blocks; actors run only while it holds fewer than B
 columns, so it never holds more than B + K - 1. The learner takes its B
 columns in queue order and applies one Adam step per batch.
 
-When B is a multiple of K, the queue is empty at the start of every update,
-so each batch is B / K whole unrolls run under the parameters the learner
-updates. The actors then record their forward on the autodiff tape, and the
-learner backpropagates through it. Otherwise a batch may span two unrolls
-and hold columns run under older parameters, and the learner replays the
-forward from each column's stored initial state (`replay`). The replay runs
-the convs that do not depend on the recurrent state once over all T*B rows
-and the rest step by step, so its logits match the actors' bit for bit.
+When B equals K, each batch is one whole unroll run under the parameters
+the learner updates. The actors then record their forward on the autodiff
+tape, and the learner backpropagates through it. Otherwise the learner
+replays the forward from each column's stored initial state (`replay`): a
+batch may span two unrolls and hold columns run under older parameters, and
+when B is a larger multiple of K, backpropagating through B / K taped
+unrolls of K rows each holds more memory than one replay over B rows and
+runs B / K times as many small ops. The replay runs the convs that do not
+depend on the recurrent state once over all T*B rows and the rest step by
+step, so its logits match the actors' bit for bit.
 Evaluation drives the same stepper without a tape, where a row whose stream
 of episodes runs out leaves the batch. The whole schedule is deterministic:
 a fixed (config, seed) pair reproduces training bit for bit.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -144,19 +145,19 @@ class ActorGroup:
     no forward runs on finished episodes. Finished episodes are recorded as
     `(tag, solved, return, length)`.
 
-    Without `tape` every forward runs under `autodiff.no_grad`, as evaluation
-    needs. With it, the forward is recorded on the autodiff tape, and
-    `run_unroll` hands it to the learner with the unroll; the state is
-    detached to leaves after each unroll, so each unroll's graph starts from
-    its stored initial state, as a replay of it would (truncated BPTT).
+    The forward runs in the caller's grad mode: evaluation and a learner
+    that replays run it under `autodiff.no_grad`; otherwise it is recorded on
+    the autodiff tape, and `run_unroll` hands it to the learner with the
+    unroll. The state is detached to leaves after each unroll, so each
+    unroll's graph starts from its stored initial state, as a replay of it
+    would (truncated BPTT). Rows cannot leave a taped batch.
     """
 
-    def __init__(self, net, next_episode, rows, unroll_length=0, greedy=False, tape=False):
+    def __init__(self, net, next_episode, rows, unroll_length=0, greedy=False):
         self.net = net
         self.next_episode = next_episode
         self.unroll_length = unroll_length
         self.greedy = greedy
-        self.tape = tape
         self.episodes = [next_episode(i) for i in range(rows)]
         self.k = rows
         self.obs = np.stack([env.reset() for env, _, _, _ in self.episodes]).astype(np.float32)
@@ -168,12 +169,12 @@ class ActorGroup:
         self.finished = []
         return out
 
-    def step(self):
-        """Advance every row one env step; returns (logits, values, actions,
-        rewards, dones), the logits and values as the forward's tensors."""
-        with nullcontext() if self.tape else ad.no_grad():
-            self.state, logits, values = self.net.forward(self.state, Tensor(self.obs))
-        self.obs = self.obs.copy()  # the tape may hold the array just fed, so it is not written
+    def step(self, obs):
+        """Advance every row one env step from `obs`, the rows' current
+        observations: `self.obs`, or under a tape a copy of it that is never
+        written. Returns (logits, values, actions, rewards, dones), the
+        logits and values as the forward's tensors."""
+        self.state, logits, values = self.net.forward(self.state, Tensor(obs))
         actions, rewards, dones, emptied = [], [], [], []
         for i, (env, rng, noop_steps, tag) in enumerate(self.episodes):
             if env.steps < noop_steps:
@@ -198,6 +199,8 @@ class ActorGroup:
         if any(dones):  # a new episode starts from the zero state, as in `replay`
             self.state = self.state.scale(1.0 - np.array(dones, dtype=np.float32))
         if emptied:  # those rows leave the batch
+            if self.state.h[0].requires_grad:
+                raise RuntimeError("rows cannot leave a batch whose forward is taped")
             keep = np.setdiff1d(np.arange(self.k), emptied)
             self.obs, self.state, self.k = self.obs[keep], self.state.rows(keep), len(keep)
             for i in reversed(emptied):
@@ -207,9 +210,9 @@ class ActorGroup:
     def run_unroll(self):
         """Collect one (T, K) unroll under the current parameters.
 
-        Returns (the `Unroll`, its forward): with `tape` set, the forward is
-        (the state after step T, T logits, T values) on the autodiff tape, as
-        `replay` of the unroll returns it; otherwise None.
+        Returns (the `Unroll`, its forward): the state after step T, T
+        logits and T values, as `replay` of the unroll returns them, on the
+        autodiff tape unless run under `autodiff.no_grad`.
         """
         initial_c = np.stack([t.data for t in self.state.c])
         initial_h = np.stack([t.data for t in self.state.h])
@@ -217,13 +220,12 @@ class ActorGroup:
         steps = []
         for t in range(self.unroll_length):
             obs[t] = self.obs
-            self.obs = obs[t]  # so the tape holds the unroll's rows, not a second copy
-            steps.append(self.step())
+            steps.append(self.step(obs[t]))  # the tape may hold obs[t]; self.obs is rewritten
         obs[-1] = self.obs
         logits, values, actions, rewards, dones = zip(*steps)
         unroll = Unroll(obs, np.array(actions), np.array(rewards).astype(np.float32), np.array(dones),
                         np.stack([l.data for l in logits]), initial_c, initial_h)
-        forward = (self.state, logits, values) if self.tape else None
+        forward = (self.state, logits, values)
         self.state = self.state.rows(slice(None))  # leaves: the next unroll's graph starts here
         return unroll, forward
 
@@ -305,16 +307,6 @@ def replay(net, state, obs, dones):
     return state, logits_steps, values_steps
 
 
-def join_forwards(forwards):
-    """One forward (state, T logits, T values) for the columns of several
-    unrolls' forwards, side by side in order, as `take_columns` joins them."""
-    states, logits, values = zip(*forwards)
-    cat = lambda ts: ad.concat(ts, axis=0)
-    state = DrcState(tuple(map(cat, zip(*(s.c for s in states)))),
-                     tuple(map(cat, zip(*(s.h for s in states)))))
-    return state, list(map(cat, zip(*logits))), list(map(cat, zip(*values)))
-
-
 def learner_update(net, batch, forward, adam, config, env_steps):
     """Build targets for a (T, B) `Unroll` batch, backpropagate the loss
     through its `forward` (the state after step T, T logits and T values,
@@ -358,11 +350,11 @@ class Trainer:
         self.out_dir = out_dir
         sources = [source_factory(config.seed, i) for i in range(config.num_actors)]
         rngs = [np.random.default_rng([config.seed, i]) for i in range(config.num_actors)]
-        # with B a multiple of K every batch is whole unrolls run under the
-        # current parameters, so the learner takes the actors' own forward
         self.actors = ActorGroup(net, lambda i: (sources[i].next_env(), rngs[i], 0, i),
-                                 config.num_actors, config.unroll_length,
-                                 tape=config.batch_size % config.num_actors == 0)
+                                 config.num_actors, config.unroll_length)
+        # with B == K every batch is one unroll run under the current
+        # parameters, so the learner takes the actors' own forward
+        self.replays = config.batch_size != config.num_actors
         self.queue = deque()  # Unroll column blocks, oldest first
         self.adam = AdamState(config.adam_beta1, config.adam_beta2, config.adam_eps)
         self.env_steps = 0
@@ -375,16 +367,16 @@ class Trainer:
 
     def train_one_update(self):
         cfg = self.config
-        forwards = []
         while self.queue_depth < cfg.batch_size:
-            unroll, forward = self.actors.run_unroll()
-            self.queue.append(unroll)
-            forwards.append(forward)
+            if self.replays:
+                with ad.no_grad():
+                    self.queue.append(self.actors.run_unroll()[0])
+            else:
+                unroll, forward = self.actors.run_unroll()
+                self.queue.append(unroll)
             self.env_steps += cfg.unroll_length * self.actors.k
         batch = take_columns(self.queue, cfg.batch_size)
-        if self.actors.tape:
-            forward = join_forwards(forwards)
-        else:
+        if self.replays:
             state = DrcState(tuple(Tensor(a) for a in batch.initial_c),
                              tuple(Tensor(a) for a in batch.initial_h))
             forward = replay(self.net, state, batch.obs, batch.dones)

@@ -8,6 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from drcplan import autodiff as ad
 from drcplan import cli, train
 from drcplan.autodiff import Tensor
 from drcplan.checkpoint import load_checkpoint
@@ -149,8 +150,9 @@ def test_cli_train_is_bit_exact_across_runs(tmp_path):
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
 def test_learner_replays_the_actor_forward_exactly(tmp_path, kind):
     """With batch == num_actors every batch is one unroll taken under the
-    parameters the learner replays, so every importance weight is exactly 1,
-    also across episode ends inside an unroll."""
+    parameters the learner updates, and the behaviour logits the actors
+    store are the logits the learner trains on, so every importance weight
+    is exactly 1, also across episode ends inside an unroll."""
     for batch, updates in ((3, 40), (8, 15)):
         out = _cli_train(tmp_path, f"run{batch}", batch=batch, actors=batch,
                          extra=f"drc.memory_kind = {kind}\n")
@@ -160,25 +162,21 @@ def test_learner_replays_the_actor_forward_exactly(tmp_path, kind):
         assert sum(row["episodes"] for row in rows) > 0
 
 
-def _taped_batch(kind, dtype, unrolls, rows=3, t_len=4):
-    """A gridworld12 DRC(2, 2) network in `dtype` and a batch of `unrolls`
-    unrolls its taped actors ran after a first unroll, so the batch starts
-    from a state that is not zero. Episodes last at most 3 steps, so every
-    row ends one inside the batch. Returns the network, the batch, the
-    actors' forward joined over the unrolls and the forward `replay`
-    computes from the batch."""
+def _taped_batch(kind, dtype, rows=3, t_len=4):
+    """A gridworld12 DRC(2, 2) network in `dtype` and the second unroll its
+    taped actors ran, so the batch starts from a state that is not zero.
+    Episodes last at most 3 steps, so every row ends one inside the batch.
+    Returns the network, the batch, the actors' forward and the forward
+    `replay` computes from the batch."""
     net = DrcNetwork.create(preset_config("gridworld12", 2, 2, memory_kind=kind), seed=1, dtype=dtype)
     sources = [source_factory("gridworld12", step_limit=3)(5, i) for i in range(rows)]
     rngs = [np.random.default_rng(i) for i in range(rows)]
-    actors = train.ActorGroup(net, lambda i: (sources[i].next_env(), rngs[i], 0, i), rows, t_len,
-                              tape=True)
+    actors = train.ActorGroup(net, lambda i: (sources[i].next_env(), rngs[i], 0, i), rows, t_len)
     actors.run_unroll()
-    parts = [actors.run_unroll() for _ in range(unrolls)]
-    batch = take_columns(deque(unroll for unroll, _ in parts), rows * unrolls)
+    batch, taped = actors.run_unroll()
     assert batch.dones[:-1].any()
     state = DrcState(tuple(map(Tensor, batch.initial_c)), tuple(map(Tensor, batch.initial_h)))
-    return (net, batch, train.join_forwards([forward for _, forward in parts]),
-            replay(net, state, batch.obs, batch.dones))
+    return net, batch, taped, replay(net, state, batch.obs, batch.dones)
 
 
 def _loss_and_gradients(net, batch, forward):
@@ -190,25 +188,28 @@ def _loss_and_gradients(net, batch, forward):
     return loss, compute_gradients(loss, net.params)
 
 
-@pytest.mark.parametrize("unrolls", [1, 2])
+def _forward_tensors(forward):
+    """The final state, logits and values of a forward, in order."""
+    state, logits, values = forward
+    return [*state.c, *state.h, *logits, *values]
+
+
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
-def test_the_actor_tape_and_the_replay_agree(kind, unrolls):
+def test_the_actor_tape_and_the_replay_agree(kind):
     """The forward the actors record on the tape is the one `replay`
-    computes for their batch, across episode ends and unroll boundaries.
-    For one unroll, float32 logits, values, final state and loss are
-    bit-identical. Two unrolls side by side run their dense layers over
-    fewer rows than the replay does, so their last bits may differ. The
-    gradients agree to 1e-5 in float32 and 1e-12 in float64 (relative)."""
+    computes for their batch, across episode ends: float32 logits, values,
+    final state and loss are bit-identical. The gradients agree to 1e-5 in
+    float32 and 1e-12 in float64 (relative)."""
     rel = lambda a, b: float(np.abs(a - b).max()) / max(float(np.abs(b).max()), 1e-300)
     for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
-        net, batch, taped, replayed = _taped_batch(kind, dtype, unrolls)
+        net, batch, taped, replayed = _taped_batch(kind, dtype)
         np.testing.assert_array_equal(batch.behaviour_logits, np.stack([l.data for l in taped[1]]))
-        tensors = lambda f: [*f[0].c, *f[0].h, *f[1], *f[2]]  # final state, logits, values
         (loss, grads), (want_loss, want_grads) = (_loss_and_gradients(net, batch, f)
                                                   for f in (taped, replayed))
-        pairs = [(got.data, want.data) for got, want in zip(tensors(taped), tensors(replayed))]
+        pairs = [(got.data, want.data)
+                 for got, want in zip(_forward_tensors(taped), _forward_tensors(replayed), strict=True)]
         assert all(got.dtype == want.dtype == dtype for got, want in pairs)
-        if unrolls == 1:
+        if dtype == np.float32:
             for got, want in pairs:
                 np.testing.assert_array_equal(got, want)
             assert loss.item() == want_loss.item()
@@ -217,13 +218,41 @@ def test_the_actor_tape_and_the_replay_agree(kind, unrolls):
         assert max(rel(got, want) for got, want in pairs) < tol, dtype
 
 
-@pytest.mark.parametrize("actors, replays", [(2, False), (4, False), (3, True), (5, True)])
-def test_the_learner_replays_only_batches_that_span_unrolls(monkeypatch, actors, replays):
-    """At batch 4, 2 or 4 actors fill each batch with whole unrolls run
-    under the current parameters, so the learner never replays; 3 or 5
-    actors make batches that span unrolls, replayed at every update. After
-    every update the actors' state holds leaves, so no update's graph
-    reaches into the next."""
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_the_actor_tape_matches_the_replay_as_training_moves_the_parameters(monkeypatch, kind):
+    """At every update of an 8-actor, batch 8 run, while Adam moves the
+    parameters, the forward the actors recorded is bit for bit the one
+    `replay` computes for the batch under the parameters the learner
+    updates, across episode ends."""
+    ends, real = [], train.learner_update
+
+    def spy(net, batch, forward, *rest):
+        state = DrcState(tuple(map(Tensor, batch.initial_c)), tuple(map(Tensor, batch.initial_h)))
+        with ad.no_grad():
+            replayed = replay(net, state, batch.obs, batch.dones)
+        np.testing.assert_array_equal(batch.behaviour_logits, np.stack([l.data for l in forward[1]]))
+        for got, want in zip(_forward_tensors(forward), _forward_tensors(replayed), strict=True):
+            np.testing.assert_array_equal(got.data, want.data)
+        ends.append(bool(batch.dones.any()))
+        return real(net, batch, forward, *rest)
+
+    monkeypatch.setattr(train, "learner_update", spy)
+    net = DrcNetwork.create(preset_config("gridworld12", 2, 2, memory_kind=kind), seed=1)
+    trainer = Trainer(net, source_factory("gridworld12", step_limit=4),
+                      TrainConfig(num_actors=8, batch_size=8, unroll_length=5, lr_init=1e-2))
+    before = net.params["heads.policy.w"].data.copy()
+    for _ in range(6):
+        assert not trainer.replays and trainer.train_one_update()["mean_rho"] == 1.0
+    assert len(ends) == 6 and all(ends)
+    assert not np.array_equal(net.params["heads.policy.w"].data, before)
+
+
+@pytest.mark.parametrize("actors, replays", [(4, False), (2, True), (3, True), (5, True)])
+def test_the_learner_replays_unless_the_batch_is_one_unroll(monkeypatch, actors, replays):
+    """At batch 4, 4 actors fill each batch with one unroll run under the
+    current parameters, so the learner never replays; with 2, 3 or 5 actors
+    it replays at every update. After every update the actors' state holds
+    leaves, so no update's graph reaches into the next."""
     calls, real = [], train.replay
 
     def spy(*args):
@@ -241,14 +270,39 @@ def test_the_learner_replays_only_batches_that_span_unrolls(monkeypatch, actors,
             assert not t.requires_grad and t._parents == ()
 
 
-@pytest.mark.parametrize("actors, batch", [(2, 2), (2, 4)])
-def test_float64_training_keeps_every_importance_weight_at_one(actors, batch):
+def test_rows_leave_the_batch_only_without_a_tape():
+    """A row whose stream runs out leaves the batch under `no_grad`, as
+    evaluation needs. Dropping it from a taped state would cut the graph
+    mid-unroll, so under the tape the step raises instead."""
+    net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0)
+
+    def group():
+        source = source_factory("gridworld12", step_limit=1)(0, 0)
+        streams = [iter([source.next_env()]), iter([source.next_env(), source.next_env()])]
+
+        def next_episode(row):
+            env = next(streams[row], None)
+            return None if env is None else (env, np.random.default_rng(row), 0, row)
+
+        return train.ActorGroup(net, next_episode, 2)
+
+    rows = group()
+    with ad.no_grad():
+        rows.step(rows.obs)
+    assert rows.k == 1 and rows.obs.shape[0] == rows.state.h[0].shape[0] == 1
+    rows = group()
+    with pytest.raises(RuntimeError, match="taped"):
+        rows.step(rows.obs)
+
+
+@pytest.mark.parametrize("actors", [2, 3])
+def test_float64_training_keeps_every_importance_weight_at_one(actors):
     """The actors keep their behaviour logits in the network's dtype, so a
-    float64 run whose batches are whole fresh unrolls reads mean_rho 1
+    float64 run whose batches are one fresh unroll each reads mean_rho 1
     exactly."""
     net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0, dtype=np.float64)
     trainer = Trainer(net, source_factory("gridworld12"),
-                      TrainConfig(num_actors=actors, batch_size=batch, unroll_length=3))
+                      TrainConfig(num_actors=actors, batch_size=actors, unroll_length=3))
     assert [trainer.train_one_update()["mean_rho"] for _ in range(3)] == [1.0] * 3
 
 
