@@ -530,7 +530,7 @@ def transpose(a, axes):
 
 def split(a, sections, axis=-1):
     """Chunks of `a` along `axis`, as views: `sections` equal ones, or one
-    per entry of a sequence of sizes.
+    per entry of a sequence of sizes. A single chunk is `a` itself.
 
     The chunks' gradients are written into one buffer that reaches `a` as a
     single gradient, rather than one full-size gradient per chunk. The
@@ -547,6 +547,8 @@ def split(a, sections, axis=-1):
         sizes = list(sections)
         if sum(sizes) != dim:
             raise ShapeError(f"split: sizes {sizes} do not add up to axis size {dim}")
+    if len(sizes) == 1:
+        return [a]
     hub = _node(a.data, (a,), lambda g: _accumulate(a, g))
     ends = np.cumsum([0] + sizes)
     chunks = []

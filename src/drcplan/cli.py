@@ -38,6 +38,19 @@ def _add_common(p, flags=("--config", "--seed", "--out")):
         p.add_argument(flag, **settings[flag])
 
 
+def positive_int(text):
+    """An argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def positive_ints(text):
+    """An argparse type: comma-separated integers of at least 1."""
+    return tuple(map(positive_int, text.split(",")))
+
+
 def _ensure_out(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -142,8 +155,7 @@ def cmd_think_eval(args):
 def cmd_extrapolate(args):
     run, out = _sokoban_run(args)
     net = _load_net(args, run)
-    counts = tuple(int(x) for x in args.boxes.split(","))
-    result = extrapolate_boxes(net, box_counts=counts, levels_per_count=args.levels_per_count,
+    result = extrapolate_boxes(net, box_counts=args.boxes, levels_per_count=args.levels_per_count,
                                seed=args.seed, mode=args.mode, step_limit=run.step_limit,
                                batch_size=run.eval_batch_size)
     payload = {
@@ -151,7 +163,7 @@ def cmd_extrapolate(args):
         "degradation_vs_base": {str(n): d for n, d in result["degradation_vs_base"].items()},
     }
     _write_json(os.path.join(out, "extrapolation.json"), payload)
-    for n in counts:
+    for n in args.boxes:
         r = result["reports"][n]
         print(f"{n} boxes: solved {r.solved_fraction:.3f} ± {r.ci95:.3f} "
               f"(degradation {result['degradation_vs_base'][n]:+.3f})")
@@ -261,15 +273,15 @@ def build_parser():
     p = sub.add_parser("extrapolate", help="evaluate on higher box counts")
     _add_common(p)
     p.add_argument("--params", required=True)
-    p.add_argument("--boxes", default="4,5,6,7")
-    p.add_argument("--levels-per-count", type=int, default=100)
+    p.add_argument("--boxes", type=positive_ints, default="4,5,6,7")
+    p.add_argument("--levels-per-count", type=positive_int, default=100)
     p.add_argument("--mode", choices=("sample", "greedy"), default="sample")
     p.set_defaults(fn=cmd_extrapolate)
 
     p = sub.add_parser("gen-levels", help="generate certified level files")
     _add_common(p, ("--seed", "--out"))
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--boxes", type=int, default=4)
+    p.add_argument("--count", type=positive_int, default=1000)
+    p.add_argument("--boxes", type=positive_int, default=4)
     p.add_argument("--tier", default="unfiltered")
     p.add_argument("--split", default="train")
     p.set_defaults(fn=cmd_gen_levels)
@@ -281,7 +293,7 @@ def build_parser():
     p.add_argument("--policy", choices=("random", "network"), default="random",
                    help="probe agent; 'network' samples from the --params checkpoint")
     p.add_argument("--params", default=None)
-    p.add_argument("--attempts", type=int, default=10)
+    p.add_argument("--attempts", type=positive_int, default=10)
     p.add_argument("--tier", default="medium")
     p.set_defaults(fn=cmd_filter_levels)
 
@@ -291,7 +303,7 @@ def build_parser():
     p.set_defaults(fn=cmd_verify_levels)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=positive_int, default=5)
     p.add_argument("--workers", type=int, default=2)
     p.set_defaults(fn=cmd_gradcheck)
 

@@ -23,11 +23,10 @@ computed as a sum of four terms, each with its slice of the one gate kernel
 `autodiff.split` cuts the slices, so their gradients fill one buffer):
 
 - observation term, conv(i_t, w_obs): i_t is the same at every tick, so it
-  runs once per step and depth (`gate_terms`); the learner runs it once per
-  unroll over all T*B rows (`step_inputs`);
+  runs once per depth over all T*B rows of an unroll (`gate_terms`);
 - fixed term: the bias plus conv(edge map, w_edge). The boundary channel is
   the same (H, W) edge map for every row, so its term is a (1, H, W, Cout)
-  map, also once per step and depth;
+  map, also once per unroll and depth;
 - recurrent term, conv([h below, own h], w_rec): per tick;
 - pool term: the pooled projection is spatially constant, so per tick it is
   a (B, C) x (C, K*K*Cout) product spread over the pixels by which kernel
@@ -35,10 +34,13 @@ computed as a sum of four terms, each with its slice of the one gate kernel
 
 Per tick, one `autodiff.gate_conv` node computes the recurrent term and adds
 the others to it in place. The kernel matrices it takes are prepared with
-the step's fixed terms, once per unroll in the learner. The ConvLSTM cell on
-that preactivation is one fused op (`autodiff.convlstm_cell`). `vector_lstm`
-takes the same path on a 1 x 1 grid, its dense gate weight being a 1 x 1
-kernel.
+the fixed terms, once per unroll. The ConvLSTM cell on that preactivation
+is one fused op (`autodiff.convlstm_cell`). `vector_lstm` takes the same
+path on a 1 x 1 grid, its dense gate weight being a 1 x 1 kernel.
+
+`DrcNetwork.unroll` is the one network forward, over T steps of a (T, B)
+batch; the actors, the bootstrap and evaluation run `forward`, its one-step
+case, and the learner's replay and the gradient check whole unrolls.
 """
 
 from __future__ import annotations
@@ -230,15 +232,6 @@ class DrcNetwork:
             x = ad.relu(x)
         return x
 
-    def compress(self, x):
-        """The encoded observation i_t from the encoder output `x`: for
-        `vector_lstm` a dense layer and ReLU over the flattened features,
-        otherwise `x` itself."""
-        if self.config.memory_kind != "vector_lstm":
-            return x
-        flat = ad.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
-        return ad.relu(ad.dense(flat, self.params["core.compress.w"], self.params["core.compress.b"]))
-
     # -- memory stack -------------------------------------------------------
 
     def gate_terms(self, depth, i_t):
@@ -269,25 +262,6 @@ class DrcNetwork:
         cfg = self.config
         return [self.gate_terms(d, i_t if d == 0 or cfg.obs_skip_all_depths else None)
                 for d in range(cfg.depth)]
-
-    def step_inputs(self, obs, steps):
-        """(i_t, `step_terms(i_t)`) for each of `steps` equal row blocks of
-        the observations `obs`, as `forward` computes them for that block.
-
-        The encoder convs and each depth's observation conv do not depend on
-        the recurrent state, so they run once over all rows and each block
-        takes its rows through `autodiff.split`. Dense layers run per block:
-        a GEMM's last bits can depend on its row count, and per block they
-        match `forward` bit for bit.
-        """
-        x = self.encode(obs)
-        if self.config.memory_kind == "vector_lstm":
-            return [(i_t, self.step_terms(i_t))
-                    for i_t in map(self.compress, ad.split(x, steps, axis=0))]
-        terms = self.step_terms(x)
-        obs_terms = [None if tm.obs is None else ad.split(tm.obs, steps, axis=0) for tm in terms]
-        return [(i_t, [tm if o is None else tm._replace(obs=o[t]) for tm, o in zip(terms, obs_terms)])
-                for t, i_t in enumerate(ad.split(x, steps, axis=0))]
 
     def memory_step(self, terms, c_prev, h_prev, h_below, pool):
         """One memory module update from its depth's fixed `terms`
@@ -327,13 +301,6 @@ class DrcNetwork:
             new_h.append(h)
         return DrcState(tuple(new_c), tuple(new_h))
 
-    def step_state(self, state, terms):
-        """Apply the stack N times with the step's fixed gate `terms`
-        (`step_terms`); returns (new state, deepest hidden state)."""
-        for _ in range(self.config.repeats):
-            state = self.tick(state, terms)
-        return state, state.h[-1]
-
     # -- output heads ---------------------------------------------------------
 
     def heads(self, o_t, i_t):
@@ -349,11 +316,43 @@ class DrcNetwork:
         return logits, ad.reshape(value, (value.shape[0],))
 
     def forward(self, state, obs):
-        """(state, observation) -> (new state, logits, value)."""
-        i_t = self.compress(self.encode(obs))
-        state, o_t = self.step_state(state, self.step_terms(i_t))
-        logits, value = self.heads(o_t, i_t)
+        """(state, (B, ...) array or Tensor) -> (new state, logits, value): a one-step `unroll`."""
+        obs = obs.data if isinstance(obs, Tensor) else obs
+        state, (logits,), (value,) = self.unroll(state, obs[None])
         return state, logits, value
+
+    def unroll(self, state, obs, dones=None):
+        """Run from `state` over the (T, B, ...) observation array `obs`,
+        zeroing a row's state after each step that the (T, B) `dones` marks
+        as an episode's end. Returns (state after step T, T logits, T values).
+
+        The encoder and observation convs do not depend on the state, so they
+        run once over all T*B rows and each step takes its rows through
+        `autodiff.split`. Ticks and dense layers run per step: a GEMM's last
+        bits can depend on its row count, so each step matches `forward`.
+        """
+        steps = obs.shape[0]
+        x = self.encode(obs.reshape((-1,) + obs.shape[2:]))
+        xs = ad.split(x, steps, axis=0)
+        if self.config.memory_kind == "vector_lstm":  # i_t: dense + ReLU on each step's flat encoding
+            w, b = self.params["core.compress.w"], self.params["core.compress.b"]
+            xs = [ad.relu(ad.dense(ad.reshape(x_t, (x_t.shape[0], -1)), w, b)) for x_t in xs]
+            inputs = [(i_t, self.step_terms(i_t)) for i_t in xs]
+        else:
+            terms = self.step_terms(x)
+            obs_terms = [None if tm.obs is None else ad.split(tm.obs, steps, axis=0) for tm in terms]
+            inputs = [(i_t, [tm if o is None else tm._replace(obs=o[t]) for tm, o in zip(terms, obs_terms)])
+                      for t, i_t in enumerate(xs)]
+        logits_steps, values_steps = [], []
+        for t, (i_t, terms) in enumerate(inputs):
+            for _ in range(self.config.repeats):
+                state = self.tick(state, terms)
+            logits, value = self.heads(state.h[-1], i_t)
+            logits_steps.append(logits)
+            values_steps.append(value)
+            if dones is not None and dones[t].any():
+                state = state.scale(1.0 - dones[t].astype(np.float32))
+        return state, logits_steps, values_steps
 
 
 def build_parameters(config, seed=0, dtype=np.float32):

@@ -100,12 +100,16 @@ def run_episodes(net, env_factories, mode="sample", seed=0, batch_size=64,
 
 
 def evaluate(net, env_factories, episodes_per_level=1, mode="sample", seed=0,
-             batch_size=64, level_set_id=""):
-    """Solve-rate report over a list of environment factories."""
+             batch_size=64, level_set_id="", force_noop_steps=0):
+    """Solve-rate report over a list of environment factories, each played
+    `episodes_per_level` times; `force_noop_steps` as in `run_episodes`."""
     if not env_factories:
         raise ValueError("evaluate needs a non-empty level list")
+    if episodes_per_level < 1:
+        raise ValueError(f"episodes_per_level must be >= 1, got {episodes_per_level}")
     expanded = [f for f in env_factories for _ in range(episodes_per_level)]
-    outcomes = run_episodes(net, expanded, mode=mode, seed=seed, batch_size=batch_size)
+    outcomes = run_episodes(net, expanded, mode=mode, seed=seed, batch_size=batch_size,
+                            force_noop_steps=force_noop_steps)
     return make_report(outcomes, level_set_id=level_set_id)
 
 
@@ -116,13 +120,11 @@ def thinking_steps_eval(net, env_factories, k_max=10, episodes_per_level=1,
     Every k evaluates the identical ordered level list with the same seeds,
     so the curve is paired across k.
     """
-    curve = {}
-    for k in range(k_max + 1):
-        expanded = [f for f in env_factories for _ in range(episodes_per_level)]
-        outcomes = run_episodes(net, expanded, mode=mode, seed=seed,
-                                batch_size=batch_size, force_noop_steps=k)
-        curve[k] = make_report(outcomes, level_set_id=f"{level_set_id}[k={k}]")
-    return curve
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    return {k: evaluate(net, env_factories, episodes_per_level, mode, seed, batch_size,
+                        f"{level_set_id}[k={k}]", force_noop_steps=k)
+            for k in range(k_max + 1)}
 
 
 def extrapolate_boxes(net, box_counts=(4, 5, 6, 7), levels_per_count=100, seed=0,

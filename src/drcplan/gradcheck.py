@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .drc import DrcConfig, DrcNetwork
 from .nn import compute_gradients
-from .train import TrainConfig, compute_loss, replay
+from .train import TrainConfig, compute_loss
 
 
 def finite_difference_check(loss_fn, params, entries_per_param=0):
@@ -73,12 +73,11 @@ def drc_episode_loss(net, seed):
     actions = rng.integers(0, cfg.action_count, size=episode_len)
     advantages = rng.normal(size=episode_len)
     targets = rng.normal(size=episode_len)
-    dones = np.zeros((episode_len, 1), dtype=bool)
     train_cfg = TrainConfig()
     head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
 
     def loss_fn():
-        _, logits_steps, values_steps = replay(net, net.zero_state(batch=1), obs, dones)
+        _, logits_steps, values_steps = net.unroll(net.zero_state(batch=1), obs)
         loss, _ = compute_loss(logits_steps, values_steps, actions, advantages,
                                targets, head_weights, train_cfg)
         return loss

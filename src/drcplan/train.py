@@ -12,13 +12,13 @@ columns in queue order and applies one Adam step per batch.
 When B equals K, each batch is one whole unroll run under the parameters
 the learner updates. The actors then record their forward on the autodiff
 tape, and the learner backpropagates through it. Otherwise the learner
-replays the forward from each column's stored initial state (`replay`): a
-batch may span two unrolls and hold columns run under older parameters, and
-when B is a larger multiple of K, backpropagating through B / K taped
-unrolls of K rows each holds more memory than one replay over B rows and
-runs B / K times as many small ops. The replay runs the convs that do not
-depend on the recurrent state once over all T*B rows and the rest step by
-step, so its logits match the actors' bit for bit.
+replays the batch from each column's stored initial state: a batch may span
+two unrolls and hold columns run under older parameters, and when B is a
+larger multiple of K, backpropagating through B / K taped unrolls of K rows
+each holds more memory than one replay over B rows and runs B / K times as
+many small ops. Actors and learner run one forward, `DrcNetwork.unroll`:
+the actors one step at a time, the replay over all T steps, so its logits
+match the actors' bit for bit.
 Evaluation drives the same stepper without a tape, where a row whose stream
 of episodes runs out leaves the batch. The whole schedule is deterministic:
 a fixed (config, seed) pair reproduces training bit for bit.
@@ -112,7 +112,8 @@ def take_columns(queue, count):
     """Pop the first `count` queued columns, in queue order, as one block.
 
     A batch may span several unrolls; a partly taken unroll stays at the
-    head of the queue with its remaining columns.
+    head of the queue with its remaining columns. A batch that is one whole
+    block is that block, not a copy; every field is C-contiguous.
     """
     parts = []
     while count and queue:
@@ -122,6 +123,8 @@ def take_columns(queue, count):
             head = head.columns(0, count)
         parts.append(head)
         count -= head.width
+    if len(parts) == 1:
+        return Unroll(*map(np.ascontiguousarray, parts[0]))
     return Unroll(*(np.concatenate(field, axis=1) for field in zip(*parts)))
 
 
@@ -149,8 +152,8 @@ class ActorGroup:
     that replays run it under `autodiff.no_grad`; otherwise it is recorded on
     the autodiff tape, and `run_unroll` hands it to the learner with the
     unroll. The state is detached to leaves after each unroll, so each
-    unroll's graph starts from its stored initial state, as a replay of it
-    would (truncated BPTT). Rows cannot leave a taped batch.
+    unroll's graph starts from its stored initial state, as the learner's
+    replay of it would (truncated BPTT). Rows cannot leave a taped batch.
     """
 
     def __init__(self, net, next_episode, rows, unroll_length=0, greedy=False):
@@ -196,7 +199,7 @@ class ActorGroup:
                 emptied.append(i)
                 continue
             self.obs[i] = self.episodes[i][0].reset()
-        if any(dones):  # a new episode starts from the zero state, as in `replay`
+        if any(dones):  # a new episode starts from the zero state, as in `DrcNetwork.unroll`
             self.state = self.state.scale(1.0 - np.array(dones, dtype=np.float32))
         if emptied:  # those rows leave the batch
             if self.state.h[0].requires_grad:
@@ -211,7 +214,7 @@ class ActorGroup:
         """Collect one (T, K) unroll under the current parameters.
 
         Returns (the `Unroll`, its forward): the state after step T, T
-        logits and T values, as `replay` of the unroll returns them, on the
+        logits and T values, as `DrcNetwork.unroll` returns them, on the
         autodiff tape unless run under `autodiff.no_grad`.
         """
         initial_c = np.stack([t.data for t in self.state.c])
@@ -284,33 +287,10 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
     return loss, parts
 
 
-def replay(net, state, obs, dones):
-    """Run the network from `state` over obs[0..T-1], T = len(dones), zeroing
-    a row's state after a step that ends its episode, as the actors do.
-    Returns (the state after step T, T logits, T values).
-
-    What does not depend on the recurrent state (the encoder convs and each
-    depth's observation conv) runs once over all T*B rows
-    (`DrcNetwork.step_inputs`); the ticks, heads and dense layers run per
-    step, so the logits and values match the actors' forward bit for bit.
-    """
-    t_len = len(dones)
-    rows = obs[:t_len].reshape((-1,) + obs.shape[2:])
-    logits_steps, values_steps = [], []
-    for t, (i_t, terms) in enumerate(net.step_inputs(rows, t_len)):
-        state, o_t = net.step_state(state, terms)
-        logits, value = net.heads(o_t, i_t)
-        logits_steps.append(logits)
-        values_steps.append(value)
-        if dones[t].any():
-            state = state.scale(1.0 - dones[t].astype(np.float32))
-    return state, logits_steps, values_steps
-
-
 def learner_update(net, batch, forward, adam, config, env_steps):
     """Build targets for a (T, B) `Unroll` batch, backpropagate the loss
-    through its `forward` (the state after step T, T logits and T values,
-    on the autodiff tape) and apply one Adam step."""
+    through its `forward` (`DrcNetwork.unroll`'s output on the autodiff
+    tape, the actors' or a replay) and apply one Adam step."""
     state, logits_steps, values_steps = forward
     with ad.no_grad():
         _, _, boot = net.forward(state, Tensor(batch.obs[-1]))
@@ -379,7 +359,7 @@ class Trainer:
         if self.replays:
             state = DrcState(tuple(Tensor(a) for a in batch.initial_c),
                              tuple(Tensor(a) for a in batch.initial_h))
-            forward = replay(self.net, state, batch.obs, batch.dones)
+            forward = self.net.unroll(state, batch.obs[:-1], batch.dones)
         metrics = learner_update(self.net, batch, forward, self.adam, cfg, self.env_steps)
         self.updates += 1
 

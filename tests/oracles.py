@@ -218,10 +218,11 @@ def backward_reference(root):
 
 
 def replay_reference(net, state, obs, dones):
-    """The learner's replay as one `net.forward` per step, the call the
-    actors make: every step encodes its own B rows and computes its own
-    gate terms. Zeroes a row's state after a step that ends its episode.
-    Returns (the state after step T, T logits, T values)."""
+    """The learner's replay, `DrcNetwork.unroll` over T steps, as one
+    `net.forward` per step, the call the actors make: every step encodes
+    its own B rows and computes its own gate terms. Zeroes a row's state
+    after a step that ends its episode. Returns (the state after step T,
+    T logits, T values)."""
     logits_steps, values_steps = [], []
     for t in range(len(dones)):
         state, logits, value = net.forward(state, obs[t])

@@ -305,6 +305,16 @@ def test_split_rejects_sizes_that_do_not_cover_the_axis():
         ad.split(w, 3, axis=-2)
 
 
+def test_split_into_one_section_is_the_tensor_itself():
+    """A single chunk adds no tape node: it is `a`, and so is its gradient's
+    owner."""
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    for sections in (1, [3], (2,)):
+        axis = 0 if sections == (2,) else -1
+        (chunk,) = ad.split(a, sections, axis=axis)
+        assert chunk is a
+
+
 def test_convlstm_cell_matches_gate_formula():
     rng = np.random.default_rng(4)
     raw, c_prev = rng.normal(size=(2, 3, 3, 8)), rng.normal(size=(2, 3, 3, 2))

@@ -1,4 +1,5 @@
-"""Every flag a subcommand registers is read by its handler.
+"""Every flag a subcommand registers is read by its handler, and count
+flags reject bad values before the handler runs.
 
 A flag counts as read when the handler, or a `cli` function the handler
 passes `args` to (followed transitively), reads `args.<dest>`. No linter runs
@@ -61,3 +62,33 @@ def test_helpers_are_followed():
 @pytest.mark.parametrize("command", sorted(_subparsers()))
 def test_every_registered_flag_is_read(command):
     assert unread_flags(_subparsers()[command]) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gradcheck", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+    (["extrapolate", "--params", "p", "--boxes", "4,,5"],
+     "argument --boxes: invalid positive_ints value: '4,,5'"),
+    (["extrapolate", "--params", "p", "--boxes", "0,4"],
+     "argument --boxes: must be >= 1, got 0"),
+    (["extrapolate", "--params", "p", "--levels-per-count", "0"],
+     "argument --levels-per-count: must be >= 1, got 0"),
+    (["gen-levels", "--count", "0"], "argument --count: must be >= 1, got 0"),
+    (["gen-levels", "--boxes", "0"], "argument --boxes: must be >= 1, got 0"),
+    (["filter-levels", "--levels", "l", "--attempts", "-1"], "argument --attempts: must be >= 1, got -1"),
+    (["gradcheck", "--seeds", "two"], "argument --seeds: invalid positive_int value: 'two'"),
+])
+def test_count_flags_fail_before_the_command_runs(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_count_flag_defaults_parse():
+    parse = cli.build_parser().parse_args
+    assert parse(["extrapolate", "--params", "p"]).boxes == (4, 5, 6, 7)
+    assert parse(["extrapolate", "--params", "p", "--boxes", "6"]).boxes == (6,)
+    assert parse(["extrapolate", "--params", "p"]).levels_per_count == 100
+    assert (parse(["gen-levels"]).count, parse(["gen-levels"]).boxes) == (1000, 4)
+    assert parse(["filter-levels", "--levels", "l"]).attempts == 10
+    assert parse(["gradcheck"]).seeds == 5

@@ -226,23 +226,21 @@ def test_topdown_skip_ablation_changes_outputs():
 
 def test_step_n1_equals_single_tick():
     net = tiny_net(depth=2, repeats=1)
-    state = rand_state(net)
-    i_t = net.encode(Tensor(rand_obs(net)))
-    via_step, o_t = net.step_state(state, net.step_terms(i_t))
-    via_tick = net.tick(state, net.step_terms(i_t))
+    state, obs = rand_state(net), rand_obs(net)
+    via_step, _, _ = net.forward(state, obs)
+    via_tick = net.tick(state, net.step_terms(net.encode(Tensor(obs))))
     for got, want in zip(via_step.c + via_step.h, via_tick.c + via_tick.h):
         np.testing.assert_array_equal(got.data, want.data)
-    np.testing.assert_array_equal(o_t.data, via_tick.h[-1].data)
+    np.testing.assert_array_equal(via_step.h[-1].data, via_tick.h[-1].data)
 
 
 def test_step_n3_equals_manual_tick_loop_bit_identical():
     net = tiny_net(depth=2, repeats=3)
-    state = rand_state(net)
-    i_t = net.encode(Tensor(rand_obs(net)))
-    manual, terms = state, net.step_terms(i_t)
+    state, obs = rand_state(net), rand_obs(net)
+    manual, terms = state, net.step_terms(net.encode(Tensor(obs)))
     for _ in range(3):
         manual = net.tick(manual, terms)
-    stepped, _ = net.step_state(state, terms)
+    stepped, _, _ = net.forward(state, obs)
     for got, want in zip(stepped.c + stepped.h, manual.c + manual.h):
         np.testing.assert_array_equal(got.data, want.data)
 
@@ -251,13 +249,12 @@ def test_repeat_associativity_bit_identical():
     for seed in range(20):
         net = tiny_net(depth=2, repeats=5, seed=seed)
         state = rand_state(net, seed=seed + 100)
-        i_t = net.encode(Tensor(rand_obs(net, seed=seed + 200)))
-        terms = net.step_terms(i_t)
-        full, _ = net.step_state(state, terms)
+        obs = rand_obs(net, seed=seed + 200)
+        full, _, _ = net.forward(state, obs)
         net.config = DrcConfig(**{**net.config.__dict__, "repeats": 2})
-        part, _ = net.step_state(state, terms)
+        part, _, _ = net.forward(state, obs)
         net.config = DrcConfig(**{**net.config.__dict__, "repeats": 3})
-        part, _ = net.step_state(part, terms)
+        part, _, _ = net.forward(part, obs)
         for got, want in zip(part.c + part.h, full.c + full.h):
             np.testing.assert_array_equal(got.data, want.data)
 

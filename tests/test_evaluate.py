@@ -7,6 +7,7 @@ import pytest
 from drcplan.boxoban import generate_level_set
 from drcplan.drc import DrcNetwork, preset_config
 from drcplan.envs import GRIDWORLD12, GridworldEnv, SokobanEnv
+from drcplan import evaluate as ev
 from drcplan.evaluate import run_episodes
 
 
@@ -73,6 +74,19 @@ def test_rejects_unknown_mode_and_noops_without_a_noop_action(levels, net):
     factories = [lambda s=s: GridworldEnv(s, GRIDWORLD12) for s in range(2)]
     with pytest.raises(ValueError, match="no-op"):
         run_episodes(grid, factories, force_noop_steps=1)
+
+
+@pytest.mark.parametrize("protocol", [ev.evaluate, ev.thinking_steps_eval])
+def test_rejects_fewer_than_one_episode_per_level(monkeypatch, levels, net, protocol):
+    monkeypatch.setattr(ev, "run_episodes", lambda *a, **k: pytest.fail("an episode ran"))
+    with pytest.raises(ValueError, match="^episodes_per_level must be >= 1, got 0$"):
+        protocol(net, _factories(levels), episodes_per_level=0)
+
+
+def test_rejects_a_negative_k_max(monkeypatch, levels, net):
+    monkeypatch.setattr(ev, "run_episodes", lambda *a, **k: pytest.fail("an episode ran"))
+    with pytest.raises(ValueError, match="^k_max must be >= 0, got -1$"):
+        ev.thinking_steps_eval(net, _factories(levels), k_max=-1)
 
 
 def test_an_int_seed_is_the_one_part_stream_key(levels, net):

@@ -51,6 +51,10 @@ def test_a_training_update_runs_traced(monkeypatch):
     per_forward = len(net.config.encoder) + 2 * net.config.depth
     forwards = trainer.config.unroll_length + 1
     assert tracer.counts["autodiff.conv2d.calls"] == forwards * per_forward
+    # Those forwards go through the wrapped `forward`, which counts their
+    # rows; an actor or bootstrap step that called `unroll` directly would
+    # drop out of `drc.forward_rows`.
+    assert tracer.counts["drc.forward_rows"] == forwards * trainer.config.num_actors
 
 
 def test_a_toy_eval_workload_runs_and_checks_clean(monkeypatch):

@@ -16,7 +16,7 @@ from drcplan.drc import MEMORY_KINDS, DrcNetwork, DrcState, preset_config
 from drcplan.gradcheck import finite_difference_check, tiny_drc_config
 from drcplan.nn import compute_gradients
 from drcplan.sources import source_factory
-from drcplan.train import TrainConfig, Trainer, Unroll, compute_loss, replay, take_columns
+from drcplan.train import TrainConfig, Trainer, Unroll, compute_loss, take_columns
 
 from oracles import replay_reference
 
@@ -94,6 +94,17 @@ def test_take_columns_spans_unrolls_in_queue_order():
     assert not queue
 
 
+def test_a_batch_that_is_one_whole_block_is_not_copied():
+    """With as many columns as the head block holds, the batch is that
+    block's arrays: the learner holds one copy of the unroll."""
+    block = _block(0, 3)
+    queue = deque([block, _block(3, 3)])
+    batch = take_columns(queue, 3)
+    assert all(got is want for got, want in zip(batch, block, strict=True))
+    assert np.shares_memory(batch.obs, block.obs)
+    assert len(queue) == 1
+
+
 def test_compute_loss_policy_term_matches_numpy():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(6, 5))
@@ -167,7 +178,7 @@ def _taped_batch(kind, dtype, rows=3, t_len=4):
     taped actors ran, so the batch starts from a state that is not zero.
     Episodes last at most 3 steps, so every row ends one inside the batch.
     Returns the network, the batch, the actors' forward and the forward
-    `replay` computes from the batch."""
+    the learner's `DrcNetwork.unroll` computes from the batch."""
     net = DrcNetwork.create(preset_config("gridworld12", 2, 2, memory_kind=kind), seed=1, dtype=dtype)
     sources = [source_factory("gridworld12", step_limit=3)(5, i) for i in range(rows)]
     rngs = [np.random.default_rng(i) for i in range(rows)]
@@ -176,7 +187,7 @@ def _taped_batch(kind, dtype, rows=3, t_len=4):
     batch, taped = actors.run_unroll()
     assert batch.dones[:-1].any()
     state = DrcState(tuple(map(Tensor, batch.initial_c)), tuple(map(Tensor, batch.initial_h)))
-    return net, batch, taped, replay(net, state, batch.obs, batch.dones)
+    return net, batch, taped, net.unroll(state, batch.obs[:-1], batch.dones)
 
 
 def _loss_and_gradients(net, batch, forward):
@@ -196,10 +207,10 @@ def _forward_tensors(forward):
 
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
 def test_the_actor_tape_and_the_replay_agree(kind):
-    """The forward the actors record on the tape is the one `replay`
-    computes for their batch, across episode ends: float32 logits, values,
-    final state and loss are bit-identical. The gradients agree to 1e-5 in
-    float32 and 1e-12 in float64 (relative)."""
+    """The forward the actors record on the tape is the one the learner's
+    `DrcNetwork.unroll` computes for their batch, across episode ends:
+    float32 logits, values, final state and loss are bit-identical. The
+    gradients agree to 1e-5 in float32 and 1e-12 in float64 (relative)."""
     rel = lambda a, b: float(np.abs(a - b).max()) / max(float(np.abs(b).max()), 1e-300)
     for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
         net, batch, taped, replayed = _taped_batch(kind, dtype)
@@ -222,14 +233,14 @@ def test_the_actor_tape_and_the_replay_agree(kind):
 def test_the_actor_tape_matches_the_replay_as_training_moves_the_parameters(monkeypatch, kind):
     """At every update of an 8-actor, batch 8 run, while Adam moves the
     parameters, the forward the actors recorded is bit for bit the one
-    `replay` computes for the batch under the parameters the learner
-    updates, across episode ends."""
+    `DrcNetwork.unroll` computes for the batch under the parameters the
+    learner updates, across episode ends."""
     ends, real = [], train.learner_update
 
     def spy(net, batch, forward, *rest):
         state = DrcState(tuple(map(Tensor, batch.initial_c)), tuple(map(Tensor, batch.initial_h)))
         with ad.no_grad():
-            replayed = replay(net, state, batch.obs, batch.dones)
+            replayed = net.unroll(state, batch.obs[:-1], batch.dones)
         np.testing.assert_array_equal(batch.behaviour_logits, np.stack([l.data for l in forward[1]]))
         for got, want in zip(_forward_tensors(forward), _forward_tensors(replayed), strict=True):
             np.testing.assert_array_equal(got.data, want.data)
@@ -251,15 +262,18 @@ def test_the_actor_tape_matches_the_replay_as_training_moves_the_parameters(monk
 def test_the_learner_replays_unless_the_batch_is_one_unroll(monkeypatch, actors, replays):
     """At batch 4, 4 actors fill each batch with one unroll run under the
     current parameters, so the learner never replays; with 2, 3 or 5 actors
-    it replays at every update. After every update the actors' state holds
-    leaves, so no update's graph reaches into the next."""
-    calls, real = [], train.replay
+    it replays at every update: one multi-step `DrcNetwork.unroll` (the
+    actors' one-step unrolls are not replays). After every update the
+    actors' state holds leaves, so no update's graph reaches into the
+    next."""
+    calls, real = [], DrcNetwork.unroll
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(self, state, obs, dones=None):
+        if obs.shape[0] > 1:
+            calls.append(obs)
+        return real(self, state, obs, dones)
 
-    monkeypatch.setattr(train, "replay", spy)
+    monkeypatch.setattr(DrcNetwork, "unroll", spy)
     net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0)
     trainer = Trainer(net, source_factory("gridworld12"),
                       TrainConfig(num_actors=actors, batch_size=4, unroll_length=3))
@@ -322,7 +336,7 @@ def _replay_case(dtype, batch, flags, t_len=4):
     head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
 
     def run(fn):
-        state, logits, values = fn(net, start, obs, dones)
+        state, logits, values = fn(net, start, obs[:t_len], dones)
         loss, _ = compute_loss(logits, values, actions, advantages, targets, head_weights, TrainConfig())
         return state, logits, values, compute_gradients(loss, net.params)
 
@@ -337,17 +351,17 @@ REPLAY_FLAGS = [{}] + [{flag: False} for flag in ("pool_and_inject", "top_down_s
 @pytest.mark.parametrize("batch", [3, 8])
 @pytest.mark.parametrize("flags", REPLAY_FLAGS, ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()) or "all")
 def test_replay_matches_the_per_step_forward(batch, flags):
-    """`replay` runs the encoder and observation convs once over all T*B
-    rows; the per-step loop of the actors' forward gives bit-identical
+    """`DrcNetwork.unroll` runs the encoder and observation convs once over
+    all T*B rows; the per-step loop of the actors' forward gives bit-identical
     float32 logits and values, and in float64 the same logits, values,
     final state and gradients to 1e-12."""
     run = _replay_case(np.float32, batch, flags)
-    (_, logits, values, _), (_, want_logits, want_values, _) = run(replay), run(replay_reference)
+    (_, logits, values, _), (_, want_logits, want_values, _) = run(DrcNetwork.unroll), run(replay_reference)
     for got, want in zip(logits + values, want_logits + want_values):
         np.testing.assert_array_equal(got.data, want.data)
 
     run = _replay_case(np.float64, batch, flags)
-    got, want = run(replay), run(replay_reference)
+    got, want = run(DrcNetwork.unroll), run(replay_reference)
     tensors = lambda r: [*r[0].c, *r[0].h, *r[1], *r[2]]  # final state, logits, values
     pairs = [(a.data, b.data) for a, b in zip(tensors(got), tensors(want))]
     assert sorted(got[3]) == sorted(want[3])
@@ -368,7 +382,7 @@ def test_the_replay_tape_stays_small():
     dones[1, 0] = True
 
     def update():
-        _, logits, values = replay(net, net.zero_state(2), obs, dones)
+        _, logits, values = net.unroll(net.zero_state(2), obs[:4], dones)
         loss, _ = compute_loss(logits, values, np.zeros(8, dtype=int), np.ones(8), np.ones(8),
                                [], TrainConfig())
         compute_gradients(loss, net.params)
@@ -437,12 +451,12 @@ def test_replay_resets_an_ended_column_and_its_gradients_check():
     head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
 
     def loss_fn():
-        _, logits, values = replay(net, start, obs, dones)
+        _, logits, values = net.unroll(start, obs, dones)
         return compute_loss(logits, values, actions, advantages, targets, head_weights,
                             TrainConfig())[0]
 
     assert finite_difference_check(loss_fn, net.params, entries_per_param=25) < 1e-4
-    _, logits, _ = replay(net, start, obs, dones)
-    _, fresh, _ = replay(net, net.zero_state(1), obs[1:, :1], dones[1:, :1])
+    _, logits, _ = net.unroll(start, obs, dones)
+    _, fresh, _ = net.unroll(net.zero_state(1), obs[1:, :1], dones[1:, :1])
     for got, want in zip(logits[1:], fresh):
         np.testing.assert_allclose(got.data[:1], want.data, rtol=1e-12, atol=1e-12)
