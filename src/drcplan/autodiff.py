@@ -2,10 +2,11 @@
 
 This is not a general autodiff system: it implements exactly the op set the
 rest of the library needs: elementwise arithmetic, dense layers, 2D
-convolution (`conv2d`) and a fused gate preactivation (`gate_conv`) that
-share one im2col builder and its col2im adjoint, gate nonlinearities and a
-fused LSTM cell (`convlstm_cell`), reductions, reshaping, spatial pooling and
-log-softmax. Image tensors are batched NHWC arrays, (N, H, W, C).
+convolution (`conv2d`), a fused gate preactivation (`gate_conv`) and a
+fused ConvLSTM update (`convlstm_cell`: that preactivation and the LSTM cell
+in one op, so no preactivation stays on the tape), all on one im2col builder
+and its col2im adjoint; gate nonlinearities, reductions, reshaping, spatial
+pooling and log-softmax. Image tensors are batched NHWC arrays, (N, H, W, C).
 
 Training runs in float32; gradient verification runs in float64 (central
 finite differences are unreliable at single precision). The dtype of a
@@ -321,34 +322,19 @@ def _uniform_taps(h, w, k, dtype):
     return taps
 
 
-def gate_conv(xs, w, bases, pool=None, w_pool=None):
-    """A memory module's gate preactivation as one tape node:
-
-        conv2d(concat(xs, axis=-1), w, padding="same") + sum(bases)
-            + conv2d(pool tiled over the grid, w_pool, padding="same")
-
-    `xs` are (N, H, W, C_i) maps, or (N, C_i) vectors taken as a 1 x 1 grid.
-    `w` is the kernel as its (K*K*Cin, Cout) im2col matrix, rows ordered
-    (tap row, tap column, channel) with Cin = sum(C_i). Each of `bases`
-    broadcasts to the output. `pool` (N, P) is the spatially constant input
-    of the pool term and `w_pool` its kernel as the (P, K*K*Cout) matrix
-    w[kh, kw, p, o] -> [p, (kh*K + kw)*Cout + o].
-
-    The inputs are padded straight into one im2col buffer, one GEMM writes
-    the output, and the bases and the pool term are added to it in place.
-    The pool term is never tiled: each pixel sums pool @ w_pool over the taps
-    of its window that fall inside the grid. Backward rebuilds the padded
-    buffer from `xs` rather than keeping it, and splits dX back to each input.
-    """
+def _gate_preactivation(op, xs, w, bases, pool, w_pool):
+    """The forward and adjoint shared by `gate_conv` and `convlstm_cell`:
+    returns (preactivation array, parents, backward(g)), where backward
+    pushes the preactivation's gradient `g` into the parents."""
     lead = xs[0].shape[:-1]
     cin = sum(x.shape[-1] for x in xs)
     k = math.isqrt(w.shape[0] // cin) if w.ndim == 2 and cin else 0
     if len(lead) not in (1, 3) or any(x.shape[:-1] != lead for x in xs) or k * k * cin != w.shape[0]:
-        raise ShapeError(f"gate_conv: inputs {[x.shape for x in xs]} do not fit kernel matrix {w.shape}")
+        raise ShapeError(f"{op}: inputs {[x.shape for x in xs]} do not fit kernel matrix {w.shape}")
     n, h, width = lead if len(lead) == 3 else (lead[0], 1, 1)
     cout = w.shape[1]
     if pool is not None and (pool.shape[0] != n or w_pool.shape != (pool.shape[1], k * k * cout)):
-        raise ShapeError(f"gate_conv: pool {pool.shape} and kernel {w_pool.shape} do not fit")
+        raise ShapeError(f"{op}: pool {pool.shape} and kernel {w_pool.shape} do not fit")
     pads = _same_pad(h, width, k, 1)[2]
     grids = [x.data.reshape(n, h, width, -1) for x in xs]
 
@@ -376,6 +362,29 @@ def gate_conv(xs, w, bases, pool=None, w_pool=None):
             if w_pool.requires_grad:
                 _accumulate(w_pool, pool.data.T @ d_tap)
 
+    return out, parents, backward
+
+
+def gate_conv(xs, w, bases, pool=None, w_pool=None):
+    """A memory module's gate preactivation as one tape node:
+
+        conv2d(concat(xs, axis=-1), w, padding="same") + sum(bases)
+            + conv2d(pool tiled over the grid, w_pool, padding="same")
+
+    `xs` are (N, H, W, C_i) maps, or (N, C_i) vectors taken as a 1 x 1 grid.
+    `w` is the kernel as its (K*K*Cin, Cout) im2col matrix, rows ordered
+    (tap row, tap column, channel) with Cin = sum(C_i). Each of `bases`
+    broadcasts to the output. `pool` (N, P) is the spatially constant input
+    of the pool term and `w_pool` its kernel as the (P, K*K*Cout) matrix
+    w[kh, kw, p, o] -> [p, (kh*K + kw)*Cout + o].
+
+    The inputs are padded straight into one im2col buffer, one GEMM writes
+    the output, and the bases and the pool term are added to it in place.
+    The pool term is never tiled: each pixel sums pool @ w_pool over the taps
+    of its window that fall inside the grid. Backward rebuilds the padded
+    buffer from `xs` rather than keeping it, and splits dX back to each input.
+    """
+    out, parents, backward = _gate_preactivation("gate_conv", xs, w, bases, pool, w_pool)
     return _node(out, parents, backward)
 
 
@@ -412,43 +421,50 @@ def tanh(a):
     return _node(out_data, (a,), backward)
 
 
-def convlstm_cell(raw, c_prev):
-    """Fused LSTM cell on gate preactivations `raw` = [f, i, o, g] (last axis):
+def convlstm_cell(xs, w, bases, c_prev, pool=None, w_pool=None):
+    """A ConvLSTM update as one op: the gate preactivation [f, i, o, g]
+    (last axis) of `gate_conv(xs, w, bases, pool, w_pool)`, then
 
         c = sigmoid(f) * c_prev + sigmoid(i) * tanh(g)
         h = sigmoid(o) * tanh(c)
 
     Returns (c, h) as two tape nodes with a hand-written backward; h's
     parent is c, so h's backward always runs first and leaves the o-gate
-    gradient for c's backward, which writes all four gate gradients at once.
+    gradient for c's backward, which writes all four gate gradients at once
+    and runs the preactivation's adjoint on them. The preactivation itself
+    is freed once the four gate activations are computed: the tape keeps
+    sigmoid(f), sigmoid(i), sigmoid(o) and tanh(g), and h's backward
+    recomputes tanh(c).
     """
+    raw, parents, gate_backward = _gate_preactivation("convlstm_cell", xs, w, bases, pool, w_pool)
     if raw.shape[-1] != 4 * c_prev.shape[-1] or raw.shape[:-1] != c_prev.shape[:-1]:
         raise ShapeError(f"convlstm_cell: gates {raw.shape} do not fit cell {c_prev.shape}")
     sig = lambda z: 0.5 * (1.0 + np.tanh(0.5 * z))
     n = c_prev.shape[-1]
     gates = lambda a: [a[..., j * n:(j + 1) * n] for j in range(4)]  # views, cheaper than np.split
-    f, i, o, g = gates(raw.data)
+    f, i, o, g = gates(raw)
     sf, si, so, tg = sig(f), sig(i), sig(o), np.tanh(g)
+    del raw, f, i, o, g
     c_data = sf * c_prev.data + si * tg
-    tc = np.tanh(c_data)
     d_o = []
 
     def backward_c(gc):
-        draw = np.empty(raw.shape, dtype=gc.dtype)
+        draw = np.empty(gc.shape[:-1] + (4 * n,), dtype=gc.dtype)
         df, di, do, dg = gates(draw)
         df[...] = gc * c_prev.data * sf * (1.0 - sf)
         di[...] = gc * tg * si * (1.0 - si)
         do[...] = d_o[0] if d_o else 0.0
         dg[...] = gc * si * (1.0 - tg * tg)
-        _accumulate(raw, draw)
+        gate_backward(draw)
         _accumulate(c_prev, gc * sf)
 
     def backward_h(gh):
+        tc = np.tanh(c.data)
         d_o.append(gh * tc * so * (1.0 - so))
         _accumulate(c, gh * so * (1.0 - tc * tc))
 
-    c = _node(c_data, (raw, c_prev), backward_c)
-    return c, _node(so * tc, (c,), backward_h)
+    c = _node(c_data, parents + (c_prev,), backward_c)
+    return c, _node(so * np.tanh(c_data), (c,), backward_h)
 
 
 def exp(a):

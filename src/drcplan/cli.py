@@ -38,12 +38,21 @@ def _add_common(p, flags=("--config", "--seed", "--out")):
         p.add_argument(flag, **settings[flag])
 
 
+def _int_at_least(text, low):
+    n = int(text)
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+    return n
+
+
 def positive_int(text):
     """An argparse type: an integer of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text):
+    """An argparse type: an integer of at least 0."""
+    return _int_at_least(text, 0)
 
 
 def positive_ints(text):
@@ -257,7 +266,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--params", required=True)
     p.add_argument("--levels", required=True)
-    p.add_argument("--episodes-per-level", type=int, default=1)
+    p.add_argument("--episodes-per-level", type=positive_int, default=1)
     p.add_argument("--mode", choices=("sample", "greedy"), default="sample")
     p.set_defaults(fn=cmd_eval)
 
@@ -265,8 +274,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--params", required=True)
     p.add_argument("--levels", required=True)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--episodes-per-level", type=int, default=1)
+    p.add_argument("--k-max", type=non_negative_int, default=10)
+    p.add_argument("--episodes-per-level", type=positive_int, default=1)
     p.add_argument("--mode", choices=("sample", "greedy"), default="sample")
     p.set_defaults(fn=cmd_think_eval)
 
@@ -299,7 +308,7 @@ def build_parser():
 
     p = sub.add_parser("verify-levels", help="certify a level file with the push-optimal solver")
     p.add_argument("--levels", required=True)
-    p.add_argument("--budget", type=int, default=200000)
+    p.add_argument("--budget", type=positive_int, default=200000)
     p.set_defaults(fn=cmd_verify_levels)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
@@ -316,8 +325,15 @@ def build_parser():
 
 
 def main(argv=None):
+    """Parse `argv` and run its subcommand. A `ValueError` the run raises
+    (a config, checkpoint or level file that does not fit) ends it with one
+    `drcplan <command>: error: ...` line and exit code 2, as a bad flag does."""
     args = build_parser().parse_args(argv)
-    args.fn(args)
+    try:
+        args.fn(args)
+    except ValueError as e:
+        print(f"drcplan {args.command}: error: {e}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

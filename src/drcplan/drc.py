@@ -32,11 +32,13 @@ computed as a sum of four terms, each with its slice of the one gate kernel
   a (B, C) x (C, K*K*Cout) product spread over the pixels by which kernel
   taps fall inside the grid, never tiled.
 
-Per tick, one `autodiff.gate_conv` node computes the recurrent term and adds
-the others to it in place. The kernel matrices it takes are prepared with
-the fixed terms, once per unroll. The ConvLSTM cell on that preactivation
-is one fused op (`autodiff.convlstm_cell`). `vector_lstm` takes the same
-path on a 1 x 1 grid, its dense gate weight being a 1 x 1 kernel.
+Per tick, one op computes the recurrent term and adds the others to it in
+place. The kernel matrices it takes are prepared with the fixed terms, once
+per unroll. For a ConvLSTM that op is `autodiff.convlstm_cell`, which also
+runs the LSTM cell on the preactivation and frees it, so the tape keeps the
+four gate activations, c and h, but no preactivation. `vector_lstm` takes
+the same path on a 1 x 1 grid, its dense gate weight being a 1 x 1 kernel.
+The RNN kinds take the preactivation from an `autodiff.gate_conv` node.
 
 `DrcNetwork.unroll` is the one network forward, over T steps of a (T, B)
 batch; the actors, the bootstrap and evaluation run `forward`, its one-step
@@ -169,7 +171,7 @@ def pool_and_inject(h, w_p, b_p):
     """Spatial max+mean pooling and a linear projection: (B, H, W, C) -> (B, C).
 
     The gate conv sees the projection tiled over space; `memory_step` hands it
-    untiled to `autodiff.gate_conv`, which spreads its term over the grid.
+    untiled to the gate op, which spreads its term over the grid.
     """
     mx = ad.spatial_max(h)
     mn = ad.spatial_mean(h)
@@ -266,14 +268,15 @@ class DrcNetwork:
     def memory_step(self, terms, c_prev, h_prev, h_below, pool):
         """One memory module update from its depth's fixed `terms`
         (`gate_terms`), the per-tick inputs and the (B, C) pooled
-        projection (None without). The gate preactivation is one
-        `autodiff.gate_conv` node."""
+        projection (None without). An LSTM update is one
+        `autodiff.convlstm_cell` op; the other kinds take their gate
+        preactivation from one `autodiff.gate_conv` node."""
         bases = (terms.fixed,) if terms.obs is None else (terms.obs, terms.fixed)
-        raw = ad.gate_conv([h_below, h_prev], terms.w_rec, bases, pool, terms.w_pool)
-
         kind = self.config.memory_kind
         if kind in ("convlstm", "vector_lstm"):
-            return ad.convlstm_cell(raw, c_prev)
+            return ad.convlstm_cell([h_below, h_prev], terms.w_rec, bases, c_prev, pool, terms.w_pool)
+
+        raw = ad.gate_conv([h_below, h_prev], terms.w_rec, bases, pool, terms.w_pool)
         if kind == "gated_convrnn":
             o, g = ad.split(raw, 2, axis=-1)
             return c_prev, ad.mul(ad.sigmoid(o), ad.tanh(g))

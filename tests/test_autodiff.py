@@ -85,8 +85,13 @@ OPS = {
     "relu": (ad.relu, [(3, 4)]),
     "sigmoid": (ad.sigmoid, [(3, 4)]),
     "tanh": (ad.tanh, [(3, 4)]),
-    # c * h puts both outputs in the loss, and h's path through c
-    "convlstm_cell": (lambda raw, c: ad.mul(*ad.convlstm_cell(raw, c)), [(2, 3, 8), (2, 3, 2)]),
+    # the whole ConvLSTM update: two maps, a per-row and a broadcast base,
+    # an even kernel's pool term; c * h puts both outputs in the loss, and
+    # h's path through c. Few input channels keep the gates off saturation,
+    # where gradients of 1e-7 drown in the differences' rounding
+    "convlstm_cell": (lambda x1, x2, w, base, b, c, pool, wp: ad.mul(
+        *ad.convlstm_cell([x1, x2], w, [base, b], c, pool, wp)),
+        [(2, 3, 2, 1), (2, 3, 2, 1), (8, 8), (2, 3, 2, 8), (1, 3, 2, 8), (2, 3, 2, 2), (2, 1), (1, 32)]),
     "exp": (ad.exp, [(3, 4)]),
     "sum_all": (ad.sum_all, [(3, 4)]),
     "log_softmax": (ad.log_softmax, [(4, 5)]),
@@ -316,16 +321,53 @@ def test_split_into_one_section_is_the_tensor_itself():
 
 
 def test_convlstm_cell_matches_gate_formula():
+    """An identity 1 x 1 kernel hands the cell `raw` as its preactivation."""
     rng = np.random.default_rng(4)
     raw, c_prev = rng.normal(size=(2, 3, 3, 8)), rng.normal(size=(2, 3, 3, 2))
-    c, h = ad.convlstm_cell(Tensor(raw), Tensor(c_prev))
+    c, h = ad.convlstm_cell([Tensor(raw)], Tensor(np.eye(8)), [], Tensor(c_prev))
     sig = lambda z: 1 / (1 + np.exp(-z))
     f, i, o, g = np.split(raw, 4, axis=-1)
     c_ref = sig(f) * c_prev + sig(i) * np.tanh(g)
     np.testing.assert_allclose(c.data, c_ref, rtol=1e-12)
     np.testing.assert_allclose(h.data, sig(o) * np.tanh(c_ref), rtol=1e-12)
-    with pytest.raises(ShapeError):
-        ad.convlstm_cell(Tensor(raw), Tensor(rng.normal(size=(2, 3, 3, 3))))
+    with pytest.raises(ShapeError, match="convlstm_cell: gates"):
+        ad.convlstm_cell([Tensor(raw)], Tensor(np.eye(8)), [], Tensor(rng.normal(size=(2, 3, 3, 3))))
+    with pytest.raises(ShapeError, match="convlstm_cell: inputs"):
+        ad.convlstm_cell([Tensor(raw)], Tensor(np.eye(9)), [], Tensor(c_prev))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_convlstm_cell_is_the_chain_it_replaces(k):
+    """One `convlstm_cell` op against `gate_conv` followed by the cell
+    formula in separate ops: the same float32 and float64 values bit for
+    bit, and float64 gradients within 1e-12, pool term included."""
+    rng = np.random.default_rng(k)
+    shapes = ((2, 3, 4, 2), (2, 3, 4, 3), (k * k * 5, 8), (2, 3, 4, 8), (8,), (2, 3, 4, 2), (2, 3),
+              (3, k * k * 8))
+    arrays = [rng.normal(size=s) for s in shapes]
+    gc, gh = (ad.constant(rng.normal(size=(2, 3, 4, 2)), dtype=np.float64) for _ in range(2))
+
+    def run(fused, dtype):
+        tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        x1, x2, w, base, b, c_prev, pool, wp = tensors
+        if fused:
+            c, h = ad.convlstm_cell([x1, x2], w, [base, b], c_prev, pool, wp)
+        else:
+            f, i, o, g = ad.split(ad.gate_conv([x1, x2], w, [base, b], pool, wp), 4, axis=-1)
+            c = ad.add(ad.mul(ad.sigmoid(f), c_prev), ad.mul(ad.sigmoid(i), ad.tanh(g)))
+            h = ad.mul(ad.sigmoid(o), ad.tanh(c))
+        out = [c.data, h.data]
+        if dtype == np.float64:
+            ad.backward(ad.add(ad.sum_all(ad.mul(c, gc)), ad.sum_all(ad.mul(h, gh))))
+        return out, [t.grad for t in tensors]
+
+    for dtype in (np.float32, np.float64):
+        (fused, fused_grads), (chain, chain_grads) = run(True, dtype), run(False, dtype)
+        for got, want in zip(fused, chain):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+    for got, want in zip(fused_grads, chain_grads, strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_channel_mismatch_error():

@@ -4,7 +4,6 @@ subcommand that plays episodes, and input that must fail early with a
 message naming the cause. (`gradcheck` is left to the gradient tests.)"""
 
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -140,24 +139,34 @@ def test_extrapolate_plays_at_the_configured_eval_batch_size(setup, tmp_path, mo
     assert batch_sizes == [3]
 
 
-def test_sokoban_train_without_levels(tmp_path):
+def _error(capsys, argv):
+    """The one stderr line of a `cli.main(argv)` that exits 2, without its newline."""
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return err[:-1]
+
+
+def test_sokoban_train_without_levels(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("game = sokoban\ndrc.depth = 1\ndrc.repeats = 1\n")
-    with pytest.raises(ValueError, match="data.levels"):
-        cli.main(["train", "--config", str(config), "--env-steps", "1",
-                  "--out", str(tmp_path / "out")])
+    argv = ["train", "--config", str(config), "--env-steps", "1", "--out", str(tmp_path / "out")]
+    assert _error(capsys, argv) == ("drcplan train: error: sokoban training needs a level set: "
+                                    "set data.levels in the run config")
 
 
-def test_network_filter_without_params(tmp_path):
+def test_network_filter_without_params(tmp_path, capsys):
     levels = tmp_path / "levels.txt"
     levels.write_text(serialize_levels(generate_level_set(3, 1, boxes=1)))
-    with pytest.raises(ValueError, match="--params"):
-        cli.main(["filter-levels", "--levels", str(levels), "--policy", "network",
-                  "--out", str(tmp_path / "out")])
+    argv = ["filter-levels", "--levels", str(levels), "--policy", "network", "--out", str(tmp_path / "out")]
+    assert _error(capsys, argv) == ("drcplan filter-levels: error: filter-levels --policy network "
+                                    "needs --params <checkpoint>")
 
 
 @pytest.mark.parametrize("command", ["eval", "think-eval", "extrapolate", "filter-levels"])
-def test_sokoban_commands_reject_another_game_first(tmp_path, command):
+def test_sokoban_commands_reject_another_game_first(tmp_path, capsys, command):
     """The game is checked before the checkpoint or the levels load (neither
     file exists here) and before the output directory is made."""
     config = tmp_path / "run.cfg"
@@ -167,19 +176,18 @@ def test_sokoban_commands_reject_another_game_first(tmp_path, command):
              "think-eval": ["--params", params, "--levels", levels],
              "extrapolate": ["--params", params],
              "filter-levels": ["--levels", levels, "--policy", "network", "--params", params]}
-    with pytest.raises(ValueError, match=f"^{command} plays Sokoban only, but the run "
-                                         "config's game is 'gridworld12'$"):
-        cli.main([command, "--config", str(config), "--out", str(tmp_path / "out"), *extra[command]])
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), *extra[command]]
+    assert _error(capsys, argv) == (f"drcplan {command}: error: {command} plays Sokoban only, but "
+                                    "the run config's game is 'gridworld12'")
     assert not (tmp_path / "out").exists()
 
 
-def test_eval_with_a_checkpoint_of_another_network(tmp_path):
+def test_eval_with_a_checkpoint_of_another_network(tmp_path, capsys):
     levels = tmp_path / "levels.txt"
     levels.write_text(serialize_levels(generate_level_set(3, 1, boxes=1)))
     params = tmp_path / "params.bin"
     save_checkpoint(params, DrcNetwork.create(preset_config("gridworld12", 1, 1)).params)
-    with pytest.raises(ValueError, match=re.escape(str(params)) + " does not fit the run config: "
-                                         r"'encoder.conv0.w' is \(3, 3, 1, 16\) in the checkpoint "
-                                         r"but \(8, 8, 3, 32\) under the config"):
-        cli.main(["eval", "--params", str(params), "--levels", str(levels),
-                  "--out", str(tmp_path / "out")])
+    argv = ["eval", "--params", str(params), "--levels", str(levels), "--out", str(tmp_path / "out")]
+    assert _error(capsys, argv) == (f"drcplan eval: error: {params} does not fit the run config: "
+                                    "'encoder.conv0.w' is (3, 3, 1, 16) in the checkpoint "
+                                    "but (8, 8, 3, 32) under the config")

@@ -76,6 +76,15 @@ def test_every_registered_flag_is_read(command):
     (["gen-levels", "--boxes", "0"], "argument --boxes: must be >= 1, got 0"),
     (["filter-levels", "--levels", "l", "--attempts", "-1"], "argument --attempts: must be >= 1, got -1"),
     (["gradcheck", "--seeds", "two"], "argument --seeds: invalid positive_int value: 'two'"),
+    (["verify-levels", "--levels", "l", "--budget", "0"], "argument --budget: must be >= 1, got 0"),
+    (["eval", "--params", "p", "--levels", "l", "--episodes-per-level", "0"],
+     "argument --episodes-per-level: must be >= 1, got 0"),
+    (["think-eval", "--params", "p", "--levels", "l", "--episodes-per-level", "0"],
+     "argument --episodes-per-level: must be >= 1, got 0"),
+    (["think-eval", "--params", "p", "--levels", "l", "--k-max", "-1"],
+     "argument --k-max: must be >= 0, got -1"),
+    (["think-eval", "--params", "p", "--levels", "l", "--k-max", "1.5"],
+     "argument --k-max: invalid non_negative_int value: '1.5'"),
 ])
 def test_count_flags_fail_before_the_command_runs(capsys, argv, message):
     with pytest.raises(SystemExit) as stop:
@@ -92,3 +101,7 @@ def test_count_flag_defaults_parse():
     assert (parse(["gen-levels"]).count, parse(["gen-levels"]).boxes) == (1000, 4)
     assert parse(["filter-levels", "--levels", "l"]).attempts == 10
     assert parse(["gradcheck"]).seeds == 5
+    assert parse(["verify-levels", "--levels", "l"]).budget == 200000
+    think = parse(["think-eval", "--params", "p", "--levels", "l", "--k-max", "0"])
+    assert (think.k_max, think.episodes_per_level) == (0, 1)
+    assert parse(["eval", "--params", "p", "--levels", "l"]).episodes_per_level == 1
