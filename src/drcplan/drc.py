@@ -42,7 +42,7 @@ The RNN kinds take the preactivation from an `autodiff.gate_conv` node.
 
 `DrcNetwork.unroll` is the one network forward, over T steps of a (T, B)
 batch; the actors, the bootstrap and evaluation run `forward`, its one-step
-case, and the learner's replay and the gradient check whole unrolls.
+case, and the gradient check runs whole unrolls.
 """
 
 from __future__ import annotations
@@ -324,10 +324,9 @@ class DrcNetwork:
         state, (logits,), (value,) = self.unroll(state, obs[None])
         return state, logits, value
 
-    def unroll(self, state, obs, dones=None):
-        """Run from `state` over the (T, B, ...) observation array `obs`,
-        zeroing a row's state after each step that the (T, B) `dones` marks
-        as an episode's end. Returns (state after step T, T logits, T values).
+    def unroll(self, state, obs):
+        """Run from `state` over the (T, B, ...) observation array `obs`.
+        Returns (state after step T, T logits, T values).
 
         The encoder and observation convs do not depend on the state, so they
         run once over all T*B rows and each step takes its rows through
@@ -347,14 +346,12 @@ class DrcNetwork:
             inputs = [(i_t, [tm if o is None else tm._replace(obs=o[t]) for tm, o in zip(terms, obs_terms)])
                       for t, i_t in enumerate(xs)]
         logits_steps, values_steps = [], []
-        for t, (i_t, terms) in enumerate(inputs):
+        for i_t, terms in inputs:
             for _ in range(self.config.repeats):
                 state = self.tick(state, terms)
             logits, value = self.heads(state.h[-1], i_t)
             logits_steps.append(logits)
             values_steps.append(value)
-            if dones is not None and dones[t].any():
-                state = state.scale(1.0 - dones[t].astype(np.float32))
         return state, logits_steps, values_steps
 
 

@@ -37,6 +37,10 @@ BORDER_RGB = (0.5, 0.5, 0.5)
 AGENT_RGB = (0.30, 0.30, 0.30)
 GEM_RGB = (1.0, 1.0, 1.0)
 
+SOLUTION_LENGTH_MAX = 4  # boxes on the solution chain, drawn from 1..this
+BRANCH_LENGTH = 3  # boxes on each distractor chain
+MAX_TRIES = 200  # layouts sampled before generation gives up
+
 
 @dataclass(frozen=True)
 class BoxSpec:
@@ -59,20 +63,19 @@ class BoxworldLevel:
     solution_length: int
 
 
-def generate_boxworld(seed, solution_length_max=4, branch_length=3, num_distractors=2,
-                      max_tries=200):
+def generate_boxworld(seed, num_distractors=2):
     """Sample a certified-solvable level. Deterministic per seed."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        level = _sample_layout(rng, solution_length_max, branch_length, num_distractors)
+    for _ in range(MAX_TRIES):
+        level = _sample_layout(rng, num_distractors)
         if level is not None and solve_scripted(level) is not None:
             return level
-    raise RuntimeError(f"boxworld generation failed after {max_tries} tries (seed={seed})")
+    raise RuntimeError(f"boxworld generation failed after {MAX_TRIES} tries (seed={seed})")
 
 
-def _sample_layout(rng, solution_length_max, branch_length, num_distractors):
-    length = int(rng.integers(1, solution_length_max + 1))
-    n_colors = length + num_distractors * branch_length
+def _sample_layout(rng, num_distractors):
+    length = int(rng.integers(1, SOLUTION_LENGTH_MAX + 1))
+    n_colors = length + num_distractors * BRANCH_LENGTH
     if n_colors > len(PALETTE):
         raise ValueError(f"need {n_colors} colours but palette has {len(PALETTE)}")
     colors = list(rng.permutation(len(PALETTE))[:n_colors])
@@ -117,7 +120,7 @@ def _sample_layout(rng, solution_length_max, branch_length, num_distractors):
     for b in range(num_distractors):
         attach = int(rng.integers(0, length))  # consumes solution colour chain[attach]
         lock = chain[attach]
-        for _ in range(branch_length):
+        for _ in range(BRANCH_LENGTH):
             pos = place_pair()
             if pos is None:
                 return None

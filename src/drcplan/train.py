@@ -1,24 +1,20 @@
 """Actor-critic training with off-policy corrected targets.
 
-The pipeline follows a single-process multi-worker contract: K actors each
-own an environment stream and a recurrent state and produce fixed-length
-unrolls against the latest parameters (they refresh between unrolls, never
-inside one). `ActorGroup` steps the K actors in lockstep, one batched forward
-per step, and writes each unroll as (T, K) arrays. The FIFO queue keeps those
-arrays as column blocks; actors run only while it holds fewer than B
-columns, so it never holds more than B + K - 1. The learner takes its B
-columns in queue order and applies one Adam step per batch.
+K actors each own an environment stream, an RNG and a recurrent-state row.
+`ActorGroup` steps them in lockstep, one batched forward per step, and
+writes each unroll as (T, K) arrays. The actors are the batch: K equals the
+batch size B, so every learner batch is one fresh unroll, run on the
+autodiff tape under the parameters the learner updates. The learner
+backpropagates through that taped forward and applies one Adam step per
+batch; the actors' state is then detached, so the next unroll's graph
+starts from leaves (truncated BPTT).
 
-When B equals K, each batch is one whole unroll run under the parameters
-the learner updates. The actors then record their forward on the autodiff
-tape, and the learner backpropagates through it. Otherwise the learner
-replays the batch from each column's stored initial state: a batch may span
-two unrolls and hold columns run under older parameters, and when B is a
-larger multiple of K, backpropagating through B / K taped unrolls of K rows
-each holds more memory than one replay over B rows and runs B / K times as
-many small ops. Actors and learner run one forward, `DrcNetwork.unroll`:
-the actors one step at a time, the replay over all T steps, so its logits
-match the actors' bit for bit.
+The paper's IMPALA actors lag the learner, and V-trace corrects for the
+lag. This synchronous loop has none: the behaviour logits are the logits
+the learner trains on, so every importance weight rho is 1 and V-trace
+reduces to lambda-returns. `vtrace_targets` stays the estimator all the
+same, as in the paper.
+
 Evaluation drives the same stepper without a tape, where a row whose stream
 of episodes runs out leaves the batch. The whole schedule is deterministic:
 a fixed (config, seed) pair reproduces training bit for bit.
@@ -27,7 +23,6 @@ a fixed (config, seed) pair reproduces training bit for bit.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +31,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
-from .drc import DrcState
 from .nn import compute_gradients
 from .optim import AdamState, adam_step, clip_by_global_norm
 from .vtrace import vtrace_targets
@@ -60,7 +54,7 @@ class TrainConfig:
     rho_bar: float = 1.0
     c_bar: float = 1.0
     clip_grad_norm: float = 0.0  # 0 disables clipping
-    num_actors: int = 4
+    num_actors: int = 32  # the actors are the batch: must equal batch_size
     checkpoint_every: int = 0  # updates between checkpoints, 0 disables
     seed: int = 0
 
@@ -76,6 +70,9 @@ class TrainConfig:
             for name in names:
                 if not ok(getattr(self, name)):
                     raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+        if self.num_actors != self.batch_size:
+            raise ValueError(f"num_actors must equal batch_size, got num_actors {self.num_actors} "
+                             f"and batch_size {self.batch_size}")
 
 
 def anneal_lr(step, config):
@@ -84,48 +81,14 @@ def anneal_lr(step, config):
 
 
 class Unroll(NamedTuple):
-    """A (T, K) block, time-major: column j is row j's trajectory.
-
-    Every field keeps its columns on axis 1, so blocks slice and join field
-    by field. `obs` has a last entry, after the final step, to bootstrap
-    from; a replay of the block starts from the recurrent state
-    `initial_c/h`.
-    """
+    """A (T, K) block, time-major: column j is row j's trajectory. `obs`
+    has a last entry, after the final step, to bootstrap from."""
 
     obs: np.ndarray  # (T + 1, K, H, W, C)
     actions: np.ndarray  # (T, K)
     rewards: np.ndarray  # (T, K)
     dones: np.ndarray  # (T, K)
     behaviour_logits: np.ndarray  # (T, K, A)
-    initial_c: np.ndarray  # (D, K, ...)
-    initial_h: np.ndarray  # (D, K, ...)
-
-    @property
-    def width(self):
-        return self.actions.shape[1]
-
-    def columns(self, lo, hi=None):
-        return Unroll(*(a[:, lo:hi] for a in self))
-
-
-def take_columns(queue, count):
-    """Pop the first `count` queued columns, in queue order, as one block.
-
-    A batch may span several unrolls; a partly taken unroll stays at the
-    head of the queue with its remaining columns. A batch that is one whole
-    block is that block, not a copy; every field is C-contiguous.
-    """
-    parts = []
-    while count and queue:
-        head = queue.popleft()
-        if head.width > count:
-            queue.appendleft(head.columns(count))
-            head = head.columns(0, count)
-        parts.append(head)
-        count -= head.width
-    if len(parts) == 1:
-        return Unroll(*map(np.ascontiguousarray, parts[0]))
-    return Unroll(*(np.concatenate(field, axis=1) for field in zip(*parts)))
 
 
 def sample_action(logits, rng):
@@ -148,12 +111,13 @@ class ActorGroup:
     no forward runs on finished episodes. Finished episodes are recorded as
     `(tag, solved, return, length)`.
 
-    The forward runs in the caller's grad mode: evaluation and a learner
-    that replays run it under `autodiff.no_grad`; otherwise it is recorded on
-    the autodiff tape, and `run_unroll` hands it to the learner with the
-    unroll. The state is detached to leaves after each unroll, so each
-    unroll's graph starts from its stored initial state, as the learner's
-    replay of it would (truncated BPTT). Rows cannot leave a taped batch.
+    The forward runs in the caller's grad mode: evaluation runs it under
+    `autodiff.no_grad`; training records it on the autodiff tape, and
+    `run_unroll` hands it to the learner with the unroll. A row's state is
+    reset to zero after the step that ends its episode. The state is
+    detached to leaves after each unroll, so each unroll's graph starts from
+    the state the previous one ended in (truncated BPTT). Rows cannot leave
+    a taped batch.
     """
 
     def __init__(self, net, next_episode, rows, unroll_length=0, greedy=False):
@@ -199,7 +163,7 @@ class ActorGroup:
                 emptied.append(i)
                 continue
             self.obs[i] = self.episodes[i][0].reset()
-        if any(dones):  # a new episode starts from the zero state, as in `DrcNetwork.unroll`
+        if any(dones):  # a new episode starts from the zero state
             self.state = self.state.scale(1.0 - np.array(dones, dtype=np.float32))
         if emptied:  # those rows leave the batch
             if self.state.h[0].requires_grad:
@@ -217,8 +181,6 @@ class ActorGroup:
         logits and T values, as `DrcNetwork.unroll` returns them, on the
         autodiff tape unless run under `autodiff.no_grad`.
         """
-        initial_c = np.stack([t.data for t in self.state.c])
-        initial_h = np.stack([t.data for t in self.state.h])
         obs = np.empty((self.unroll_length + 1,) + self.obs.shape, dtype=np.float32)
         steps = []
         for t in range(self.unroll_length):
@@ -227,7 +189,7 @@ class ActorGroup:
         obs[-1] = self.obs
         logits, values, actions, rewards, dones = zip(*steps)
         unroll = Unroll(obs, np.array(actions), np.array(rewards).astype(np.float32), np.array(dones),
-                        np.stack([l.data for l in logits]), initial_c, initial_h)
+                        np.stack([l.data for l in logits]))
         forward = (self.state, logits, values)
         self.state = self.state.rows(slice(None))  # leaves: the next unroll's graph starts here
         return unroll, forward
@@ -289,8 +251,8 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
 
 def learner_update(net, batch, forward, adam, config, env_steps):
     """Build targets for a (T, B) `Unroll` batch, backpropagate the loss
-    through its `forward` (`DrcNetwork.unroll`'s output on the autodiff
-    tape, the actors' or a replay) and apply one Adam step."""
+    through its `forward` (the actors' taped forward of that unroll, as
+    `ActorGroup.run_unroll` returns it) and apply one Adam step."""
     state, logits_steps, values_steps = forward
     with ad.no_grad():
         _, _, boot = net.forward(state, Tensor(batch.obs[-1]))
@@ -322,7 +284,8 @@ def learner_update(net, batch, forward, adam, config, env_steps):
 
 
 class Trainer:
-    """Deterministic round-robin actor/learner loop over a FIFO column queue."""
+    """Deterministic synchronous actor/learner loop: each update trains on
+    one fresh (T, B) unroll of the B actors."""
 
     def __init__(self, net, source_factory, config, out_dir=None):
         self.net = net
@@ -332,35 +295,14 @@ class Trainer:
         rngs = [np.random.default_rng([config.seed, i]) for i in range(config.num_actors)]
         self.actors = ActorGroup(net, lambda i: (sources[i].next_env(), rngs[i], 0, i),
                                  config.num_actors, config.unroll_length)
-        # with B == K every batch is one unroll run under the current
-        # parameters, so the learner takes the actors' own forward
-        self.replays = config.batch_size != config.num_actors
-        self.queue = deque()  # Unroll column blocks, oldest first
         self.adam = AdamState(config.adam_beta1, config.adam_beta2, config.adam_eps)
         self.env_steps = 0
         self.updates = 0
 
-    @property
-    def queue_depth(self):
-        """Columns waiting in the queue."""
-        return sum(u.width for u in self.queue)
-
     def train_one_update(self):
-        cfg = self.config
-        while self.queue_depth < cfg.batch_size:
-            if self.replays:
-                with ad.no_grad():
-                    self.queue.append(self.actors.run_unroll()[0])
-            else:
-                unroll, forward = self.actors.run_unroll()
-                self.queue.append(unroll)
-            self.env_steps += cfg.unroll_length * self.actors.k
-        batch = take_columns(self.queue, cfg.batch_size)
-        if self.replays:
-            state = DrcState(tuple(Tensor(a) for a in batch.initial_c),
-                             tuple(Tensor(a) for a in batch.initial_h))
-            forward = self.net.unroll(state, batch.obs[:-1], batch.dones)
-        metrics = learner_update(self.net, batch, forward, self.adam, cfg, self.env_steps)
+        batch, forward = self.actors.run_unroll()
+        self.env_steps += batch.actions.size
+        metrics = learner_update(self.net, batch, forward, self.adam, self.config, self.env_steps)
         self.updates += 1
 
         episodes = self.actors.drain_episode_stats()
@@ -368,7 +310,6 @@ class Trainer:
         metrics.update({
             "update": self.updates,
             "env_steps": self.env_steps,
-            "queue_depth": self.queue_depth,
             "episodes": len(episodes),
             "solved": solved,
             "mean_return": float(np.mean([r for _, _, r, _ in episodes])) if episodes else None,

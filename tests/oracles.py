@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (explicit loops, direct summation) and
 shares no code with the library paths it checks, except `replay_reference`,
-which checks the learner's batched replay against the actors' own forward.
+which runs the actors' per-step forward to check `DrcNetwork.unroll` and the
+actors' taped unroll against.
 """
 
 import numpy as np
@@ -217,17 +218,17 @@ def backward_reference(root):
             node._backward(node.grad)
 
 
-def replay_reference(net, state, obs, dones):
-    """The learner's replay, `DrcNetwork.unroll` over T steps, as one
-    `net.forward` per step, the call the actors make: every step encodes
-    its own B rows and computes its own gate terms. Zeroes a row's state
-    after a step that ends its episode. Returns (the state after step T,
-    T logits, T values)."""
+def replay_reference(net, state, obs, dones=None):
+    """An unroll over the T steps of `obs` as one `net.forward` per step,
+    the call the actors make: every step encodes its own B rows and
+    computes its own gate terms. Zeroes a row's state after a step that the
+    (T, B) `dones` marks as its episode's end, as `ActorGroup.step` does.
+    Returns (the state after step T, T logits, T values)."""
     logits_steps, values_steps = [], []
-    for t in range(len(dones)):
+    for t in range(len(obs)):
         state, logits, value = net.forward(state, obs[t])
         logits_steps.append(logits)
         values_steps.append(value)
-        if dones[t].any():
+        if dones is not None and dones[t].any():
             state = state.scale(1.0 - dones[t].astype(np.float32))
     return state, logits_steps, values_steps

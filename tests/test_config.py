@@ -20,6 +20,7 @@ game = gridworld12        # desk-scale preset
 drc.depth = 2
 drc.pool_and_inject = false
 train.lr_init = 1e-3
+train.num_actors = 4
 train.batch_size = 4
 train.unroll_length = 8
 gridworld.obstacle_count = 1,3
@@ -30,7 +31,8 @@ eval.batch_size = 16
     assert run.game == "gridworld12"
     assert (run.drc.depth, run.drc.repeats, run.drc.obs_shape) == (2, 3, (12, 12, 1))
     assert run.drc.pool_and_inject is False
-    assert (run.train.lr_init, run.train.batch_size, run.train.unroll_length) == (1e-3, 4, 8)
+    assert (run.train.lr_init, run.train.num_actors, run.train.batch_size) == (1e-3, 4, 4)
+    assert run.train.unroll_length == 8
     assert run.train.seed == 9
     assert run.gridworld.obstacle_count == (1, 3)
     assert run.gridworld.size == GRIDWORLD12.size

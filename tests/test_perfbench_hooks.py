@@ -46,8 +46,8 @@ def test_a_training_update_runs_traced(monkeypatch):
             "train.learner_update"} <= set(tracer.names)
     # Every conv the model runs is counted: per forward, the encoder layers
     # and the depth's observation and boundary convs. The actors run one
-    # forward per step; with batch == num_actors the learner backpropagates
-    # through those and runs only the bootstrap forward.
+    # forward per step; the learner backpropagates through those and runs
+    # only the bootstrap forward.
     per_forward = len(net.config.encoder) + 2 * net.config.depth
     forwards = trainer.config.unroll_length + 1
     assert tracer.counts["autodiff.conv2d.calls"] == forwards * per_forward
@@ -55,6 +55,20 @@ def test_a_training_update_runs_traced(monkeypatch):
     # rows; an actor or bootstrap step that called `unroll` directly would
     # drop out of `drc.forward_rows`.
     assert tracer.counts["drc.forward_rows"] == forwards * trainer.config.num_actors
+
+
+def test_the_benchmark_train_config_is_legal_and_checks_clean(monkeypatch):
+    """The training workload's `TrainConfig` passes the config checks, so a
+    check that rejects it fails here and not only in the benchmark."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    workload = importlib.import_module("perfbench.workloads").WORKLOADS["train_gridworld12"]()
+    workload.prepare(1)
+    try:
+        workload.setup(1)
+        assert workload.op().failed == 0
+        assert workload.check() == []
+    finally:
+        workload.close()
 
 
 def test_a_toy_eval_workload_runs_and_checks_clean(monkeypatch):

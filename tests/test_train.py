@@ -3,7 +3,6 @@
 import json
 import re
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -13,11 +12,11 @@ from drcplan import cli, train
 from drcplan.autodiff import Tensor
 from drcplan.boxoban import generate_level_set
 from drcplan.checkpoint import load_checkpoint
-from drcplan.drc import MEMORY_KINDS, DrcNetwork, DrcState, preset_config
+from drcplan.drc import MEMORY_KINDS, DrcNetwork, preset_config
 from drcplan.gradcheck import finite_difference_check, tiny_drc_config
 from drcplan.nn import compute_gradients
 from drcplan.sources import source_factory
-from drcplan.train import TrainConfig, Trainer, Unroll, compute_loss, take_columns
+from drcplan.train import TrainConfig, Trainer, compute_loss
 
 from oracles import replay_reference
 
@@ -43,67 +42,21 @@ def test_config_rejects_counts_below_one(field, value, message):
         TrainConfig(**{field: value})
 
 
+def test_config_rejects_num_actors_that_differ_from_batch_size():
+    """The actors are the batch, so a config whose counts differ fails when
+    it is built, naming both."""
+    message = "num_actors must equal batch_size, got num_actors 4 and batch_size 32"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(num_actors=4, batch_size=32)
+
+
 def test_actors_filling_the_queue_exactly_still_train():
-    """With num_actors == batch_size one round of unrolls is exactly one
-    full batch, and the queue is empty after the update."""
+    """One update trains on one round of unrolls: K = B actors, T steps."""
     net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0)
     config = TrainConfig(num_actors=4, batch_size=4, unroll_length=3)
     metrics = Trainer(net, source_factory("gridworld12"), config).train_one_update()
-    assert metrics["env_steps"] == 12 and metrics["queue_depth"] == 0
+    assert metrics["env_steps"] == 12
     assert np.isfinite(metrics["loss"])
-
-
-@pytest.mark.parametrize("actors", [3, 5])
-def test_every_learner_batch_is_batch_size_columns(monkeypatch, actors):
-    """Actors refill the queue until it holds a batch, so no batch is cut
-    short, and the queue never holds more than B + K - 1 columns."""
-    widths, learner_update = [], train.learner_update
-
-    def spy(net, batch, *args):
-        widths.append(batch.width)
-        return learner_update(net, batch, *args)
-
-    monkeypatch.setattr(train, "learner_update", spy)
-    net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0)
-    trainer = Trainer(net, source_factory("gridworld12"),
-                      TrainConfig(num_actors=actors, batch_size=4, unroll_length=3))
-    depths = [trainer.train_one_update()["queue_depth"] for _ in range(5)]
-    assert widths == [4] * 5
-    assert max(depths) <= actors - 1  # what is left of at most B + K - 1 columns
-
-
-def _block(first, width, t_len=2):
-    """An Unroll in which every entry of column j reads first + j."""
-    ids = first + np.arange(width)
-
-    def field(lead, *trail):
-        shape = (lead, width) + trail
-        return np.broadcast_to(ids.reshape((1, width) + (1,) * len(trail)), shape).copy()
-
-    return Unroll(field(t_len + 1, 2, 2, 1), field(t_len), field(t_len), field(t_len),
-                  field(t_len, 3), field(1, 2), field(1, 2))
-
-
-def test_take_columns_spans_unrolls_in_queue_order():
-    queue = deque([_block(0, 3), _block(3, 3), _block(6, 3)])
-    for ids in ([0, 1, 2, 3], [4, 5, 6, 7], [8]):
-        batch = take_columns(queue, 4)
-        for field in batch:
-            assert field.flags.c_contiguous
-            by_column = np.moveaxis(field, 1, 0).reshape(len(ids), -1)
-            np.testing.assert_array_equal(by_column, np.broadcast_to(np.array(ids)[:, None], by_column.shape))
-    assert not queue
-
-
-def test_a_batch_that_is_one_whole_block_is_not_copied():
-    """With as many columns as the head block holds, the batch is that
-    block's arrays: the learner holds one copy of the unroll."""
-    block = _block(0, 3)
-    queue = deque([block, _block(3, 3)])
-    batch = take_columns(queue, 3)
-    assert all(got is want for got, want in zip(batch, block, strict=True))
-    assert np.shares_memory(batch.obs, block.obs)
-    assert len(queue) == 1
 
 
 def test_compute_loss_policy_term_matches_numpy():
@@ -134,9 +87,9 @@ train.unroll_length = 5
 """
 
 
-def _cli_train(tmp_path, name, batch, extra="", env_steps=600, actors=3, flags=()):
+def _cli_train(tmp_path, name, batch, extra="", env_steps=600, flags=()):
     config = tmp_path / f"{name}.cfg"
-    config.write_text(GRIDWORLD_RUN.format(batch=batch, actors=actors) + extra)
+    config.write_text(GRIDWORLD_RUN.format(batch=batch, actors=batch) + extra)
     out = tmp_path / name
     cli.main(["train", "--config", str(config), "--seed", "3", "--env-steps", str(env_steps),
               "--out", str(out), *flags])
@@ -153,8 +106,20 @@ def test_cli_train_rejects_log_every_below_one(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
+def test_cli_train_rejects_actors_that_differ_from_the_batch(tmp_path, monkeypatch, capsys):
+    """3 actors at batch 4 fail as one error line before the first update."""
+    monkeypatch.setattr(Trainer, "train_one_update", lambda self: pytest.fail("an update ran"))
+    config = tmp_path / "run.cfg"
+    config.write_text(GRIDWORLD_RUN.format(actors=3, batch=4))
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == ("drcplan train: error: num_actors must equal batch_size, "
+                                       "got num_actors 3 and batch_size 4\n")
+
+
 def test_cli_train_is_bit_exact_across_runs(tmp_path):
-    """3 actors, batch 4: learner batches span two unrolls."""
+    """Two runs of one (config, seed) pair write the same bytes."""
     a = _cli_train(tmp_path, "a", batch=4)
     b = _cli_train(tmp_path, "b", batch=4)
     for name in ("metrics.jsonl", "params.bin"):
@@ -163,13 +128,12 @@ def test_cli_train_is_bit_exact_across_runs(tmp_path):
 
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
 def test_learner_replays_the_actor_forward_exactly(tmp_path, kind):
-    """With batch == num_actors every batch is one unroll taken under the
-    parameters the learner updates, and the behaviour logits the actors
-    store are the logits the learner trains on, so every importance weight
-    is exactly 1, also across episode ends inside an unroll."""
+    """Every batch is one unroll taken under the parameters the learner
+    updates, and the behaviour logits the actors store are the logits the
+    learner trains on, so every importance weight is exactly 1, also across
+    episode ends inside an unroll."""
     for batch, updates in ((3, 40), (8, 15)):
-        out = _cli_train(tmp_path, f"run{batch}", batch=batch, actors=batch,
-                         extra=f"drc.memory_kind = {kind}\n")
+        out = _cli_train(tmp_path, f"run{batch}", batch=batch, extra=f"drc.memory_kind = {kind}\n")
         rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
         assert len(rows) == updates
         assert all(row["mean_rho"] == 1.0 for row in rows), batch
@@ -181,16 +145,16 @@ def _taped_batch(kind, dtype, rows=3, t_len=4):
     taped actors ran, so the batch starts from a state that is not zero.
     Episodes last at most 3 steps, so every row ends one inside the batch.
     Returns the network, the batch, the actors' forward and the forward
-    the learner's `DrcNetwork.unroll` computes from the batch."""
+    `replay_reference` computes from the batch and the actors' start state."""
     net = DrcNetwork.create(preset_config("gridworld12", 2, 2, memory_kind=kind), seed=1, dtype=dtype)
     sources = [source_factory("gridworld12", step_limit=3)(5, i) for i in range(rows)]
     rngs = [np.random.default_rng(i) for i in range(rows)]
     actors = train.ActorGroup(net, lambda i: (sources[i].next_env(), rngs[i], 0, i), rows, t_len)
     actors.run_unroll()
+    start = actors.state
     batch, taped = actors.run_unroll()
     assert batch.dones[:-1].any()
-    state = DrcState(tuple(map(Tensor, batch.initial_c)), tuple(map(Tensor, batch.initial_h)))
-    return net, batch, taped, net.unroll(state, batch.obs[:-1], batch.dones)
+    return net, batch, taped, replay_reference(net, start, batch.obs[:-1], batch.dones)
 
 
 def _loss_and_gradients(net, batch, forward):
@@ -210,10 +174,10 @@ def _forward_tensors(forward):
 
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
 def test_the_actor_tape_and_the_replay_agree(kind):
-    """The forward the actors record on the tape is the one the learner's
-    `DrcNetwork.unroll` computes for their batch, across episode ends:
-    float32 logits, values, final state and loss are bit-identical. The
-    gradients agree to 1e-5 in float32 and 1e-12 in float64 (relative)."""
+    """The forward the actors record on the tape is one `forward` per step
+    from their start state, reset after each episode end: float32 logits,
+    values, final state and loss are bit-identical. The gradients agree to
+    1e-5 in float32 and 1e-12 in float64 (relative)."""
     rel = lambda a, b: float(np.abs(a - b).max()) / max(float(np.abs(b).max()), 1e-300)
     for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
         net, batch, taped, replayed = _taped_batch(kind, dtype)
@@ -235,15 +199,18 @@ def test_the_actor_tape_and_the_replay_agree(kind):
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
 def test_the_actor_tape_matches_the_replay_as_training_moves_the_parameters(monkeypatch, kind):
     """At every update of an 8-actor, batch 8 run, while Adam moves the
-    parameters, the forward the actors recorded is bit for bit the one
-    `DrcNetwork.unroll` computes for the batch under the parameters the
-    learner updates, across episode ends."""
-    ends, real = [], train.learner_update
+    parameters, the learner gets one (T, B) batch, and the forward the
+    actors recorded is bit for bit `replay_reference` of it from their start
+    state under the parameters the learner updates, across episode ends.
+    After every update the actors' state holds leaves, so no update's graph
+    reaches into the next."""
+    ends, starts, real = [], [], train.learner_update
 
     def spy(net, batch, forward, *rest):
-        state = DrcState(tuple(map(Tensor, batch.initial_c)), tuple(map(Tensor, batch.initial_h)))
+        assert batch.obs.shape[:2] == (6, 8) and batch.behaviour_logits.shape[:2] == (5, 8)
+        assert batch.actions.shape == batch.rewards.shape == batch.dones.shape == (5, 8)
         with ad.no_grad():
-            replayed = net.unroll(state, batch.obs[:-1], batch.dones)
+            replayed = replay_reference(net, starts[-1], batch.obs[:-1], batch.dones)
         np.testing.assert_array_equal(batch.behaviour_logits, np.stack([l.data for l in forward[1]]))
         for got, want in zip(_forward_tensors(forward), _forward_tensors(replayed), strict=True):
             np.testing.assert_array_equal(got.data, want.data)
@@ -256,35 +223,12 @@ def test_the_actor_tape_matches_the_replay_as_training_moves_the_parameters(monk
                       TrainConfig(num_actors=8, batch_size=8, unroll_length=5, lr_init=1e-2))
     before = net.params["heads.policy.w"].data.copy()
     for _ in range(6):
-        assert not trainer.replays and trainer.train_one_update()["mean_rho"] == 1.0
-    assert len(ends) == 6 and all(ends)
-    assert not np.array_equal(net.params["heads.policy.w"].data, before)
-
-
-@pytest.mark.parametrize("actors, replays", [(4, False), (2, True), (3, True), (5, True)])
-def test_the_learner_replays_unless_the_batch_is_one_unroll(monkeypatch, actors, replays):
-    """At batch 4, 4 actors fill each batch with one unroll run under the
-    current parameters, so the learner never replays; with 2, 3 or 5 actors
-    it replays at every update: one multi-step `DrcNetwork.unroll` (the
-    actors' one-step unrolls are not replays). After every update the
-    actors' state holds leaves, so no update's graph reaches into the
-    next."""
-    calls, real = [], DrcNetwork.unroll
-
-    def spy(self, state, obs, dones=None):
-        if obs.shape[0] > 1:
-            calls.append(obs)
-        return real(self, state, obs, dones)
-
-    monkeypatch.setattr(DrcNetwork, "unroll", spy)
-    net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0)
-    trainer = Trainer(net, source_factory("gridworld12"),
-                      TrainConfig(num_actors=actors, batch_size=4, unroll_length=3))
-    for update in range(1, 4):
-        trainer.train_one_update()
-        assert len(calls) == (update if replays else 0)
+        starts.append(trainer.actors.state)
+        assert trainer.train_one_update()["mean_rho"] == 1.0
         for t in trainer.actors.state.c + trainer.actors.state.h:
             assert not t.requires_grad and t._parents == ()
+    assert len(ends) == 6 and all(ends)
+    assert not np.array_equal(net.params["heads.policy.w"].data, before)
 
 
 def test_rows_leave_the_batch_only_without_a_tape():
@@ -325,12 +269,10 @@ def test_float64_training_keeps_every_importance_weight_at_one(actors):
 
 def _replay_case(dtype, batch, flags, t_len=4):
     """A gridworld12 DRC(2, 2) network in `dtype`, a random start state and
-    T = 4 steps of observations in which two columns end an episode."""
+    T = 4 steps of observations."""
     net = DrcNetwork.create(preset_config("gridworld12", 2, 2, **flags), seed=batch, dtype=dtype)
     rng = np.random.default_rng(batch)
     obs = rng.uniform(0.0, 1.0, (t_len + 1, batch) + net.config.obs_shape).astype(dtype)
-    dones = np.zeros((t_len, batch), dtype=bool)
-    dones[1, 0] = dones[2, batch - 1] = True
     start = net.zero_state(batch)
     for t in start.c + start.h:
         t.data[...] = rng.normal(scale=0.5, size=t.shape)
@@ -339,7 +281,7 @@ def _replay_case(dtype, batch, flags, t_len=4):
     head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
 
     def run(fn):
-        state, logits, values = fn(net, start, obs[:t_len], dones)
+        state, logits, values = fn(net, start, obs[:t_len])
         loss, _ = compute_loss(logits, values, actions, advantages, targets, head_weights, TrainConfig())
         return state, logits, values, compute_gradients(loss, net.params)
 
@@ -373,26 +315,12 @@ def test_replay_matches_the_per_step_forward(batch, flags):
     assert max(rel(a, b) for a, b in pairs) < 1e-12
 
 
-def _sokoban_tape_update(path):
-    """One B=2, T=4 Sokoban DRC(3, 3) forward on the tape and its backward,
-    as the learner runs it on `path`: "replay" is `DrcNetwork.unroll` over a
-    stored batch, "actors" is an `ActorGroup` unroll with B = K = 2 rows."""
+def test_the_learner_tape_stays_small():
+    """The tracemalloc peak of a B=2, T=4 Sokoban DRC(3, 3) taped
+    `ActorGroup` unroll and its backward stays within 5% of its bound, so a
+    change that makes the learner hold more shows here. It read 42.03 MB
+    while the tape kept every gate preactivation."""
     net = DrcNetwork.create(preset_config("sokoban", 3, 3), seed=0)
-
-    def backward(logits, values, actions):
-        loss, _ = compute_loss(logits, values, actions, np.ones(8), np.ones(8), [], TrainConfig())
-        compute_gradients(loss, net.params)
-
-    if path == "replay":
-        obs = np.random.default_rng(0).uniform(0.0, 1.0, (4, 2, 80, 80, 3)).astype(np.float32)
-        dones = np.zeros((4, 2), dtype=bool)
-        dones[1, 0] = True
-
-        def update():
-            _, logits, values = net.unroll(net.zero_state(2), obs, dones)
-            backward(logits, values, np.zeros(8, dtype=int))
-        return update
-
     levels = generate_level_set(3, 2, boxes=1)
     sources = [source_factory("sokoban", levels=levels)(0, i) for i in range(2)]
     rngs = [np.random.default_rng(i) for i in range(2)]
@@ -400,21 +328,10 @@ def _sokoban_tape_update(path):
 
     def update():
         batch, (_, logits, values) = actors.run_unroll()
-        backward(logits, values, batch.actions.reshape(-1))
-    return update
+        loss, _ = compute_loss(logits, values, batch.actions.reshape(-1), np.ones(8), np.ones(8), [],
+                               TrainConfig())
+        compute_gradients(loss, net.params)
 
-
-@pytest.mark.parametrize("path, peak_mb", [pytest.param("replay", 30.57, id="replay"),
-                                           pytest.param("actors", 37.40, id="actors")])
-def test_the_replay_tape_stays_small(path, peak_mb):
-    """The tracemalloc peak of a Sokoban DRC(3, 3) forward at B=2, T=4 and
-    its backward stays within 5% of its bound, so a change that makes the
-    learner hold more shows here. The replay read 35.21 MB while the tape
-    kept every gate preactivation (36.85 MB when `conv2d` kept its
-    zero-padded input on the tape, 64.87 MB when every gate preactivation
-    took five tape nodes and every step ran its own encoder); the actors'
-    taped unroll read 42.03 MB then."""
-    update = _sokoban_tape_update(path)
     update()  # warm-up: one-off allocations
     tracemalloc.start()
     try:
@@ -422,7 +339,7 @@ def test_the_replay_tape_stays_small(path, peak_mb):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= peak_mb * 1e6 * 1.05, peak
+    assert peak <= 37.40 * 1e6 * 1.05, peak
 
 
 @pytest.mark.parametrize("every", [0, 2])
@@ -461,9 +378,10 @@ def test_the_network_input_follows_the_gridworld_size(tmp_path):
 
 
 def test_replay_resets_an_ended_column_and_its_gradients_check():
-    """After a done the learner's replay zeroes that column's state: its loss
-    passes the finite-difference check, and the column's later logits are a
-    fresh replay of its later steps from the zero state."""
+    """After a done the actors' per-step reset (`replay_reference`) zeroes
+    that column's state: its loss passes the finite-difference check, and
+    the column's later logits are a fresh unroll of its later steps from the
+    zero state."""
     net = DrcNetwork.create(tiny_drc_config(), seed=2, dtype=np.float64)
     cfg = net.config
     rng = np.random.default_rng(3)
@@ -479,12 +397,12 @@ def test_replay_resets_an_ended_column_and_its_gradients_check():
     head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
 
     def loss_fn():
-        _, logits, values = net.unroll(start, obs, dones)
+        _, logits, values = replay_reference(net, start, obs, dones)
         return compute_loss(logits, values, actions, advantages, targets, head_weights,
                             TrainConfig())[0]
 
     assert finite_difference_check(loss_fn, net.params, entries_per_param=25) < 1e-4
-    _, logits, _ = net.unroll(start, obs, dones)
-    _, fresh, _ = net.unroll(net.zero_state(1), obs[1:, :1], dones[1:, :1])
+    _, logits, _ = replay_reference(net, start, obs, dones)
+    _, fresh, _ = net.unroll(net.zero_state(1), obs[1:, :1])
     for got, want in zip(logits[1:], fresh):
         np.testing.assert_allclose(got.data[:1], want.data, rtol=1e-12, atol=1e-12)
