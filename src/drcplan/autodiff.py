@@ -534,19 +534,8 @@ def concat(tensors, axis=-1):
     return _node(out_data, tuple(tensors), backward)
 
 
-def transpose(a, axes):
-    out_data = a.data.transpose(axes)
-    inverse = np.argsort(axes)
-
-    def backward(g):
-        _accumulate(a, g.transpose(inverse))
-
-    return _node(out_data, (a,), backward)
-
-
 def split(a, sections, axis=-1):
-    """Chunks of `a` along `axis`, as views: `sections` equal ones, or one
-    per entry of a sequence of sizes. A single chunk is `a` itself.
+    """`sections` equal chunks of `a` along `axis`, as views.
 
     The chunks' gradients are written into one buffer that reaches `a` as a
     single gradient, rather than one full-size gradient per chunk. The
@@ -555,21 +544,13 @@ def split(a, sections, axis=-1):
     several tensors, and `a`'s own gradient could be such an array.
     """
     dim = a.shape[axis]
-    if isinstance(sections, int):
-        if dim % sections:
-            raise ShapeError(f"split: axis size {dim} not divisible into {sections} chunks")
-        sizes = [dim // sections] * sections
-    else:
-        sizes = list(sections)
-        if sum(sizes) != dim:
-            raise ShapeError(f"split: sizes {sizes} do not add up to axis size {dim}")
-    if len(sizes) == 1:
-        return [a]
+    if dim % sections:
+        raise ShapeError(f"split: axis size {dim} not divisible into {sections} chunks")
+    size = dim // sections
     hub = _node(a.data, (a,), lambda g: _accumulate(a, g))
-    ends = np.cumsum([0] + sizes)
     chunks = []
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        idx = (slice(None),) * (axis % a.ndim) + (slice(lo, hi),)
+    for lo in range(0, dim, size):
+        idx = (slice(None),) * (axis % a.ndim) + (slice(lo, lo + size),)
 
         def backward(g, idx=idx):
             if hub.grad is None:

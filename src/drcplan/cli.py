@@ -258,7 +258,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="run the actor/learner loop")
     _add_common(p)
-    p.add_argument("--env-steps", type=int, default=1_000_000)
+    p.add_argument("--env-steps", type=positive_int, default=1_000_000)
     p.add_argument("--log-every", type=int, default=1)
     p.set_defaults(fn=cmd_train)
 
@@ -313,7 +313,7 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--seeds", type=positive_int, default=5)
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--workers", type=positive_int, default=2)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("param-count", help="itemized trainable parameter counts")

@@ -18,31 +18,31 @@ shape. Each of the optional inputs is controlled by a config flag so ablated
 variants can be built.
 
 A convolution is linear in its input channels, so the gate preactivation is
-computed as a sum of four terms, each with its slice of the one gate kernel
-`core.dK.gates.w` (the parameter keeps the channel order above; one
-`autodiff.split` cuts the slices, so their gradients fill one buffer):
+computed as a sum of four terms. `build_parameters` draws each depth's gate
+kernel whole and stores its input-channel slices (widths in
+`DrcConfig.gate_inputs`) as separate parameters, each in the layout of the
+op that reads it:
 
-- observation term, conv(i_t, w_obs): i_t is the same at every tick, so it
-  runs once per depth over all T*B rows of an unroll (`gate_terms`);
-- fixed term: the bias plus conv(edge map, w_edge). The boundary channel is
-  the same (H, W) edge map for every row, so its term is a (1, H, W, Cout)
-  map, also once per unroll and depth;
-- recurrent term, conv([h below, own h], w_rec): per tick;
+- observation term, conv(i_t, `core.dK.gates.w_obs`): i_t is the same at
+  every tick, so it runs once per step and depth (`gate_terms`);
+- fixed term: the bias `core.dK.gates.b` plus conv(edge map,
+  `core.dK.gates.w_edge`). The boundary channel is the same (H, W) edge map
+  for every row, so its term is a (1, H, W, Cout) map, also once per step;
+- recurrent term, conv([h below, own h], w_rec): per tick, with
+  `core.dK.gates.w_rec` the (K*K*2C, Cout) im2col matrix of its slice;
 - pool term: the pooled projection is spatially constant, so per tick it is
-  a (B, C) x (C, K*K*Cout) product spread over the pixels by which kernel
-  taps fall inside the grid, never tiled.
+  a (B, C) x (C, K*K*Cout) product with `core.dK.gates.w_pool`, spread over
+  the pixels by which kernel taps fall inside the grid, never tiled.
 
 Per tick, one op computes the recurrent term and adds the others to it in
-place. The kernel matrices it takes are prepared with the fixed terms, once
-per unroll. For a ConvLSTM that op is `autodiff.convlstm_cell`, which also
-runs the LSTM cell on the preactivation and frees it, so the tape keeps the
-four gate activations, c and h, but no preactivation. `vector_lstm` takes
-the same path on a 1 x 1 grid, its dense gate weight being a 1 x 1 kernel.
-The RNN kinds take the preactivation from an `autodiff.gate_conv` node.
+place. For a ConvLSTM that op is `autodiff.convlstm_cell`, which also runs
+the LSTM cell on the preactivation and frees it, so the tape keeps the four
+gate activations, c and h, but no preactivation. `vector_lstm` takes the
+same path on a 1 x 1 grid, its dense gate weight being a 1 x 1 kernel. The
+RNN kinds take the preactivation from an `autodiff.gate_conv` node.
 
-`DrcNetwork.unroll` is the one network forward, over T steps of a (T, B)
-batch; the actors, the bootstrap and evaluation run `forward`, its one-step
-case, and the gradient check runs whole unrolls.
+`DrcNetwork.forward` is the network's one step, which the actors, the
+bootstrap, evaluation and the gradient check all run.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ class DrcConfig:
 
     @property
     def gate_inputs(self):
-        """Gate kernel input channels in order: encoded obs, [h below, own h], pool, boundary."""
+        """Widths of the gate kernel's input-channel slices, in order: encoded
+        obs, [h below, own h], pool, boundary. Each nonzero one is a parameter."""
         if self.memory_kind == "vector_lstm":
             return (self.lstm_units, 2 * self.lstm_units, 0, 0)
         hc = self.hidden_channels
@@ -194,8 +195,8 @@ class GateTerms(NamedTuple):
 
     obs: Tensor | None  # observation term, per row; None for a depth that does not see it
     fixed: Tensor  # bias + boundary term, the same for every row
-    w_rec: Tensor  # kernel matrix for [h below, own h], as `autodiff.gate_conv` takes it
-    w_pool: Tensor | None  # kernel matrix for the pooled projection
+    w_rec: Tensor  # the `gates.w_rec` parameter, [h below, own h] as `autodiff.gate_conv` takes it
+    w_pool: Tensor | None  # the `gates.w_pool` parameter; None without pool-and-inject
 
 
 class DrcNetwork:
@@ -240,24 +241,22 @@ class DrcNetwork:
         """The gate terms of `depth` (0-based) that do not change across ticks.
 
         `i_t` is the encoded observation, or None for a depth that does not
-        see it. The gate kernel is cut into its four input slices by one
-        `autodiff.split`, so their gradients fill one buffer.
+        see it.
         """
         cfg = self.config
-        w = self.params[f"core.d{depth + 1}.gates.w"]
-        fixed = self.params[f"core.d{depth + 1}.gates.b"]
-        _, _, pool, boundary = widths = cfg.gate_inputs
-        w_obs, w_rec, w_pool, w_edge = ad.split(w, widths, axis=-2)
+        gate = f"core.d{depth + 1}.gates."
+        _, _, pool, boundary = cfg.gate_inputs
+        fixed = self.params[gate + "b"]
         obs = None
         if i_t is not None:
+            w_obs = self.params[gate + "w_obs"]
             obs = (ad.dense(i_t, w_obs) if cfg.memory_kind == "vector_lstm"
                    else ad.conv2d(i_t, w_obs, stride=1, padding="same"))
         if boundary:
             edge = _edge_map(*cfg.encoded_shape[:2], self.dtype)
-            fixed = ad.add(fixed, ad.conv2d(edge, w_edge, stride=1, padding="same"))
-        w_rec = ad.reshape(w_rec, (-1, w.shape[-1]))  # a dense weight is already a 1 x 1 kernel's matrix
-        w_pool = ad.reshape(ad.transpose(w_pool, (2, 0, 1, 3)), (pool, -1)) if pool else None
-        return GateTerms(obs, fixed, w_rec, w_pool)
+            fixed = ad.add(fixed, ad.conv2d(edge, self.params[gate + "w_edge"], stride=1, padding="same"))
+        w_pool = self.params[gate + "w_pool"] if pool else None
+        return GateTerms(obs, fixed, self.params[gate + "w_rec"], w_pool)
 
     def step_terms(self, i_t):
         """`gate_terms` for every depth, honouring `obs_skip_all_depths`."""
@@ -319,40 +318,33 @@ class DrcNetwork:
         return logits, ad.reshape(value, (value.shape[0],))
 
     def forward(self, state, obs):
-        """(state, (B, ...) array or Tensor) -> (new state, logits, value): a one-step `unroll`."""
-        obs = obs.data if isinstance(obs, Tensor) else obs
-        state, (logits,), (value,) = self.unroll(state, obs[None])
+        """One environment step from `state` on a (B, ...) observation array
+        or Tensor: encode, N ticks, heads. Returns (new state, logits, value)."""
+        i_t = self.encode(obs.data if isinstance(obs, Tensor) else obs)
+        if self.config.memory_kind == "vector_lstm":  # i_t: dense + ReLU on the flat encoding
+            flat = ad.reshape(i_t, (i_t.shape[0], -1))
+            i_t = ad.relu(ad.dense(flat, self.params["core.compress.w"], self.params["core.compress.b"]))
+        terms = self.step_terms(i_t)
+        for _ in range(self.config.repeats):
+            state = self.tick(state, terms)
+        logits, value = self.heads(state.h[-1], i_t)
         return state, logits, value
 
-    def unroll(self, state, obs):
-        """Run from `state` over the (T, B, ...) observation array `obs`.
-        Returns (state after step T, T logits, T values).
 
-        The encoder and observation convs do not depend on the state, so they
-        run once over all T*B rows and each step takes its rows through
-        `autodiff.split`. Ticks and dense layers run per step: a GEMM's last
-        bits can depend on its row count, so each step matches `forward`.
-        """
-        steps = obs.shape[0]
-        x = self.encode(obs.reshape((-1,) + obs.shape[2:]))
-        xs = ad.split(x, steps, axis=0)
-        if self.config.memory_kind == "vector_lstm":  # i_t: dense + ReLU on each step's flat encoding
-            w, b = self.params["core.compress.w"], self.params["core.compress.b"]
-            xs = [ad.relu(ad.dense(ad.reshape(x_t, (x_t.shape[0], -1)), w, b)) for x_t in xs]
-            inputs = [(i_t, self.step_terms(i_t)) for i_t in xs]
-        else:
-            terms = self.step_terms(x)
-            obs_terms = [None if tm.obs is None else ad.split(tm.obs, steps, axis=0) for tm in terms]
-            inputs = [(i_t, [tm if o is None else tm._replace(obs=o[t]) for tm, o in zip(terms, obs_terms)])
-                      for t, i_t in enumerate(xs)]
-        logits_steps, values_steps = [], []
-        for i_t, terms in inputs:
-            for _ in range(self.config.repeats):
-                state = self.tick(state, terms)
-            logits, value = self.heads(state.h[-1], i_t)
-            logits_steps.append(logits)
-            values_steps.append(value)
-        return state, logits_steps, values_steps
+def _gate_slices(config, w):
+    """One depth's gate kernel `w`, drawn whole ((K, K, Cin, Cout), or the
+    (Cin, 4 * units) dense kernel of `vector_lstm`), cut by input channel
+    into the parameters `gate_terms` reads: name -> contiguous array."""
+    obs, rec, pool, boundary = config.gate_inputs
+    if config.memory_kind == "vector_lstm":
+        return {"w_obs": w[:obs].copy(), "w_rec": w[obs:].copy()}
+    w_obs, w_rec, w_pool, w_edge = np.split(w, np.cumsum([obs, rec, pool]), axis=2)
+    slices = {"w_obs": w_obs.copy(), "w_rec": w_rec.reshape(-1, w.shape[-1])}
+    if pool:
+        slices["w_pool"] = w_pool.transpose(2, 0, 1, 3).reshape(pool, -1)
+    if boundary:
+        slices["w_edge"] = w_edge.copy()
+    return slices
 
 
 def build_parameters(config, seed=0, dtype=np.float32):
@@ -376,13 +368,16 @@ def build_parameters(config, seed=0, dtype=np.float32):
         ps.add("core.compress.w", init.dense(eh * ew * ec, units))
         ps.add("core.compress.b", init.bias(units))
         for d in range(1, config.depth + 1):
-            ps.add(f"core.d{d}.gates.w", init.dense(gate_in, 4 * units))
+            for name, w in _gate_slices(config, init.dense(gate_in, 4 * units)).items():
+                ps.add(f"core.d{d}.gates.{name}", w)
             ps.add(f"core.d{d}.gates.b", init.bias(4 * units))
         head_in = (2 * units) if config.vision_shortcut else units
     else:
         hc = config.hidden_channels
         for d in range(1, config.depth + 1):
-            ps.add(f"core.d{d}.gates.w", init.conv(config.kernel_size, gate_in, config.gate_channels))
+            for name, w in _gate_slices(config, init.conv(config.kernel_size, gate_in,
+                                                          config.gate_channels)).items():
+                ps.add(f"core.d{d}.gates.{name}", w)
             ps.add(f"core.d{d}.gates.b", init.bias(config.gate_channels))
             if config.pool_and_inject:
                 ps.add(f"core.d{d}.pool.w", init.dense(2 * hc, hc))

@@ -77,7 +77,11 @@ def drc_episode_loss(net, seed):
     head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
 
     def loss_fn():
-        _, logits_steps, values_steps = net.unroll(net.zero_state(batch=1), obs)
+        state, logits_steps, values_steps = net.zero_state(batch=1), [], []
+        for obs_t in obs:
+            state, logits, value = net.forward(state, obs_t)
+            logits_steps.append(logits)
+            values_steps.append(value)
         loss, _ = compute_loss(logits_steps, values_steps, actions, advantages,
                                targets, head_weights, train_cfg)
         return loss

@@ -177,9 +177,9 @@ class ActorGroup:
     def run_unroll(self):
         """Collect one (T, K) unroll under the current parameters.
 
-        Returns (the `Unroll`, its forward): the state after step T, T
-        logits and T values, as `DrcNetwork.unroll` returns them, on the
-        autodiff tape unless run under `autodiff.no_grad`.
+        Returns (the `Unroll`, its forward): the state after step T, and
+        the T logits and T values of the per-step `DrcNetwork.forward`, on
+        the autodiff tape unless run under `autodiff.no_grad`.
         """
         obs = np.empty((self.unroll_length + 1,) + self.obs.shape, dtype=np.float32)
         steps = []

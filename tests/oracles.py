@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive (explicit loops, direct summation) and
 shares no code with the library paths it checks, except `replay_reference`,
-which runs the actors' per-step forward to check `DrcNetwork.unroll` and the
-actors' taped unroll against.
+which runs the actors' per-step forward to check the actors' taped unroll
+against.
 """
 
 import numpy as np
@@ -91,6 +91,25 @@ def pool_projection_reference(h, w_p, b_p):
     return np.concatenate([h.max(axis=(1, 2)), h.mean(axis=(1, 2))], axis=-1) @ w_p + b_p
 
 
+def gate_kernel(net, depth):
+    """The gate kernel of `depth` (0-based) put back together from the
+    slices the network stores: (K, K, Cin, Cout) with input channels [obs,
+    h below, own h, pool, boundary], or the (Cin, 4 * units) dense kernel of
+    `vector_lstm`, in the parameters' dtype."""
+    gate = f"core.d{depth + 1}.gates."
+    w_obs, w_rec = net.params[gate + "w_obs"].data, net.params[gate + "w_rec"].data
+    if w_obs.ndim == 2:
+        return np.concatenate([w_obs, w_rec], axis=0)
+    k, _, _, cout = w_obs.shape
+    parts = [w_obs, w_rec.reshape(k, k, -1, cout)]
+    if gate + "w_pool" in net.params:
+        w_pool = net.params[gate + "w_pool"].data
+        parts.append(w_pool.reshape(-1, k, k, cout).transpose(1, 2, 0, 3))
+    if gate + "w_edge" in net.params:
+        parts.append(net.params[gate + "w_edge"].data)
+    return np.concatenate(parts, axis=2)
+
+
 def unsplit_memory_step_reference(net, depth, i_t, c_prev, h_prev, h_below, pool):
     """One ConvLSTM module update with the whole gate input built and
     convolved at once, in float64 numpy: [i_t, h_below, h_prev, the (B, C)
@@ -106,7 +125,7 @@ def unsplit_memory_step_reference(net, depth, i_t, c_prev, h_prev, h_below, pool
     x = np.concatenate(parts, axis=-1)
     if net.config.boundary_padding:
         x = boundary_channel_reference(x)
-    w = net.params[f"core.d{depth + 1}.gates.w"].data.astype(np.float64)
+    w = gate_kernel(net, depth).astype(np.float64)
     b = net.params[f"core.d{depth + 1}.gates.b"].data.astype(np.float64)
     raw = conv_same_reference(x, w) + b
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))

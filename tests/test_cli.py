@@ -13,6 +13,9 @@ from drcplan.boxoban import filtering, generate_level_set, parse_levels, seriali
 from drcplan.checkpoint import save_checkpoint
 from drcplan.drc import DrcNetwork, count_parameters, preset_config
 from drcplan.envs import SokobanEnv
+from drcplan.nn import ParameterSet
+
+from oracles import gate_kernel
 
 RUN = """\
 drc.depth = 1
@@ -182,12 +185,29 @@ def test_sokoban_commands_reject_another_game_first(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def _one_kernel_layout(net):
+    """`net`'s parameters with each gate's slices stored as the one
+    `core.dK.gates.w` kernel they were cut from, an older layout."""
+    params = ParameterSet()
+    for path, t in net.params.items():
+        if path.endswith(".gates.w_obs"):
+            params.add(path[:-len("_obs")], gate_kernel(net, int(path.split(".")[1][1:]) - 1))
+        elif ".gates.w_" not in path:
+            params.add(path, t.data)
+    return params
+
+
 def test_eval_with_a_checkpoint_of_another_network(tmp_path, capsys):
+    """A checkpoint of another game's network, and one of this network in
+    the one-kernel gate layout, are refused before any episode runs."""
     levels = tmp_path / "levels.txt"
     levels.write_text(serialize_levels(generate_level_set(3, 1, boxes=1)))
     params = tmp_path / "params.bin"
-    save_checkpoint(params, DrcNetwork.create(preset_config("gridworld12", 1, 1)).params)
     argv = ["eval", "--params", str(params), "--levels", str(levels), "--out", str(tmp_path / "out")]
-    assert _error(capsys, argv) == (f"drcplan eval: error: {params} does not fit the run config: "
-                                    "'encoder.conv0.w' is (3, 3, 1, 16) in the checkpoint "
-                                    "but (8, 8, 3, 32) under the config")
+    for saved, mismatch in (
+            (DrcNetwork.create(preset_config("gridworld12", 1, 1)).params,
+             "'encoder.conv0.w' is (3, 3, 1, 16) in the checkpoint but (8, 8, 3, 32) under the config"),
+            (_one_kernel_layout(DrcNetwork.create(preset_config("sokoban"))),
+             "'core.d1.gates.w_obs' is absent in the checkpoint but (3, 3, 32, 128) under the config")):
+        save_checkpoint(params, saved)
+        assert _error(capsys, argv) == f"drcplan eval: error: {params} does not fit the run config: {mismatch}"

@@ -85,6 +85,8 @@ def test_every_registered_flag_is_read(command):
      "argument --k-max: must be >= 0, got -1"),
     (["think-eval", "--params", "p", "--levels", "l", "--k-max", "1.5"],
      "argument --k-max: invalid non_negative_int value: '1.5'"),
+    (["gradcheck", "--workers", "0"], "argument --workers: must be >= 1, got 0"),
+    (["train", "--env-steps", "-5"], "argument --env-steps: must be >= 1, got -5"),
 ])
 def test_count_flags_fail_before_the_command_runs(capsys, argv, message):
     with pytest.raises(SystemExit) as stop:
@@ -100,7 +102,8 @@ def test_count_flag_defaults_parse():
     assert parse(["extrapolate", "--params", "p"]).levels_per_count == 100
     assert (parse(["gen-levels"]).count, parse(["gen-levels"]).boxes) == (1000, 4)
     assert parse(["filter-levels", "--levels", "l"]).attempts == 10
-    assert parse(["gradcheck"]).seeds == 5
+    assert (parse(["gradcheck"]).seeds, parse(["gradcheck"]).workers) == (5, 2)
+    assert parse(["train"]).env_steps == 1_000_000
     assert parse(["verify-levels", "--levels", "l"]).budget == 200000
     think = parse(["think-eval", "--params", "p", "--levels", "l", "--k-max", "0"])
     assert (think.k_max, think.episodes_per_level) == (0, 1)

@@ -8,12 +8,12 @@ import pytest
 
 from drcplan import autodiff as ad
 from drcplan.autodiff import Tensor
-from drcplan.drc import (DrcConfig, DrcNetwork, _edge_map, count_parameters,
-                         pool_and_inject, preset_config)
+from drcplan.drc import (MEMORY_KINDS, DrcConfig, DrcNetwork, _edge_map, _gate_slices,
+                         count_parameters, pool_and_inject, preset_config)
 from drcplan.gradcheck import full_drc_gradcheck
-from drcplan.nn import compute_gradients
+from drcplan.nn import Initializer, compute_gradients
 
-from oracles import (boundary_channel_reference, pool_projection_reference,
+from oracles import (boundary_channel_reference, gate_kernel, pool_projection_reference,
                      scalar_convlstm_reference, unsplit_memory_step_reference)
 
 
@@ -24,6 +24,13 @@ def tiny_net(depth=2, repeats=2, seed=0, **overrides):
     )
     cfg_kw.update(overrides)
     return DrcNetwork.create(DrcConfig(**cfg_kw), seed=seed)
+
+
+def zero_gate(net, depth=1):
+    """Zero every parameter of a depth's gate: its kernel slices and bias."""
+    for path in net.params.paths():
+        if path.startswith(f"core.d{depth}.gates."):
+            net.params[path].data[...] = 0
 
 
 def rand_obs(net, batch=1, seed=0):
@@ -73,8 +80,7 @@ def test_encode_rejects_wrong_shape():
 
 def test_convlstm_zero_weights_and_inputs():
     net = tiny_net(depth=1, repeats=1)
-    for path in ("core.d1.gates.w", "core.d1.gates.b"):
-        net.params[path].data[...] = 0
+    zero_gate(net)
     z = Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32))
     pool = Tensor(np.zeros((1, 4), dtype=np.float32))
     c, h = net.memory_step(net.gate_terms(0, z), z, z, z, pool)
@@ -95,16 +101,13 @@ def test_convlstm_matches_scalar_hand_recurrence():
         "o": (0.7, 0.1, -0.3, 0.2, 0.1),
         "g": (0.5, -0.5, 0.4, 0.3, 0.0),
     }
-    w = net.params["core.d1.gates.w"]
+    w = np.zeros((3, 3, 4, 4))
     b = net.params["core.d1.gates.b"]
-    w.data[...] = 0
     for col, gate in enumerate(("f", "i", "o", "g")):
-        wi, wb, wh, wp, bias = weights[gate]
-        w.data[1, 1, 0, col] = wi
-        w.data[1, 1, 1, col] = wb
-        w.data[1, 1, 2, col] = wh
-        w.data[1, 1, 3, col] = wp
-        b.data[col] = bias
+        w[1, 1, :, col] = weights[gate][:4]  # obs, h below, own h, pooled
+        b.data[col] = weights[gate][4]
+    for name, part in _gate_slices(cfg, w).items():
+        net.params[f"core.d1.gates.{name}"].data[...] = part
 
     i_t, c0, h0, below, pool = 0.8, -0.3, 0.25, 0.6, -0.45
     mk = lambda v: Tensor(np.full((1, 1, 1, 1), v, dtype=np.float64))
@@ -117,8 +120,7 @@ def test_convlstm_matches_scalar_hand_recurrence():
 
 def test_simple_convrnn_zero_weights_gives_zero():
     net = tiny_net(depth=1, repeats=1, memory_kind="simple_convrnn")
-    net.params["core.d1.gates.w"].data[...] = 0
-    net.params["core.d1.gates.b"].data[...] = 0
+    zero_gate(net)
     obs = rand_obs(net)
     state, _, _ = net.forward(net.zero_state(1), obs)
     np.testing.assert_array_equal(state.h[0].data, 0)
@@ -270,7 +272,7 @@ def test_drc11_reduces_to_plain_convlstm():
     i_t = net.encode(Tensor(obs)).data.astype(np.float64)
     h = state.h[0].data.astype(np.float64)
     c = state.c[0].data.astype(np.float64)
-    w = net.params["core.d1.gates.w"].data.astype(np.float64)
+    w = gate_kernel(net, 0).astype(np.float64)
     b = net.params["core.d1.gates.b"].data.astype(np.float64)
     x = np.concatenate([i_t, np.zeros_like(h), h], axis=-1)
     pre = np.zeros(h.shape[:3] + (16,))
@@ -389,8 +391,10 @@ def test_parameters_not_shared_across_depth():
     net = tiny_net(depth=2, repeats=1, seed=4)
     obs = rand_obs(net, seed=6)
     _, logits_a, _ = net.forward(net.zero_state(1), obs)
-    assert net.params["core.d1.gates.w"].data is not net.params["core.d2.gates.w"].data
-    net.params["core.d2.gates.w"].data[...] += 0.25
+    for name in ("w_obs", "w_rec", "w_pool", "w_edge", "b"):
+        assert not np.shares_memory(net.params[f"core.d1.gates.{name}"].data,
+                                    net.params[f"core.d2.gates.{name}"].data)
+    net.params["core.d2.gates.w_rec"].data[...] += 0.25
     _, logits_b, _ = net.forward(net.zero_state(1), obs)
     assert np.any(logits_a.data != logits_b.data)
 
@@ -421,7 +425,38 @@ def test_full_network_gradient_check_subsampled():
     assert err < 1e-4
 
 
-# -- parameter counting -------------------------------------------------------
+# -- parameters -----------------------------------------------------------------
+
+# every ablation and every memory kind
+VARIANTS = [{}] + [{flag: False} for flag in ("pool_and_inject", "top_down_skip", "vision_shortcut",
+                                               "obs_skip_all_depths", "boundary_padding")] \
+    + [{"memory_kind": kind} for kind in MEMORY_KINDS[1:]]
+
+
+@pytest.mark.parametrize("flags", VARIANTS, ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()) or "all")
+def test_the_gate_slices_are_one_initializer_draw(flags):
+    """Each depth's gate is stored as the slices its ops read; put back
+    together they are bit for bit the one `Initializer` draw made at the
+    kernel's place in the creation order, and every other parameter is the
+    draw made at its own place."""
+    cfg = preset_config("gridworld12", 2, 2, **flags)
+    net = DrcNetwork.create(cfg, seed=7)
+    init, gate_in = Initializer(7), sum(cfg.gate_inputs)
+    for path, t in net.params.items():
+        if path.endswith(".gates.w_obs"):
+            got = gate_kernel(net, int(path.split(".")[1][1:]) - 1)
+            want = (init.dense(gate_in, got.shape[-1]) if got.ndim == 2
+                    else init.conv(cfg.kernel_size, gate_in, got.shape[-1]))
+        elif ".gates.w_" in path:
+            continue  # checked with its kernel's w_obs
+        elif path.endswith(".b"):
+            got, want = t.data, init.bias(t.size)
+        else:
+            got = t.data
+            want = init.conv(t.shape[0], t.shape[2], t.shape[3]) if t.ndim == 4 else init.dense(*t.shape)
+        assert got.dtype == want.dtype and got.shape == want.shape, path
+        np.testing.assert_array_equal(got, want, err_msg=path)
+
 
 def test_count_parameters_toy_hand_enumeration():
     cfg = DrcConfig(depth=1, repeats=1, obs_shape=(2, 2, 1), action_count=2,

@@ -52,8 +52,8 @@ def test_a_training_update_runs_traced(monkeypatch):
     forwards = trainer.config.unroll_length + 1
     assert tracer.counts["autodiff.conv2d.calls"] == forwards * per_forward
     # Those forwards go through the wrapped `forward`, which counts their
-    # rows; an actor or bootstrap step that called `unroll` directly would
-    # drop out of `drc.forward_rows`.
+    # rows; an actor or bootstrap step that bypassed it would drop out of
+    # `drc.forward_rows`.
     assert tracer.counts["drc.forward_rows"] == forwards * trainer.config.num_actors
 
 
