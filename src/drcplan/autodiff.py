@@ -4,9 +4,10 @@ This is not a general autodiff system: it implements exactly the op set the
 rest of the library needs: elementwise arithmetic, dense layers, 2D
 convolution (`conv2d`), a fused gate preactivation (`gate_conv`) and a
 fused ConvLSTM update (`convlstm_cell`: that preactivation and the LSTM cell
-in one op, so no preactivation stays on the tape), all on one im2col builder
-and its col2im adjoint; gate nonlinearities, reductions, reshaping, spatial
-pooling and log-softmax. Image tensors are batched NHWC arrays, (N, H, W, C).
+in one op, so no preactivation stays on the tape), all three on one
+convolution forward and adjoint (`_conv`: an im2col GEMM and its col2im);
+gate nonlinearities, reductions, reshaping, spatial pooling and
+log-softmax. Image tensors are batched NHWC arrays, (N, H, W, C).
 
 Training runs in float32; gradient verification runs in float64 (central
 finite differences are unreliable at single precision). The dtype of a
@@ -254,16 +255,10 @@ def _col2im(dcols, xs, k, stride, pads):
 
 
 def conv2d(x, w, b=None, stride=1, padding="same"):
-    """Convolve NHWC input with a (K, K, Cin, Cout) kernel.
-
-    `padding` is "same" (output spatial dims ceil(in/stride), zero padded)
-    or "valid" (floor((in - K)/stride) + 1).
-
-    Forward is one matmul over the im2col matrix `cols` (N*OH*OW, K*K*Cin).
-    Backward rebuilds `cols` from the input instead of keeping it, so it
-    stays transient; then dW = cols^T g is one matmul, and dX is one matmul
-    dcols = g W^T followed by a col2im of K*K strided adds.
-    """
+    """Convolve NHWC input with a (K, K, Cin, Cout) kernel, plus an optional
+    (Cout,) bias, to (N, ceil(H/stride), ceil(W/stride), Cout): one `_conv`
+    node. "same" is the only padding; the parameter stays because perfbench's
+    wrapper passes it positionally, and any other value raises ValueError."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d: expected rank 4 input, got shape {x.shape}")
     if w.ndim != 4:
@@ -274,42 +269,13 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
         )
     if w.shape[0] != w.shape[1]:
         raise ShapeError(f"conv2d: only square kernels supported, got {w.shape[:2]}")
-    k = w.shape[0]
-    if k < 1 or stride < 1:
-        raise ShapeError(f"conv2d: kernel size {k} and stride {stride} must be >= 1")
-
-    n, h, width, cin = x.shape
-    cout = w.shape[3]
-    if padding == "same":
-        out_h, out_w, pads = _same_pad(h, width, k, stride)
-    elif padding == "valid":
-        if h < k or width < k:
-            raise ShapeError(f"conv2d: valid padding needs input >= kernel, got {(h, width)} vs {k}")
-        out_h, out_w, pads = (h - k) // stride + 1, (width - k) // stride + 1, (0, 0, 0, 0)
-    else:
-        raise ValueError(f"conv2d: unknown padding {padding!r}")
-
-    w2 = w.data.reshape(k * k * cin, cout)
-    out_data = (_im2col([x.data], k, stride, pads) @ w2).reshape(n, out_h, out_w, cout)
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"conv2d: bias shape {b.shape} does not match Cout {cout}")
-        out_data += b.data
-
-    parents = (x, w) if b is None else (x, w, b)
-
-    def backward(g):
-        g2 = g.reshape(-1, cout)
-        if w.requires_grad:
-            # unnamed, the rebuilt `cols` is freed before dcols is allocated
-            dw = _im2col([x.data], k, stride, pads).T @ g2
-            _accumulate(w, dw.reshape(k, k, cin, cout))
-        if x.requires_grad:
-            _accumulate(x, _col2im(g2 @ w2.T, [x.data], k, stride, pads)[0])
-        if b is not None:
-            _accumulate(b, g.sum(axis=(0, 1, 2)))
-
-    return _node(out_data, parents, backward)
+    if w.shape[0] < 1 or stride < 1:
+        raise ShapeError(f"conv2d: kernel size {w.shape[0]} and stride {stride} must be >= 1")
+    if padding != "same":
+        raise ValueError(f"conv2d: padding {padding!r} is not supported, only 'same'")
+    if b is not None and b.shape != (w.shape[3],):
+        raise ShapeError(f"conv2d: bias shape {b.shape} does not match Cout {w.shape[3]}")
+    return _node(*_conv("conv2d", [x], w, [] if b is None else [b], stride=stride))
 
 
 @functools.lru_cache(maxsize=None)
@@ -322,23 +288,32 @@ def _uniform_taps(h, w, k, dtype):
     return taps
 
 
-def _gate_preactivation(op, xs, w, bases, pool, w_pool):
-    """The forward and adjoint shared by `gate_conv` and `convlstm_cell`:
-    returns (preactivation array, parents, backward(g)), where backward
-    pushes the preactivation's gradient `g` into the parents."""
+def _conv(op, xs, w, bases, stride=1, pool=None, w_pool=None):
+    """The one convolution forward and adjoint, which `conv2d`, `gate_conv`
+    and `convlstm_cell` run: returns (output array, parents, backward(g)),
+    where backward pushes the output's gradient `g` into the parents.
+
+    The output is the "same" convolution of `xs`, side by side along
+    channels, with `w` ((K, K, Cin, Cout) or (K*K*Cin, Cout)) read as its
+    im2col matrix, plus each of `bases` and `gate_conv`'s pool term. Forward
+    and dW, dX are one GEMM each; backward rebuilds the im2col matrix
+    rather than keep it, and dX goes back through col2im.
+    """
     lead = xs[0].shape[:-1]
     cin = sum(x.shape[-1] for x in xs)
-    k = math.isqrt(w.shape[0] // cin) if w.ndim == 2 and cin else 0
-    if len(lead) not in (1, 3) or any(x.shape[:-1] != lead for x in xs) or k * k * cin != w.shape[0]:
-        raise ShapeError(f"{op}: inputs {[x.shape for x in xs]} do not fit kernel matrix {w.shape}")
+    cout = w.shape[-1]
+    w2 = w.data.reshape(-1, cout)
+    k = math.isqrt(w2.shape[0] // cin) if cin else 0
+    if len(lead) not in (1, 3) or any(x.shape[:-1] != lead for x in xs) or k * k * cin != w2.shape[0]:
+        raise ShapeError(f"{op}: inputs {[x.shape for x in xs]} do not fit kernel {w.shape}")
     n, h, width = lead if len(lead) == 3 else (lead[0], 1, 1)
-    cout = w.shape[1]
+    oh, ow, pads = _same_pad(h, width, k, stride)
     if pool is not None and (pool.shape[0] != n or w_pool.shape != (pool.shape[1], k * k * cout)):
         raise ShapeError(f"{op}: pool {pool.shape} and kernel {w_pool.shape} do not fit")
-    pads = _same_pad(h, width, k, 1)[2]
     grids = [x.data.reshape(n, h, width, -1) for x in xs]
 
-    out = (_im2col(grids, k, 1, pads) @ w.data).reshape(lead + (cout,))
+    out_lead = (n, oh, ow) if len(lead) == 3 else lead
+    out = (_im2col(grids, k, stride, pads) @ w2).reshape(out_lead + (cout,))
     for b in bases:
         out += b.data
     if pool is not None:
@@ -349,11 +324,14 @@ def _gate_preactivation(op, xs, w, bases, pool, w_pool):
     def backward(g):
         for b in bases:
             _accumulate(b, _unbroadcast(g, b.shape))
-        g2 = g.reshape(n * h * width, cout)
+        g2 = g.reshape(-1, cout)
         if w.requires_grad:
-            _accumulate(w, _im2col(grids, k, 1, pads).T @ g2)  # unnamed, the rebuilt cols is freed at once
+            # unnamed, the rebuilt cols is freed at once; a reshaped view of dw
+            # would be copied by `_accumulate`, so a matrix `w` takes dw itself
+            dw = _im2col(grids, k, stride, pads).T @ g2
+            _accumulate(w, dw if w.ndim == 2 else dw.reshape(w.shape))
         if any(x.requires_grad for x in xs):
-            for x, dx in zip(xs, _col2im(g2 @ w.data.T, grids, k, 1, pads)):
+            for x, dx in zip(xs, _col2im(g2 @ w2.T, grids, k, stride, pads)):
                 _accumulate(x, dx.reshape(x.shape))
         if pool is not None:
             d_tap = (taps.T @ g.reshape(n, h * width, cout)).reshape(n, -1)
@@ -368,8 +346,8 @@ def _gate_preactivation(op, xs, w, bases, pool, w_pool):
 def gate_conv(xs, w, bases, pool=None, w_pool=None):
     """A memory module's gate preactivation as one tape node:
 
-        conv2d(concat(xs, axis=-1), w, padding="same") + sum(bases)
-            + conv2d(pool tiled over the grid, w_pool, padding="same")
+        conv2d(concat(xs, axis=-1), w) + sum(bases)
+            + conv2d(pool tiled over the grid, w_pool)
 
     `xs` are (N, H, W, C_i) maps, or (N, C_i) vectors taken as a 1 x 1 grid.
     `w` is the kernel as its (K*K*Cin, Cout) im2col matrix, rows ordered
@@ -378,14 +356,13 @@ def gate_conv(xs, w, bases, pool=None, w_pool=None):
     of the pool term and `w_pool` its kernel as the (P, K*K*Cout) matrix
     w[kh, kw, p, o] -> [p, (kh*K + kw)*Cout + o].
 
-    The inputs are padded straight into one im2col buffer, one GEMM writes
-    the output, and the bases and the pool term are added to it in place.
-    The pool term is never tiled: each pixel sums pool @ w_pool over the taps
-    of its window that fall inside the grid. Backward rebuilds the padded
-    buffer from `xs` rather than keeping it, and splits dX back to each input.
+    It is `conv2d`'s forward and adjoint (`_conv`) at stride 1: the inputs
+    are padded straight into one im2col buffer, one GEMM writes the output,
+    and the bases and the pool term are added to it in place. The pool term
+    is never tiled: each pixel sums pool @ w_pool over the taps of its
+    window that fall inside the grid.
     """
-    out, parents, backward = _gate_preactivation("gate_conv", xs, w, bases, pool, w_pool)
-    return _node(out, parents, backward)
+    return _node(*_conv("gate_conv", xs, w, bases, pool=pool, w_pool=w_pool))
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +408,12 @@ def convlstm_cell(xs, w, bases, c_prev, pool=None, w_pool=None):
     Returns (c, h) as two tape nodes with a hand-written backward; h's
     parent is c, so h's backward always runs first and leaves the o-gate
     gradient for c's backward, which writes all four gate gradients at once
-    and runs the preactivation's adjoint on them. The preactivation itself
-    is freed once the four gate activations are computed: the tape keeps
-    sigmoid(f), sigmoid(i), sigmoid(o) and tanh(g), and h's backward
-    recomputes tanh(c).
+    and runs the preactivation's adjoint (`_conv`'s) on them. The
+    preactivation itself is freed once the four gate activations are
+    computed: the tape keeps sigmoid(f), sigmoid(i), sigmoid(o) and tanh(g),
+    and h's backward recomputes tanh(c).
     """
-    raw, parents, gate_backward = _gate_preactivation("convlstm_cell", xs, w, bases, pool, w_pool)
+    raw, parents, gate_backward = _conv("convlstm_cell", xs, w, bases, pool=pool, w_pool=w_pool)
     if raw.shape[-1] != 4 * c_prev.shape[-1] or raw.shape[:-1] != c_prev.shape[:-1]:
         raise ShapeError(f"convlstm_cell: gates {raw.shape} do not fit cell {c_prev.shape}")
     sig = lambda z: 0.5 * (1.0 + np.tanh(0.5 * z))

@@ -39,10 +39,6 @@ class Solution:
     actions: list  # player moves, environment action ids
     pushes: int
 
-    @property
-    def length(self):
-        return len(self.actions)
-
 
 @dataclass
 class SolveResult:

@@ -32,7 +32,7 @@ from .train import Trainer
 
 def _add_common(p, flags=("--config", "--seed", "--out")):
     settings = {"--config": dict(help="run config file (key = value)"),
-                "--seed": dict(type=int, default=0),
+                "--seed": dict(type=non_negative_int, default=0),
                 "--out": dict(default="out", help="output directory")}
     for flag in flags:
         p.add_argument(flag, **settings[flag])
@@ -259,7 +259,7 @@ def build_parser():
     p = sub.add_parser("train", help="run the actor/learner loop")
     _add_common(p)
     p.add_argument("--env-steps", type=positive_int, default=1_000_000)
-    p.add_argument("--log-every", type=int, default=1)
+    p.add_argument("--log-every", type=positive_int, default=1)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="solve-rate evaluation on a level set")

@@ -25,9 +25,10 @@ op that reads it:
 
 - observation term, conv(i_t, `core.dK.gates.w_obs`): i_t is the same at
   every tick, so it runs once per step and depth (`gate_terms`);
-- fixed term: the bias `core.dK.gates.b` plus conv(edge map,
-  `core.dK.gates.w_edge`). The boundary channel is the same (H, W) edge map
-  for every row, so its term is a (1, H, W, Cout) map, also once per step;
+- fixed term: conv(edge map, `core.dK.gates.w_edge`) with the bias
+  `core.dK.gates.b` as that conv's bias. The boundary channel is the same
+  (H, W) edge map for every row, so its term is a (1, H, W, Cout) map, also
+  once per step;
 - recurrent term, conv([h below, own h], w_rec): per tick, with
   `core.dK.gates.w_rec` the (K*K*2C, Cout) im2col matrix of its slice;
 - pool term: the pooled projection is spatially constant, so per tick it is
@@ -254,7 +255,7 @@ class DrcNetwork:
                    else ad.conv2d(i_t, w_obs, stride=1, padding="same"))
         if boundary:
             edge = _edge_map(*cfg.encoded_shape[:2], self.dtype)
-            fixed = ad.add(fixed, ad.conv2d(edge, self.params[gate + "w_edge"], stride=1, padding="same"))
+            fixed = ad.conv2d(edge, self.params[gate + "w_edge"], fixed)
         w_pool = self.params[gate + "w_pool"] if pool else None
         return GateTerms(obs, fixed, self.params[gate + "w_rec"], w_pool)
 

@@ -62,9 +62,6 @@ class SokobanEnv(Env):
         self._begin_episode()
         return self.render()
 
-    def boxes_on_target(self):
-        return len(self.boxes & self.level.targets)
-
     def step(self, action):
         self._check_step(action)
         reward = -0.01
@@ -100,8 +97,3 @@ class SokobanEnv(Env):
         h, w = grid.shape
         tiles = SPRITES[grid]  # (h, w, 8, 8, 3)
         return tiles.transpose(0, 2, 1, 3, 4).reshape(h * SPRITE, w * SPRITE, 3)
-
-
-def render_level(level):
-    """Render a level's start state without constructing a full env."""
-    return SokobanEnv(level).render()

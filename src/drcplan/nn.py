@@ -49,10 +49,6 @@ class ParameterSet:
     def trainable_items(self):
         return [(p, t) for p, t in self._params.items() if t.requires_grad]
 
-    def count(self, prefix=""):
-        """Number of scalars stored under `prefix` (all parameters if empty)."""
-        return sum(t.size for p, t in self._params.items() if p.startswith(prefix))
-
     def zero_grads(self):
         for t in self._params.values():
             t.grad = None

@@ -64,7 +64,7 @@ class TrainConfig:
         for names, ok, rule in (
                 (("num_actors", "batch_size", "unroll_length"), lambda v: v >= 1, ">= 1"),
                 (("entropy_cost", "baseline_cost", "logit_l2_cost", "head_l2_cost", "lr_init",
-                  "checkpoint_every", "clip_grad_norm"), lambda v: v >= 0, ">= 0"),
+                  "checkpoint_every", "clip_grad_norm", "seed"), lambda v: v >= 0, ">= 0"),
                 (("anneal_horizon", "adam_eps"), lambda v: v > 0, "> 0"),
                 (("adam_beta1", "adam_beta2"), lambda v: 0 <= v < 1, "in [0, 1)")):
             for name in names:

@@ -9,23 +9,22 @@ against.
 import numpy as np
 
 
-def _conv_geometry(h, wd, k, stride, padding):
-    """Output size and top/left zero padding; extra padding goes bottom/right."""
-    if padding == "same":
-        oh = -(-h // stride)
-        ow = -(-wd // stride)
-        pad_h = max((oh - 1) * stride + k - h, 0)
-        pad_w = max((ow - 1) * stride + k - wd, 0)
-        return oh, ow, pad_h // 2, pad_w // 2
-    return (h - k) // stride + 1, (wd - k) // stride + 1, 0, 0
+def _conv_geometry(h, wd, k, stride):
+    """Output size and top/left zero padding of a "same" convolution; extra
+    padding goes bottom/right."""
+    oh = -(-h // stride)
+    ow = -(-wd // stride)
+    pad_h = max((oh - 1) * stride + k - h, 0)
+    pad_w = max((ow - 1) * stride + k - wd, 0)
+    return oh, ow, pad_h // 2, pad_w // 2
 
 
-def conv2d_reference(x, w, b=None, stride=1, padding="same"):
-    """Quadruple-loop direct-summation convolution, NHWC."""
+def conv2d_reference(x, w, b=None, stride=1):
+    """Quadruple-loop direct-summation "same" convolution, NHWC."""
     n, h, wd, cin = x.shape
     k = w.shape[0]
     cout = w.shape[3]
-    oh, ow, top, left = _conv_geometry(h, wd, k, stride, padding)
+    oh, ow, top, left = _conv_geometry(h, wd, k, stride)
     out = np.zeros((n, oh, ow, cout), dtype=x.dtype)
     for ni in range(n):
         for oi in range(oh):
@@ -43,8 +42,8 @@ def conv2d_reference(x, w, b=None, stride=1, padding="same"):
     return out
 
 
-def conv2d_backward_reference(x, w, g, stride=1, padding="same"):
-    """Per-tap gradients of a bias-free NHWC convolution: (dx, dw).
+def conv2d_backward_reference(x, w, g, stride=1):
+    """Per-tap gradients of a bias-free "same" NHWC convolution: (dx, dw).
 
     For each kernel tap (kh, kw), the input pixels that tap reads form a
     strided grid; dw[kh, kw] contracts that grid with `g` over the batch and
@@ -52,7 +51,7 @@ def conv2d_backward_reference(x, w, g, stride=1, padding="same"):
     """
     n, h, wd, cin = x.shape
     k = w.shape[0]
-    oh, ow, top, left = _conv_geometry(h, wd, k, stride, padding)
+    oh, ow, top, left = _conv_geometry(h, wd, k, stride)
     ph = max((oh - 1) * stride + k, h + top)
     pw = max((ow - 1) * stride + k, wd + left)
     xp = np.zeros((n, ph, pw, cin), dtype=x.dtype)
@@ -72,7 +71,7 @@ def conv_same_reference(x, w):
     """Stride-1 "same" convolution as a sum of K*K shifted matmuls, NHWC."""
     n, h, wd, cin = x.shape
     k = w.shape[0]
-    _, _, top, left = _conv_geometry(h, wd, k, 1, "same")
+    _, _, top, left = _conv_geometry(h, wd, k, 1)
     xp = np.zeros((n, h + k - 1, wd + k - 1, cin), dtype=x.dtype)
     xp[:, top:top + h, left:left + wd, :] = x
     return sum(xp[:, i:i + h, j:j + wd, :] @ w[i, j] for i in range(k) for j in range(k))

@@ -59,15 +59,10 @@ OPS = {
     "dense": (lambda x, w, b: ad.dense(x, w, b), [(3, 4), (4, 2), (2,)]),
     "conv_same": (lambda x, w, b: ad.conv2d(x, w, b, stride=1, padding="same"),
                   [(2, 4, 4, 2), (3, 3, 2, 3), (3,)]),
-    "conv_stride2_valid": (lambda x, w: ad.conv2d(x, w, stride=2, padding="valid"),
-                           [(1, 5, 5, 2), (3, 3, 2, 2)]),
     # the Sokoban encoder's second conv (K=4 > stride=2, "same") on a 7 x 6
     # input: rows pad 1 top / 2 bottom, columns 1 / 1
     "conv_stride2_same_even_kernel": (lambda x, w: ad.conv2d(x, w, stride=2, padding="same"),
                                       [(1, 7, 6, 2), (4, 4, 2, 2)]),
-    # the last input row and column lie in no window
-    "conv_stride3_valid_remainder": (lambda x, w: ad.conv2d(x, w, stride=3, padding="valid"),
-                                     [(1, 7, 7, 2), (3, 3, 2, 2)]),
     # two maps on a non-square grid, a per-row and a broadcast base, and the
     # pool term; squared so that every gradient depends on the position
     "gate_conv_k3_pool": (lambda x1, x2, w, base, b, pool, wp: ad.square(
@@ -143,15 +138,13 @@ def test_conv2d_matches_direct_summation():
     w = rng.normal(size=(3, 3, 2, 3))
     b = rng.normal(size=3)
     got = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding="same").data
-    want = conv2d_reference(x, w, b, stride=1, padding="same")
+    want = conv2d_reference(x, w, b, stride=1)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("stride,padding,shape,expected", [
     (4, "same", (80, 80, 3), (20, 20)),
     (1, "same", (7, 7, 1), (7, 7)),
-    (2, "valid", (7, 7, 1), (3, 3)),
-    (1, "valid", (7, 7, 1), (5, 5)),
 ])
 def test_conv2d_output_shapes(stride, padding, shape, expected):
     k = 8 if shape[0] == 80 else 3
@@ -175,12 +168,10 @@ def test_sokoban_encoder_chain_shapes():
 @st.composite
 def conv_cases(draw):
     k = draw(st.integers(1, 4))
-    padding = draw(st.sampled_from(["same", "valid"]))
-    lo = k if padding == "valid" else 1
-    shape = (draw(st.integers(1, 2)), draw(st.integers(lo, 8)), draw(st.integers(lo, 8)),
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 8)), draw(st.integers(1, 8)),
              draw(st.integers(1, 3)))
     cout, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    return shape, k, cout, stride, padding, draw(st.integers(0, 2**32 - 1))
+    return shape, k, cout, stride, draw(st.integers(0, 2**32 - 1))
 
 
 def _rel_err(got, want):
@@ -191,19 +182,19 @@ def _rel_err(got, want):
 @given(case=conv_cases(), dtype=st.sampled_from([np.float64, np.float32]))
 def test_conv2d_matches_loop_oracles(case, dtype):
     """Forward against direct summation, x.grad and w.grad against the
-    per-tap backward, over random shapes, kernels, strides and padding."""
-    shape, k, cout, stride, padding, seed = case
+    per-tap backward, over random shapes, kernels and strides."""
+    shape, k, cout, stride, seed = case
     rng = np.random.default_rng(seed)
     x_np = rng.normal(size=shape).astype(dtype)
     w_np = rng.normal(size=(k, k, shape[3], cout)).astype(dtype)
     x, w = Tensor(x_np, requires_grad=True), Tensor(w_np, requires_grad=True)
-    out = ad.conv2d(x, w, stride=stride, padding=padding)
+    out = ad.conv2d(x, w, stride=stride)
     tol = 1e-10 if dtype == np.float64 else 1e-5
     assert out.dtype == dtype
-    assert _rel_err(out.data, conv2d_reference(x_np, w_np, stride=stride, padding=padding)) < tol
+    assert _rel_err(out.data, conv2d_reference(x_np, w_np, stride=stride)) < tol
     g = rng.normal(size=out.shape).astype(dtype)
     ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=dtype))))
-    dx, dw = conv2d_backward_reference(x_np, w_np, g, stride=stride, padding=padding)
+    dx, dw = conv2d_backward_reference(x_np, w_np, g, stride=stride)
     assert x.grad.shape == shape and w.grad.shape == w_np.shape
     assert _rel_err(x.grad, dx) < tol
     assert _rel_err(w.grad, dw) < tol
@@ -256,7 +247,7 @@ def _check_pool_term(rng, k, hw):
     zeros = Tensor(np.zeros((2,) + hw + (1,)))
     out = ad.gate_conv([zeros], Tensor(np.zeros((k * k, 2))), [], pool, w_pool)
     tiled = np.broadcast_to(pool_np[:, None, None, :], (2,) + hw + (3,))
-    assert _rel_err(out.data, conv2d_reference(tiled, wp_np, stride=1, padding="same")) < 1e-12
+    assert _rel_err(out.data, conv2d_reference(tiled, wp_np, stride=1)) < 1e-12
     g = rng.normal(size=out.shape)
     ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=np.float64))))
     dx, dw = conv2d_backward_reference(tiled, wp_np, g)
@@ -360,6 +351,14 @@ def test_conv2d_channel_mismatch_error():
     w = Tensor(np.zeros((3, 3, 2, 4), dtype=np.float32))
     with pytest.raises(ShapeError, match="channel"):
         ad.conv2d(x, w)
+
+
+def test_conv2d_rejects_any_padding_but_same():
+    x = Tensor(np.zeros((1, 7, 7, 1)))
+    w = Tensor(np.zeros((3, 3, 1, 4)))
+    for padding in ("valid", "SAME"):
+        with pytest.raises(ValueError, match=repr(padding)):
+            ad.conv2d(x, w, stride=1, padding=padding)
 
 
 def test_conv2d_linearity():

@@ -156,7 +156,7 @@ def test_solver_already_solved_level():
 ##########""")
     res = solve_bfs(lvl)
     assert res.status == SOLVED
-    assert res.solution.actions == [] and res.solution.length == 0
+    assert res.solution.actions == []
 
 
 def test_solver_single_forced_push():

@@ -87,6 +87,9 @@ def test_every_registered_flag_is_read(command):
      "argument --k-max: invalid non_negative_int value: '1.5'"),
     (["gradcheck", "--workers", "0"], "argument --workers: must be >= 1, got 0"),
     (["train", "--env-steps", "-5"], "argument --env-steps: must be >= 1, got -5"),
+    (["train", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["gen-levels", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["train", "--log-every", "0"], "argument --log-every: must be >= 1, got 0"),
 ])
 def test_count_flags_fail_before_the_command_runs(capsys, argv, message):
     with pytest.raises(SystemExit) as stop:
@@ -103,7 +106,8 @@ def test_count_flag_defaults_parse():
     assert (parse(["gen-levels"]).count, parse(["gen-levels"]).boxes) == (1000, 4)
     assert parse(["filter-levels", "--levels", "l"]).attempts == 10
     assert (parse(["gradcheck"]).seeds, parse(["gradcheck"]).workers) == (5, 2)
-    assert parse(["train"]).env_steps == 1_000_000
+    assert (parse(["train"]).env_steps, parse(["train"]).log_every) == (1_000_000, 1)
+    assert parse(["train"]).seed == parse(["gen-levels"]).seed == 0
     assert parse(["verify-levels", "--levels", "l"]).budget == 200000
     think = parse(["think-eval", "--params", "p", "--levels", "l", "--k-max", "0"])
     assert (think.k_max, think.episodes_per_level) == (0, 1)

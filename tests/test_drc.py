@@ -336,7 +336,7 @@ def test_boundary_channel_counts(hw, ones):
 def test_boundary_padding_ablation_changes_params_and_outputs():
     on = tiny_net(seed=1, boundary_padding=True)
     off = tiny_net(seed=1, boundary_padding=False)
-    assert on.params.count("core.d1.gates") > off.params.count("core.d1.gates")
+    assert count_parameters(on.config)["core.d1"] > count_parameters(off.config)["core.d1"]
 
 
 # -- heads -------------------------------------------------------------------
@@ -474,7 +474,7 @@ def test_count_parameters_matches_built_network():
     cfg = preset_config("sokoban", 2, 2)
     counts = count_parameters(cfg)
     net = DrcNetwork.create(cfg, seed=0)
-    assert counts["total"] == net.params.count()
+    assert counts["total"] == sum(t.size for _, t in net.params.items())
     assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
 
 

@@ -1,7 +1,6 @@
 """Evaluation: episode outcomes that do not depend on batch layout, forced
 no-op thinking steps, and input checks."""
 
-import numpy as np
 import pytest
 
 from drcplan.boxoban import generate_level_set

@@ -1,4 +1,4 @@
-"""Every name a `src` module imports is used in that module.
+"""Every name a `src` or `tests` module imports is used in that module.
 
 No linter runs on this project, so this test is the check. A name listed in
 the module's `__all__` is a re-export, and an import line marked
@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = sorted(SRC.rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+MODULES = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(path):
@@ -39,8 +40,10 @@ def unused_imports(path):
 
 def test_modules_are_found():
     assert SRC / "drcplan" / "train.py" in MODULES
+    assert ROOT / "tests" / "oracles.py" in MODULES
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: str(p.relative_to(SRC if SRC in p.parents else ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []

@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.format import write_array
 
 from drcplan import autodiff as ad
-from drcplan.autodiff import Tensor
 from drcplan.checkpoint import load_checkpoint, save_checkpoint
 from drcplan.drc import DrcNetwork
 from drcplan.gradcheck import drc_episode_loss, tiny_drc_config
@@ -37,12 +36,6 @@ def test_duplicate_path_rejected():
     ps = _params()
     with pytest.raises(ValueError):
         ps.add("a.w", np.zeros(1))
-
-
-def test_count_by_prefix():
-    ps = _params()
-    assert ps.count() == 12
-    assert ps.count("a.") == 8
 
 
 def test_gradient_record_linear_and_quadratic():

@@ -34,6 +34,7 @@ from oracles import replay_reference
     pytest.param("checkpoint_every", -1, "checkpoint_every must be >= 0, got -1",
                  id="checkpoint_every"),
     pytest.param("clip_grad_norm", -1, "clip_grad_norm must be >= 0, got -1", id="clip_grad_norm"),
+    pytest.param("seed", -1, "seed must be >= 0, got -1", id="seed"),
 ])
 def test_config_rejects_counts_below_one(field, value, message):
     """Counts below one and rates, horizons and Adam constants out of range
@@ -102,7 +103,7 @@ def test_cli_train_rejects_log_every_below_one(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as stop:
         _cli_train(tmp_path, "run", batch=4, flags=["--log-every", "0"])
     assert stop.value.code == 2
-    assert capsys.readouterr().err == "drcplan train: error: log_every must be >= 1, got 0\n"
+    assert "drcplan train: error: argument --log-every: must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
@@ -271,8 +272,9 @@ def test_the_learner_tape_stays_small():
     """The tracemalloc peak of a B=2, T=4 Sokoban DRC(3, 3) taped
     `ActorGroup` unroll and its backward stays within 5% of its bound, so a
     change that makes the learner hold more shows here. It read 42.03 MB
-    while the tape kept every gate preactivation, and 37.25 MB while every
-    step copied its slices of one gate kernel."""
+    while the tape kept every gate preactivation, 37.25 MB while every
+    step copied its slices of one gate kernel, and 30.11 MB while the gate
+    bias was added to the boundary term by a node of its own."""
     net = DrcNetwork.create(preset_config("sokoban", 3, 3), seed=0)
     levels = generate_level_set(3, 2, boxes=1)
     sources = [source_factory("sokoban", levels=levels)(0, i) for i in range(2)]
@@ -292,7 +294,7 @@ def test_the_learner_tape_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30.11 * 1e6 * 1.05, peak
+    assert peak <= 29.52 * 1e6 * 1.05, peak
 
 
 @pytest.mark.parametrize("every", [0, 2])
