@@ -7,7 +7,8 @@ fused ConvLSTM update (`convlstm_cell`: that preactivation and the LSTM cell
 in one op, so no preactivation stays on the tape), all three on one
 convolution forward and adjoint (`_conv`: an im2col GEMM and its col2im);
 gate nonlinearities, reductions, reshaping, spatial pooling and
-log-softmax. Image tensors are batched NHWC arrays, (N, H, W, C).
+log-softmax. Every map a convolution reads or writes is a batched NHWC
+array, (N, H, W, C), and every kernel is (K, K, Cin, Cout).
 
 Training runs in float32; gradient verification runs in float64 (central
 finite differences are unreliable at single precision). The dtype of a
@@ -17,7 +18,6 @@ computation is carried by its leaf arrays.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -101,7 +101,11 @@ def _accumulate(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) and g.base is not None else np.asarray(g)
+        # A view that covers its whole base, such as a reshape of a fresh GEMM
+        # result, is stored as is. A slice or a broadcast is copied: stored,
+        # it would keep the larger buffer it views alive.
+        g = np.asarray(g)
+        t.grad = g if g.base is None or (g.nbytes == g.base.nbytes and g.flags.forc) else g.copy()
     else:
         t.grad = t.grad + g
 
@@ -259,22 +263,12 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
     (Cout,) bias, to (N, ceil(H/stride), ceil(W/stride), Cout): one `_conv`
     node. "same" is the only padding; the parameter stays because perfbench's
     wrapper passes it positionally, and any other value raises ValueError."""
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d: expected rank 4 input, got shape {x.shape}")
-    if w.ndim != 4:
-        raise ShapeError(f"conv2d: expected rank 4 kernel, got shape {w.shape}")
-    if x.shape[3] != w.shape[2]:
-        raise ShapeError(
-            f"conv2d: input channel dimension {x.shape[3]} does not match kernel Cin {w.shape[2]}"
-        )
-    if w.shape[0] != w.shape[1]:
-        raise ShapeError(f"conv2d: only square kernels supported, got {w.shape[:2]}")
     if w.shape[0] < 1 or stride < 1:
         raise ShapeError(f"conv2d: kernel size {w.shape[0]} and stride {stride} must be >= 1")
     if padding != "same":
         raise ValueError(f"conv2d: padding {padding!r} is not supported, only 'same'")
-    if b is not None and b.shape != (w.shape[3],):
-        raise ShapeError(f"conv2d: bias shape {b.shape} does not match Cout {w.shape[3]}")
+    if b is not None and b.shape != w.shape[-1:]:
+        raise ShapeError(f"conv2d: bias shape {b.shape} does not match Cout {w.shape[-1]}")
     return _node(*_conv("conv2d", [x], w, [] if b is None else [b], stride=stride))
 
 
@@ -293,27 +287,25 @@ def _conv(op, xs, w, bases, stride=1, pool=None, w_pool=None):
     and `convlstm_cell` run: returns (output array, parents, backward(g)),
     where backward pushes the output's gradient `g` into the parents.
 
-    The output is the "same" convolution of `xs`, side by side along
-    channels, with `w` ((K, K, Cin, Cout) or (K*K*Cin, Cout)) read as its
-    im2col matrix, plus each of `bases` and `gate_conv`'s pool term. Forward
-    and dW, dX are one GEMM each; backward rebuilds the im2col matrix
-    rather than keep it, and dX goes back through col2im.
+    The output is the "same" convolution of the (N, H, W, C_i) maps `xs`,
+    side by side along channels, with the (K, K, sum(C_i), Cout) kernel `w`
+    read as its im2col matrix, plus each of `bases` and `gate_conv`'s pool
+    term. Forward and dW, dX are one GEMM each; backward rebuilds the im2col
+    matrix rather than keep it, and dX goes back through col2im.
     """
-    lead = xs[0].shape[:-1]
     cin = sum(x.shape[-1] for x in xs)
-    cout = w.shape[-1]
-    w2 = w.data.reshape(-1, cout)
-    k = math.isqrt(w2.shape[0] // cin) if cin else 0
-    if len(lead) not in (1, 3) or any(x.shape[:-1] != lead for x in xs) or k * k * cin != w2.shape[0]:
-        raise ShapeError(f"{op}: inputs {[x.shape for x in xs]} do not fit kernel {w.shape}")
-    n, h, width = lead if len(lead) == 3 else (lead[0], 1, 1)
+    k, cout = w.shape[0], w.shape[-1]
+    if any(x.ndim != 4 or x.shape[:3] != xs[0].shape[:3] for x in xs) or w.shape != (k, k, cin, cout):
+        raise ShapeError(f"{op}: inputs {[x.shape for x in xs]} do not fit kernel {w.shape}: it takes "
+                         "(N, H, W, C) maps and a (K, K, their total channels, Cout) kernel")
+    n, h, width = xs[0].shape[:3]
     oh, ow, pads = _same_pad(h, width, k, stride)
     if pool is not None and (pool.shape[0] != n or w_pool.shape != (pool.shape[1], k * k * cout)):
         raise ShapeError(f"{op}: pool {pool.shape} and kernel {w_pool.shape} do not fit")
-    grids = [x.data.reshape(n, h, width, -1) for x in xs]
+    maps = [x.data for x in xs]
+    w2 = w.data.reshape(-1, cout)
 
-    out_lead = (n, oh, ow) if len(lead) == 3 else lead
-    out = (_im2col(grids, k, stride, pads) @ w2).reshape(out_lead + (cout,))
+    out = (_im2col(maps, k, stride, pads) @ w2).reshape(n, oh, ow, cout)
     for b in bases:
         out += b.data
     if pool is not None:
@@ -325,14 +317,11 @@ def _conv(op, xs, w, bases, stride=1, pool=None, w_pool=None):
         for b in bases:
             _accumulate(b, _unbroadcast(g, b.shape))
         g2 = g.reshape(-1, cout)
-        if w.requires_grad:
-            # unnamed, the rebuilt cols is freed at once; a reshaped view of dw
-            # would be copied by `_accumulate`, so a matrix `w` takes dw itself
-            dw = _im2col(grids, k, stride, pads).T @ g2
-            _accumulate(w, dw if w.ndim == 2 else dw.reshape(w.shape))
+        if w.requires_grad:  # unnamed, the rebuilt im2col matrix is freed at once
+            _accumulate(w, (_im2col(maps, k, stride, pads).T @ g2).reshape(w.shape))
         if any(x.requires_grad for x in xs):
-            for x, dx in zip(xs, _col2im(g2 @ w2.T, grids, k, stride, pads)):
-                _accumulate(x, dx.reshape(x.shape))
+            for x, dx in zip(xs, _col2im(g2 @ w2.T, maps, k, stride, pads)):
+                _accumulate(x, dx)
         if pool is not None:
             d_tap = (taps.T @ g.reshape(n, h * width, cout)).reshape(n, -1)
             if pool.requires_grad:
@@ -349,12 +338,10 @@ def gate_conv(xs, w, bases, pool=None, w_pool=None):
         conv2d(concat(xs, axis=-1), w) + sum(bases)
             + conv2d(pool tiled over the grid, w_pool)
 
-    `xs` are (N, H, W, C_i) maps, or (N, C_i) vectors taken as a 1 x 1 grid.
-    `w` is the kernel as its (K*K*Cin, Cout) im2col matrix, rows ordered
-    (tap row, tap column, channel) with Cin = sum(C_i). Each of `bases`
-    broadcasts to the output. `pool` (N, P) is the spatially constant input
-    of the pool term and `w_pool` its kernel as the (P, K*K*Cout) matrix
-    w[kh, kw, p, o] -> [p, (kh*K + kw)*Cout + o].
+    `xs` are (N, H, W, C_i) maps and `w` is the (K, K, sum(C_i), Cout)
+    kernel. Each of `bases` broadcasts to the output. `pool` (N, P) is the
+    spatially constant input of the pool term and `w_pool` its kernel as the
+    (P, K*K*Cout) matrix w[kh, kw, p, o] -> [p, (kh*K + kw)*Cout + o].
 
     It is `conv2d`'s forward and adjoint (`_conv`) at stride 1: the inputs
     are padded straight into one im2col buffer, one GEMM writes the output,
@@ -405,7 +392,8 @@ def convlstm_cell(xs, w, bases, c_prev, pool=None, w_pool=None):
         c = sigmoid(f) * c_prev + sigmoid(i) * tanh(g)
         h = sigmoid(o) * tanh(c)
 
-    Returns (c, h) as two tape nodes with a hand-written backward; h's
+    c_prev, c and h are (N, H, W, C) maps, on a 1 x 1 grid for a vector
+    LSTM. Returns (c, h) as two tape nodes with a hand-written backward; h's
     parent is c, so h's backward always runs first and leaves the o-gate
     gradient for c's backward, which writes all four gate gradients at once
     and runs the preactivation's adjoint (`_conv`'s) on them. The

@@ -29,8 +29,7 @@ op that reads it:
   `core.dK.gates.b` as that conv's bias. The boundary channel is the same
   (H, W) edge map for every row, so its term is a (1, H, W, Cout) map, also
   once per step;
-- recurrent term, conv([h below, own h], w_rec): per tick, with
-  `core.dK.gates.w_rec` the (K*K*2C, Cout) im2col matrix of its slice;
+- recurrent term, conv([h below, own h], `core.dK.gates.w_rec`): per tick;
 - pool term: the pooled projection is spatially constant, so per tick it is
   a (B, C) x (C, K*K*Cout) product with `core.dK.gates.w_pool`, spread over
   the pixels by which kernel taps fall inside the grid, never tiled.
@@ -38,9 +37,13 @@ op that reads it:
 Per tick, one op computes the recurrent term and adds the others to it in
 place. For a ConvLSTM that op is `autodiff.convlstm_cell`, which also runs
 the LSTM cell on the preactivation and frees it, so the tape keeps the four
-gate activations, c and h, but no preactivation. `vector_lstm` takes the
-same path on a 1 x 1 grid, its dense gate weight being a 1 x 1 kernel. The
-RNN kinds take the preactivation from an `autodiff.gate_conv` node.
+gate activations, c and h, but no preactivation. The RNN kinds take the
+preactivation from an `autodiff.gate_conv` node.
+
+`vector_lstm`, the paper's "1D LSTM" baseline, is the same network on a
+1 x 1 grid: a dense + ReLU layer compresses the flat encoding to a
+(B, 1, 1, lstm_units) map, and its dense gate weights are 1 x 1 kernels, so
+every map is (B, H, W, C) and every kernel (K, K, Cin, Cout).
 
 `DrcNetwork.forward` is the network's one step, which the actors, the
 bootstrap, evaluation and the gradient check all run.
@@ -83,15 +86,31 @@ class DrcConfig:
     lstm_units: int = 200  # vector_lstm only
 
     def __post_init__(self):
-        if self.depth < 1 or self.repeats < 1:
-            raise ValueError("depth and repeats must be >= 1")
         if self.memory_kind not in MEMORY_KINDS:
             raise ValueError(f"unknown memory kind {self.memory_kind!r}")
+        if not self.encoder:
+            raise ValueError("encoder must have at least one layer")
+        sizes = {name: getattr(self, name) for name in ("depth", "repeats", "kernel_size", "hidden_channels",
+                                                        "head_hidden", "lstm_units", "action_count")}
+        for i, layer in enumerate(self.encoder):
+            parts = zip(("channels", "kernel", "stride"), layer)
+            sizes.update((f"encoder layer {i} {part}", n) for part, n in parts)
+        for name, n in sizes.items():
+            if n < 1:
+                raise ValueError(f"{name} must be >= 1, got {n}")
+
+    @property
+    def state_shape(self):
+        """Shape of one row of every c and h: (H, W, hidden_channels) on the
+        encoded grid, or (1, 1, lstm_units) for `vector_lstm`."""
+        if self.memory_kind == "vector_lstm":
+            return (1, 1, self.lstm_units)
+        return self.encoded_shape[:2] + (self.hidden_channels,)
 
     @property
     def gate_channels(self):
         """Output channels of the per-depth gate convolution."""
-        return _GATE_MULTIPLE[self.memory_kind] * self.hidden_channels
+        return _GATE_MULTIPLE[self.memory_kind] * self.state_shape[2]
 
     @property
     def gate_inputs(self):
@@ -160,12 +179,7 @@ class DrcState:
 
 
 def zero_state(config, batch=1, dtype=np.float32):
-    if config.memory_kind == "vector_lstm":
-        shape = (batch, config.lstm_units)
-    else:
-        eh, ew, _ = config.encoded_shape
-        shape = (batch, eh, ew, config.hidden_channels)
-    zeros = lambda: Tensor(np.zeros(shape, dtype=dtype))
+    zeros = lambda: Tensor(np.zeros((batch,) + config.state_shape, dtype=dtype))
     return DrcState(tuple(zeros() for _ in range(config.depth)), tuple(zeros() for _ in range(config.depth)))
 
 
@@ -196,7 +210,7 @@ class GateTerms(NamedTuple):
 
     obs: Tensor | None  # observation term, per row; None for a depth that does not see it
     fixed: Tensor  # bias + boundary term, the same for every row
-    w_rec: Tensor  # the `gates.w_rec` parameter, [h below, own h] as `autodiff.gate_conv` takes it
+    w_rec: Tensor  # the `gates.w_rec` kernel, over [h below, own h]
     w_pool: Tensor | None  # the `gates.w_pool` parameter; None without pool-and-inject
 
 
@@ -250,9 +264,7 @@ class DrcNetwork:
         fixed = self.params[gate + "b"]
         obs = None
         if i_t is not None:
-            w_obs = self.params[gate + "w_obs"]
-            obs = (ad.dense(i_t, w_obs) if cfg.memory_kind == "vector_lstm"
-                   else ad.conv2d(i_t, w_obs, stride=1, padding="same"))
+            obs = ad.conv2d(i_t, self.params[gate + "w_obs"], stride=1, padding="same")
         if boundary:
             edge = _edge_map(*cfg.encoded_shape[:2], self.dtype)
             fixed = ad.conv2d(edge, self.params[gate + "w_edge"], fixed)
@@ -322,9 +334,10 @@ class DrcNetwork:
         """One environment step from `state` on a (B, ...) observation array
         or Tensor: encode, N ticks, heads. Returns (new state, logits, value)."""
         i_t = self.encode(obs.data if isinstance(obs, Tensor) else obs)
-        if self.config.memory_kind == "vector_lstm":  # i_t: dense + ReLU on the flat encoding
+        if self.config.memory_kind == "vector_lstm":  # i_t: dense + ReLU on the flat encoding, 1 x 1
             flat = ad.reshape(i_t, (i_t.shape[0], -1))
             i_t = ad.relu(ad.dense(flat, self.params["core.compress.w"], self.params["core.compress.b"]))
+            i_t = ad.reshape(i_t, (i_t.shape[0], 1, 1, -1))
         terms = self.step_terms(i_t)
         for _ in range(self.config.repeats):
             state = self.tick(state, terms)
@@ -333,14 +346,12 @@ class DrcNetwork:
 
 
 def _gate_slices(config, w):
-    """One depth's gate kernel `w`, drawn whole ((K, K, Cin, Cout), or the
-    (Cin, 4 * units) dense kernel of `vector_lstm`), cut by input channel
-    into the parameters `gate_terms` reads: name -> contiguous array."""
+    """One depth's (K, K, Cin, Cout) gate kernel `w`, drawn whole, cut by
+    input channel into the parameters `gate_terms` reads: name -> contiguous
+    array."""
     obs, rec, pool, boundary = config.gate_inputs
-    if config.memory_kind == "vector_lstm":
-        return {"w_obs": w[:obs].copy(), "w_rec": w[obs:].copy()}
     w_obs, w_rec, w_pool, w_edge = np.split(w, np.cumsum([obs, rec, pool]), axis=2)
-    slices = {"w_obs": w_obs.copy(), "w_rec": w_rec.reshape(-1, w.shape[-1])}
+    slices = {"w_obs": w_obs.copy(), "w_rec": w_rec.copy()}
     if pool:
         slices["w_pool"] = w_pool.transpose(2, 0, 1, 3).reshape(pool, -1)
     if boundary:
@@ -362,28 +373,22 @@ def build_parameters(config, seed=0, dtype=np.float32):
         ps.add(f"encoder.conv{i}.b", init.bias(ch))
         cin = ch
 
-    gate_in = sum(config.gate_inputs)
-    eh, ew, ec = config.encoded_shape
-    if config.memory_kind == "vector_lstm":
-        units = config.lstm_units
-        ps.add("core.compress.w", init.dense(eh * ew * ec, units))
-        ps.add("core.compress.b", init.bias(units))
-        for d in range(1, config.depth + 1):
-            for name, w in _gate_slices(config, init.dense(gate_in, 4 * units)).items():
-                ps.add(f"core.d{d}.gates.{name}", w)
-            ps.add(f"core.d{d}.gates.b", init.bias(4 * units))
-        head_in = (2 * units) if config.vision_shortcut else units
-    else:
-        hc = config.hidden_channels
-        for d in range(1, config.depth + 1):
-            for name, w in _gate_slices(config, init.conv(config.kernel_size, gate_in,
-                                                          config.gate_channels)).items():
-                ps.add(f"core.d{d}.gates.{name}", w)
-            ps.add(f"core.d{d}.gates.b", init.bias(config.gate_channels))
-            if config.pool_and_inject:
-                ps.add(f"core.d{d}.pool.w", init.dense(2 * hc, hc))
-                ps.add(f"core.d{d}.pool.b", init.bias(hc))
-        head_in = eh * ew * ((ec + hc) if config.vision_shortcut else hc)
+    obs, _, pool, _ = config.gate_inputs
+    k = config.kernel_size
+    if config.memory_kind == "vector_lstm":  # on a 1 x 1 grid, a dense gate is a 1 x 1 kernel
+        k = 1
+        ps.add("core.compress.w", init.dense(int(np.prod(config.encoded_shape)), config.lstm_units))
+        ps.add("core.compress.b", init.bias(config.lstm_units))
+    for d in range(1, config.depth + 1):
+        for name, w in _gate_slices(config, init.conv(k, sum(config.gate_inputs),
+                                                      config.gate_channels)).items():
+            ps.add(f"core.d{d}.gates.{name}", w)
+        ps.add(f"core.d{d}.gates.b", init.bias(config.gate_channels))
+        if pool:
+            ps.add(f"core.d{d}.pool.w", init.dense(2 * pool, pool))
+            ps.add(f"core.d{d}.pool.b", init.bias(pool))
+    sh, sw, sc = config.state_shape
+    head_in = sh * sw * (sc + obs * config.vision_shortcut)
 
     ps.add("heads.hidden.w", init.dense(head_in, config.head_hidden))
     ps.add("heads.hidden.b", init.bias(config.head_hidden))

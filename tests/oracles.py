@@ -93,14 +93,11 @@ def pool_projection_reference(h, w_p, b_p):
 def gate_kernel(net, depth):
     """The gate kernel of `depth` (0-based) put back together from the
     slices the network stores: (K, K, Cin, Cout) with input channels [obs,
-    h below, own h, pool, boundary], or the (Cin, 4 * units) dense kernel of
-    `vector_lstm`, in the parameters' dtype."""
+    h below, own h, pool, boundary], in the parameters' dtype."""
     gate = f"core.d{depth + 1}.gates."
-    w_obs, w_rec = net.params[gate + "w_obs"].data, net.params[gate + "w_rec"].data
-    if w_obs.ndim == 2:
-        return np.concatenate([w_obs, w_rec], axis=0)
+    w_obs = net.params[gate + "w_obs"].data
     k, _, _, cout = w_obs.shape
-    parts = [w_obs, w_rec.reshape(k, k, -1, cout)]
+    parts = [w_obs, net.params[gate + "w_rec"].data]
     if gate + "w_pool" in net.params:
         w_pool = net.params[gate + "w_pool"].data
         parts.append(w_pool.reshape(-1, k, k, cout).transpose(1, 2, 0, 3))

@@ -9,38 +9,24 @@ from hypothesis import given, settings, strategies as st
 
 from drcplan import autodiff as ad
 from drcplan.autodiff import ShapeError, Tensor
+from drcplan.gradcheck import finite_difference_check
+from drcplan.nn import ParameterSet, compute_gradients
 
 from oracles import conv2d_backward_reference, conv2d_reference, pool_spatial_reference
 
-EPS = 1e-5
 TOL = 1e-4
 
 
 def fd_check(op, arrays, seed):
-    """Compare backprop gradients of sum(op(*inputs)) with central FD."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
-
-    def loss():
-        return ad.sum_all(op(*tensors))
-
-    root = loss()
-    ad.backward(root)
-    grads = [t.grad.copy() for t in tensors]
-    worst = 0.0
-    for t, g in zip(tensors, grads):
-        flat = t.data.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + EPS
-            with ad.no_grad():
-                up = float(loss().data)
-            flat[i] = orig - EPS
-            with ad.no_grad():
-                down = float(loss().data)
-            flat[i] = orig
-            num = (up - down) / (2 * EPS)
-            worst = max(worst, abs(num - gf[i]) / max(abs(num), abs(gf[i]), 1e-6))
+    """Compare backprop gradients of sum(op(*inputs)) with central finite
+    differences, through the checker `drcplan gradcheck` runs; every input
+    must receive a gradient."""
+    params = ParameterSet()
+    for i, a in enumerate(arrays):
+        params.add(f"x{i}", a)
+    loss = lambda: ad.sum_all(op(*(t for _, t in params.items())))
+    assert sorted(compute_gradients(loss(), params)) == params.paths(), f"seed {seed}"
+    worst = finite_difference_check(loss, params)
     assert worst < TOL, f"seed {seed}: max rel err {worst:.2e}"
 
 
@@ -67,16 +53,16 @@ OPS = {
     # pool term; squared so that every gradient depends on the position
     "gate_conv_k3_pool": (lambda x1, x2, w, base, b, pool, wp: ad.square(
         ad.gate_conv([x1, x2], w, [base, b], pool, wp)),
-        [(2, 3, 4, 2), (2, 3, 4, 1), (27, 2), (2, 3, 4, 2), (1, 3, 4, 2), (2, 2), (2, 18)]),
+        [(2, 3, 4, 2), (2, 3, 4, 1), (3, 3, 3, 2), (2, 3, 4, 2), (1, 3, 4, 2), (2, 2), (2, 18)]),
     # an even kernel pads one more row and column at the bottom/right
     "gate_conv_even_k": (lambda x, w, b: ad.square(ad.gate_conv([x], w, [b])),
-                         [(1, 3, 3, 2), (8, 2), (2,)]),
+                         [(1, 3, 3, 2), (2, 2, 2, 2), (2,)]),
     # the pool term of an even kernel, whose taps overhang one side more
     "gate_conv_even_k_pool": (lambda x, w, pool, wp: ad.square(ad.gate_conv([x], w, [], pool, wp)),
-                              [(2, 3, 2, 1), (4, 2), (2, 2), (2, 8)]),
-    # vectors as a 1 x 1 grid: the vector LSTM's dense gate
+                              [(2, 3, 2, 1), (2, 2, 1, 2), (2, 2), (2, 8)]),
+    # vectors as a 1 x 1 grid and a 1 x 1 kernel: the vector LSTM's dense gate
     "gate_conv_vectors": (lambda h1, h2, w, base: ad.square(ad.gate_conv([h1, h2], w, [base])),
-                          [(3, 2), (3, 1), (3, 4), (3, 4)]),
+                          [(3, 1, 1, 2), (3, 1, 1, 1), (1, 1, 3, 4), (3, 1, 1, 4)]),
     "relu": (ad.relu, [(3, 4)]),
     "sigmoid": (ad.sigmoid, [(3, 4)]),
     "tanh": (ad.tanh, [(3, 4)]),
@@ -86,7 +72,7 @@ OPS = {
     # where gradients of 1e-7 drown in the differences' rounding
     "convlstm_cell": (lambda x1, x2, w, base, b, c, pool, wp: ad.mul(
         *ad.convlstm_cell([x1, x2], w, [base, b], c, pool, wp)),
-        [(2, 3, 2, 1), (2, 3, 2, 1), (8, 8), (2, 3, 2, 8), (1, 3, 2, 8), (2, 3, 2, 2), (2, 1), (1, 32)]),
+        [(2, 3, 2, 1), (2, 3, 2, 1), (2, 2, 2, 8), (2, 3, 2, 8), (1, 3, 2, 8), (2, 3, 2, 2), (2, 1), (1, 32)]),
     "exp": (ad.exp, [(3, 4)]),
     "sum_all": (ad.sum_all, [(3, 4)]),
     "log_softmax": (ad.log_softmax, [(4, 5)]),
@@ -204,9 +190,8 @@ def test_conv2d_matches_loop_oracles(case, dtype):
 def gate_conv_cases(draw):
     k, cout = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    vectors = draw(st.booleans())
-    hw = (1, 1) if vectors else (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    return (draw(st.integers(1, 2)),) + hw, vectors, sizes, k, cout, draw(st.integers(0, 2**32 - 1))
+    nhw = (draw(st.integers(1, 2)), draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    return nhw, sizes, k, cout, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -214,26 +199,26 @@ def gate_conv_cases(draw):
 def test_gate_conv_matches_loop_oracles(case, dtype):
     """Forward, each input's gradient and the kernel's against direct
     summation and the per-tap backward of a conv over the inputs'
-    concatenation: 1-3 maps, or N x 1 x 1 vectors, split along channels,
+    concatenation: 1-3 maps split along channels, on grids down to 1 x 1,
     with odd and even kernels."""
-    (n, h, wd), vectors, sizes, k, cout, seed = case
+    (n, h, wd), sizes, k, cout, seed = case
     rng = np.random.default_rng(seed)
     maps = [rng.normal(size=(n, h, wd, c)).astype(dtype) for c in sizes]
     w_np = rng.normal(size=(k, k, sum(sizes), cout)).astype(dtype)
-    xs = [Tensor(m.reshape(n, -1) if vectors else m, requires_grad=True) for m in maps]
-    w = Tensor(w_np.reshape(-1, cout), requires_grad=True)
+    xs = [Tensor(m, requires_grad=True) for m in maps]
+    w = Tensor(w_np, requires_grad=True)
     out = ad.gate_conv(xs, w, [])
     x_np = np.concatenate(maps, axis=-1)
     tol = 1e-10 if dtype == np.float64 else 1e-5
     assert out.dtype == dtype
-    assert _rel_err(out.data.reshape(n, h, wd, cout), conv2d_reference(x_np, w_np)) < tol
+    assert _rel_err(out.data, conv2d_reference(x_np, w_np)) < tol
     g = rng.normal(size=out.shape).astype(dtype)
     ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=dtype))))
-    dx, dw = conv2d_backward_reference(x_np, w_np, g.reshape(n, h, wd, cout))
+    dx, dw = conv2d_backward_reference(x_np, w_np, g)
     for x, want in zip(xs, np.split(dx, np.cumsum(sizes)[:-1], axis=-1)):
         assert x.grad.shape == x.shape
-        assert _rel_err(x.grad, want.reshape(x.shape)) < tol
-    assert _rel_err(w.grad, dw.reshape(-1, cout)) < tol
+        assert _rel_err(x.grad, want) < tol
+    assert _rel_err(w.grad, dw) < tol
 
 
 def _check_pool_term(rng, k, hw):
@@ -245,7 +230,7 @@ def _check_pool_term(rng, k, hw):
     as_matrix = lambda w: w.transpose(2, 0, 1, 3).reshape(3, -1)
     pool, w_pool = Tensor(pool_np, requires_grad=True), Tensor(as_matrix(wp_np), requires_grad=True)
     zeros = Tensor(np.zeros((2,) + hw + (1,)))
-    out = ad.gate_conv([zeros], Tensor(np.zeros((k * k, 2))), [], pool, w_pool)
+    out = ad.gate_conv([zeros], Tensor(np.zeros((k, k, 1, 2))), [], pool, w_pool)
     tiled = np.broadcast_to(pool_np[:, None, None, :], (2,) + hw + (3,))
     assert _rel_err(out.data, conv2d_reference(tiled, wp_np, stride=1)) < 1e-12
     g = rng.normal(size=out.shape)
@@ -275,7 +260,7 @@ def test_gate_conv_is_the_chain_it_replaces(k):
     def run(fused):
         x1, x2, w, base = tensors = [Tensor(a, requires_grad=True) for a in arrays]
         if fused:
-            out = ad.gate_conv([x1, x2], ad.reshape(w, (-1, 6)), [base])
+            out = ad.gate_conv([x1, x2], w, [base])
         else:
             out = ad.add(ad.conv2d(ad.concat([x1, x2]), w), base)
         ad.backward(ad.sum_all(ad.mul(out, g)))
@@ -287,7 +272,43 @@ def test_gate_conv_is_the_chain_it_replaces(k):
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
     _check_pool_term(rng, k, (3, 4))
     with pytest.raises(ShapeError, match="gate_conv"):
-        ad.gate_conv([Tensor(arrays[0])], Tensor(np.zeros((k * k * 5, 6))), [])
+        ad.gate_conv([Tensor(arrays[0])], Tensor(np.zeros((k, k, 5, 6))), [])
+
+
+def test_conv_takes_maps_and_kernels_in_one_layout():
+    """Each convolution op reads (N, H, W, C) maps and (K, K, sum(C), Cout)
+    kernels only: vectors and im2col-matrix kernels are refused, naming the op."""
+    maps = [Tensor(np.zeros((2, 1, 1, 3))), Tensor(np.zeros((2, 1, 1, 1)))]
+    vectors = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1)))]
+    kernel, matrix = Tensor(np.zeros((1, 1, 4, 8))), Tensor(np.zeros((4, 8)))
+    c_prev = Tensor(np.zeros((2, 1, 1, 2)))
+    assert ad.gate_conv(maps, kernel, []).shape == (2, 1, 1, 8)
+    for xs, w in ((vectors, kernel), (maps, matrix), (maps, Tensor(np.zeros((1, 2, 4, 8))))):
+        with pytest.raises(ShapeError, match="^gate_conv: inputs"):
+            ad.gate_conv(xs, w, [])
+        with pytest.raises(ShapeError, match="^convlstm_cell: inputs"):
+            ad.convlstm_cell(xs, w, [], c_prev)
+
+
+def test_accumulate_stores_a_whole_view_and_copies_a_partial_one():
+    """A first gradient that views all of its base is stored without a
+    copy; a slice or a broadcast, which would keep a larger buffer alive, is
+    copied."""
+    base = np.arange(12.0)
+    for g, shared in ((base.reshape(3, 4), True), (base.reshape(6, 2)[:3], False),
+                      (np.broadcast_to(base[:4], (3, 4)), False)):
+        t = Tensor(np.zeros((3, 4)), requires_grad=True)
+        ad._accumulate(t, g)
+        assert np.shares_memory(t.grad, base) == shared
+        np.testing.assert_array_equal(t.grad, g)
+
+
+def test_no_leaf_gradient_is_a_view_of_a_larger_base():
+    for name, (op, shapes) in OPS.items():
+        tensors = [Tensor(a, requires_grad=True) for a in _rng_arrays(0, shapes)]
+        ad.backward(ad.sum_all(op(*tensors)))
+        for i, t in enumerate(tensors):
+            assert t.grad.base is None or t.grad.base.nbytes == t.grad.nbytes, (name, i)
 
 
 def test_split_rejects_sizes_that_do_not_cover_the_axis():
@@ -300,16 +321,17 @@ def test_convlstm_cell_matches_gate_formula():
     """An identity 1 x 1 kernel hands the cell `raw` as its preactivation."""
     rng = np.random.default_rng(4)
     raw, c_prev = rng.normal(size=(2, 3, 3, 8)), rng.normal(size=(2, 3, 3, 2))
-    c, h = ad.convlstm_cell([Tensor(raw)], Tensor(np.eye(8)), [], Tensor(c_prev))
+    eye = lambda n: Tensor(np.eye(n).reshape(1, 1, n, n))
+    c, h = ad.convlstm_cell([Tensor(raw)], eye(8), [], Tensor(c_prev))
     sig = lambda z: 1 / (1 + np.exp(-z))
     f, i, o, g = np.split(raw, 4, axis=-1)
     c_ref = sig(f) * c_prev + sig(i) * np.tanh(g)
     np.testing.assert_allclose(c.data, c_ref, rtol=1e-12)
     np.testing.assert_allclose(h.data, sig(o) * np.tanh(c_ref), rtol=1e-12)
     with pytest.raises(ShapeError, match="convlstm_cell: gates"):
-        ad.convlstm_cell([Tensor(raw)], Tensor(np.eye(8)), [], Tensor(rng.normal(size=(2, 3, 3, 3))))
+        ad.convlstm_cell([Tensor(raw)], eye(8), [], Tensor(rng.normal(size=(2, 3, 3, 3))))
     with pytest.raises(ShapeError, match="convlstm_cell: inputs"):
-        ad.convlstm_cell([Tensor(raw)], Tensor(np.eye(9)), [], Tensor(c_prev))
+        ad.convlstm_cell([Tensor(raw)], eye(9), [], Tensor(c_prev))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -318,7 +340,7 @@ def test_convlstm_cell_is_the_chain_it_replaces(k):
     formula in separate ops: the same float32 and float64 values bit for
     bit, and float64 gradients within 1e-12, pool term included."""
     rng = np.random.default_rng(k)
-    shapes = ((2, 3, 4, 2), (2, 3, 4, 3), (k * k * 5, 8), (2, 3, 4, 8), (8,), (2, 3, 4, 2), (2, 3),
+    shapes = ((2, 3, 4, 2), (2, 3, 4, 3), (k, k, 5, 8), (2, 3, 4, 8), (8,), (2, 3, 4, 2), (2, 3),
               (3, k * k * 8))
     arrays = [rng.normal(size=s) for s in shapes]
     gc, gh = (ad.constant(rng.normal(size=(2, 3, 4, 2)), dtype=np.float64) for _ in range(2))

@@ -168,6 +168,17 @@ def test_network_filter_without_params(tmp_path, capsys):
                                     "needs --params <checkpoint>")
 
 
+@pytest.mark.parametrize("command", ["param-count", "train"])
+def test_a_network_size_below_one_fails_before_the_command_runs(tmp_path, capsys, command):
+    config = tmp_path / "run.cfg"
+    config.write_text("game = gridworld12\ndrc.kernel_size = 0\n")
+    argv = [command, "--config", str(config)]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "out")]
+    assert _error(capsys, argv) == f"drcplan {command}: error: kernel_size must be >= 1, got 0"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "think-eval", "extrapolate", "filter-levels"])
 def test_sokoban_commands_reject_another_game_first(tmp_path, capsys, command):
     """The game is checked before the checkpoint or the levels load (neither
@@ -197,9 +208,19 @@ def _one_kernel_layout(net):
     return params
 
 
+def _matrix_w_rec(net):
+    """`net`'s parameters with each `core.dK.gates.w_rec` kernel stored as
+    its (K*K*Cin, Cout) im2col matrix, an older layout."""
+    params = ParameterSet()
+    for path, t in net.params.items():
+        params.add(path, t.data.reshape(-1, t.shape[-1]) if path.endswith(".gates.w_rec") else t.data)
+    return params
+
+
 def test_eval_with_a_checkpoint_of_another_network(tmp_path, capsys):
-    """A checkpoint of another game's network, and one of this network in
-    the one-kernel gate layout, are refused before any episode runs."""
+    """A checkpoint of another game's network, and ones of this network in
+    the one-kernel gate layout or with matrix recurrent kernels, are refused
+    before any episode runs."""
     levels = tmp_path / "levels.txt"
     levels.write_text(serialize_levels(generate_level_set(3, 1, boxes=1)))
     params = tmp_path / "params.bin"
@@ -208,6 +229,8 @@ def test_eval_with_a_checkpoint_of_another_network(tmp_path, capsys):
             (DrcNetwork.create(preset_config("gridworld12", 1, 1)).params,
              "'encoder.conv0.w' is (3, 3, 1, 16) in the checkpoint but (8, 8, 3, 32) under the config"),
             (_one_kernel_layout(DrcNetwork.create(preset_config("sokoban"))),
-             "'core.d1.gates.w_obs' is absent in the checkpoint but (3, 3, 32, 128) under the config")):
+             "'core.d1.gates.w_obs' is absent in the checkpoint but (3, 3, 32, 128) under the config"),
+            (_matrix_w_rec(DrcNetwork.create(preset_config("sokoban"))),
+             "'core.d1.gates.w_rec' is (576, 128) in the checkpoint but (3, 3, 64, 128) under the config")):
         save_checkpoint(params, saved)
         assert _error(capsys, argv) == f"drcplan eval: error: {params} does not fit the run config: {mismatch}"

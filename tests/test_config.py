@@ -5,6 +5,7 @@ import re
 import pytest
 
 from drcplan.config import load_run_config, parse_config_text
+from drcplan.drc import DrcConfig
 from drcplan.envs.gridworld import GRIDWORLD12
 
 
@@ -101,3 +102,30 @@ def test_a_grid_without_room_for_a_player_and_a_goal_is_rejected(tmp_path, size)
     """A player and a goal need two cells; caught at load, not after 1000 layout tries."""
     with pytest.raises(ValueError, match=f"^gridworld.size must be >= 2, got {size}$"):
         _load(tmp_path, f"game = gridworld12\ngridworld.size = {size}\n")
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("drc.repeats = 0", "repeats must be >= 1, got 0"),
+    ("drc.kernel_size = 0", "kernel_size must be >= 1, got 0"),
+    ("drc.hidden_channels = 0", "hidden_channels must be >= 1, got 0"),
+    ("drc.head_hidden = -2", "head_hidden must be >= 1, got -2"),
+    ("drc.memory_kind = vector_lstm\ndrc.lstm_units = 0", "lstm_units must be >= 1, got 0"),
+    ("drc.encoder = 0:3:1", "encoder layer 0 channels must be >= 1, got 0"),
+    ("drc.encoder = 32:0:1", "encoder layer 0 kernel must be >= 1, got 0"),
+    ("drc.encoder = 16:3:1,32:3:0", "encoder layer 1 stride must be >= 1, got 0"),
+], ids=["repeats", "kernel_size", "hidden_channels", "head_hidden", "lstm_units", "encoder_channels",
+        "encoder_kernel", "encoder_stride"])
+def test_network_sizes_below_one_are_rejected(tmp_path, lines, message):
+    """Caught when the config is built; all but `repeats` used to fail only
+    inside numpy, when the parameters were drawn."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _load(tmp_path, f"game = gridworld12\n{lines}\n")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("action_count", 0, "action_count must be >= 1, got 0"),
+    ("encoder", (), "encoder must have at least one layer"),
+])
+def test_a_drc_config_without_actions_or_encoder_is_rejected(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DrcConfig(**{field: value})

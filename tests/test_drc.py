@@ -13,8 +13,9 @@ from drcplan.drc import (MEMORY_KINDS, DrcConfig, DrcNetwork, _edge_map, _gate_s
 from drcplan.gradcheck import full_drc_gradcheck
 from drcplan.nn import Initializer, compute_gradients
 
-from oracles import (boundary_channel_reference, gate_kernel, pool_projection_reference,
-                     scalar_convlstm_reference, unsplit_memory_step_reference)
+from oracles import (boundary_channel_reference, conv2d_reference, gate_kernel,
+                     pool_projection_reference, scalar_convlstm_reference,
+                     unsplit_memory_step_reference)
 
 
 def tiny_net(depth=2, repeats=2, seed=0, **overrides):
@@ -445,8 +446,7 @@ def test_the_gate_slices_are_one_initializer_draw(flags):
     for path, t in net.params.items():
         if path.endswith(".gates.w_obs"):
             got = gate_kernel(net, int(path.split(".")[1][1:]) - 1)
-            want = (init.dense(gate_in, got.shape[-1]) if got.ndim == 2
-                    else init.conv(cfg.kernel_size, gate_in, got.shape[-1]))
+            want = init.conv(got.shape[0], gate_in, got.shape[-1])
         elif ".gates.w_" in path:
             continue  # checked with its kernel's w_obs
         elif path.endswith(".b"):
@@ -484,9 +484,50 @@ def test_vector_lstm_variant_runs_and_counts():
     state = net.zero_state(2)
     obs = np.zeros((2, 80, 80, 3), dtype=np.float32)
     state, logits, value = net.forward(state, obs)
-    assert state.h[0].shape == (2, 200)
+    assert state.h[0].shape == (2, 1, 1, 200)
     assert logits.shape == (2, 5)
     counts = count_parameters(cfg)
     assert counts["core.compress"] == 3200 * 200 + 200
     # per-depth vector LSTM: 600 inputs -> 800 gate units
     assert counts["core.d1"] == 600 * 800 + 800
+
+
+def test_vector_lstm_is_the_dense_lstm():
+    """Two float64 steps of a `vector_lstm` DRC(2, 2) against numpy: the
+    flat encoding, dense + ReLU compress, then at every tick and depth the
+    dense LSTM gates [i_t, h below, own h] @ W + b and the cell, then the
+    heads on [i_t, deepest h]: logits, value, c and h within 1e-12."""
+    cfg = DrcConfig(depth=2, repeats=2, obs_shape=(4, 4, 1), action_count=3,
+                    encoder=((4, 3, 1), (2, 2, 2)), head_hidden=8, memory_kind="vector_lstm",
+                    lstm_units=5)
+    net = DrcNetwork.create(cfg, seed=2, dtype=np.float64)
+    p = {path: t.data for path, t in net.params.items()}
+    n, gates = cfg.lstm_units, 4 * cfg.lstm_units
+    sig = lambda z: 1 / (1 + np.exp(-z))
+    relu = lambda z: np.maximum(z, 0)
+    rng = np.random.default_rng(3)
+    state = net.zero_state(2)
+    c, h = [np.zeros((2, n))] * cfg.depth, [np.zeros((2, n))] * cfg.depth
+    for _ in range(2):
+        obs = rng.uniform(0, 1, (2, 4, 4, 1))
+        state, logits, value = net.forward(state, obs)
+        x = obs
+        for i, (_, _, stride) in enumerate(cfg.encoder):
+            x = relu(conv2d_reference(x, p[f"encoder.conv{i}.w"], p[f"encoder.conv{i}.b"], stride))
+        i_t = relu(x.reshape(2, -1) @ p["core.compress.w"] + p["core.compress.b"])
+        for _ in range(cfg.repeats):
+            below = h[-1]  # top-down skip
+            for d in range(cfg.depth):
+                gate = f"core.d{d + 1}.gates."
+                w = np.concatenate([p[gate + "w_obs"].reshape(-1, gates),
+                                    p[gate + "w_rec"].reshape(-1, gates)])
+                pre = np.concatenate([i_t, below, h[d]], axis=1) @ w + p[gate + "b"]
+                f, i, o, g = np.split(pre, 4, axis=1)
+                c[d] = sig(f) * c[d] + sig(i) * np.tanh(g)
+                h[d] = below = sig(o) * np.tanh(c[d])
+        hid = relu(np.concatenate([i_t, h[-1]], axis=1) @ p["heads.hidden.w"] + p["heads.hidden.b"])
+        pairs = [(logits.data, hid @ p["heads.policy.w"] + p["heads.policy.b"]),
+                 (value.data, (hid @ p["heads.value.w"] + p["heads.value.b"])[:, 0])]
+        pairs += [(t.data.reshape(2, n), want) for t, want in zip(state.c + state.h, c + h)]
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
