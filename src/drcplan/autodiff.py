@@ -10,6 +10,12 @@ gate nonlinearities, reductions, reshaping, spatial pooling and
 log-softmax. Every map a convolution reads or writes is a batched NHWC
 array, (N, H, W, C), and every kernel is (K, K, Cin, Cout).
 
+A tape node keeps only the arrays its backward reads, captured in its
+closure. A convolution routes its bases' gradients by the shapes it saw in
+the forward, and `relu` takes its mask from its own output, so neither reads
+those parents again; `release(t)` can then drop such a parent's value as soon
+as the forward is done with it, while its gradient still flows.
+
 Training runs in float32; gradient verification runs in float64 (central
 finite differences are unreliable at single precision). The dtype of a
 computation is carried by its leaf arrays.
@@ -95,6 +101,17 @@ def _node(data, parents, backward):
             if p.requires_grad:
                 return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
     return Tensor(data)
+
+
+def release(t):
+    """Drop the value of `t` once the forward has done with it; the node
+    stays on the tape, so its gradient still flows. Safe only on a tensor
+    whose consumers read neither its value nor its shape in backward: a base
+    of a convolution, or the input of `relu`. A leaf that requires grad, a
+    parameter, is refused."""
+    if t.requires_grad and t._backward is None:
+        raise ValueError(f"release: {t!r} is a leaf that requires grad; a parameter keeps its value")
+    t.data = None
 
 
 def _accumulate(t, g):
@@ -313,9 +330,11 @@ def _conv(op, xs, w, bases, stride=1, pool=None, w_pool=None):
         out += (taps @ (pool.data @ w_pool.data).reshape(n, k * k, cout)).reshape(out.shape)
     parents = tuple(xs) + (w,) + tuple(bases) + (() if pool is None else (pool, w_pool))
 
+    shapes = [b.shape for b in bases]  # a base may be released before backward runs
+
     def backward(g):
-        for b in bases:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        for b, shape in zip(bases, shapes):
+            _accumulate(b, _unbroadcast(g, shape))
         g2 = g.reshape(-1, cout)
         if w.requires_grad:  # unnamed, the rebuilt im2col matrix is freed at once
             _accumulate(w, (_im2col(maps, k, stride, pads).T @ g2).reshape(w.shape))
@@ -360,7 +379,7 @@ def relu(a):
     out_data = np.maximum(a.data, 0)
 
     def backward(g):
-        _accumulate(a, g * (a.data > 0))
+        _accumulate(a, g * (out_data > 0))  # a > 0 exactly where max(a, 0) > 0
 
     return _node(out_data, (a,), backward)
 

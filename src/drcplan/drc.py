@@ -24,7 +24,8 @@ kernel whole and stores its input-channel slices (widths in
 op that reads it:
 
 - observation term, conv(i_t, `core.dK.gates.w_obs`): i_t is the same at
-  every tick, so it runs once per step and depth (`gate_terms`);
+  every tick, so it runs once per step and depth (`gate_terms`). Without
+  `obs_skip_all_depths` only depth 1 sees i_t, and only it has a `w_obs`;
 - fixed term: conv(edge map, `core.dK.gates.w_edge`) with the bias
   `core.dK.gates.b` as that conv's bias. The boundary channel is the same
   (H, W) edge map for every row, so its term is a (1, H, W, Cout) map, also
@@ -39,6 +40,11 @@ place. For a ConvLSTM that op is `autodiff.convlstm_cell`, which also runs
 the LSTM cell on the preactivation and frees it, so the tape keeps the four
 gate activations, c and h, but no preactivation. The RNN kinds take the
 preactivation from an `autodiff.gate_conv` node.
+
+The observation and fixed terms are read only by those ops' forward, whose
+backward routes their gradients by shape, so `forward` releases both
+(`autodiff.release`) after the step's last tick; `encode` releases each
+pre-ReLU conv map once its ReLU has run. The tape keeps neither.
 
 `vector_lstm`, the paper's "1D LSTM" baseline, is the same network on a
 1 x 1 grid: a dense + ReLU layer compresses the flat encoding to a
@@ -243,11 +249,11 @@ class DrcNetwork:
                 f"observation shape {obs.shape[1:]} does not match configured {tuple(self.config.obs_shape)}"
             )
         x = obs
-        for i in range(len(self.config.encoder)):
-            _, _, stride = self.config.encoder[i]
-            x = ad.conv2d(x, self.params[f"encoder.conv{i}.w"], self.params[f"encoder.conv{i}.b"],
-                          stride=stride, padding="same")
-            x = ad.relu(x)
+        for i, (_, _, stride) in enumerate(self.config.encoder):
+            pre = ad.conv2d(x, self.params[f"encoder.conv{i}.w"], self.params[f"encoder.conv{i}.b"],
+                            stride=stride, padding="same")
+            x = ad.relu(pre)
+            ad.release(pre)
         return x
 
     # -- memory stack -------------------------------------------------------
@@ -341,17 +347,25 @@ class DrcNetwork:
         terms = self.step_terms(i_t)
         for _ in range(self.config.repeats):
             state = self.tick(state, terms)
+        boundary = self.config.gate_inputs[3]
+        for t in terms:
+            if t.obs is not None:
+                ad.release(t.obs)
+            if boundary:  # without a boundary channel the fixed term is the `gates.b` parameter
+                ad.release(t.fixed)
         logits, value = self.heads(state.h[-1], i_t)
         return state, logits, value
 
 
-def _gate_slices(config, w):
+def _gate_slices(config, w, sees_obs):
     """One depth's (K, K, Cin, Cout) gate kernel `w`, drawn whole, cut by
     input channel into the parameters `gate_terms` reads: name -> contiguous
-    array."""
+    array. A depth that does not see the observation (`sees_obs` False)
+    stores no `w_obs`."""
     obs, rec, pool, boundary = config.gate_inputs
     w_obs, w_rec, w_pool, w_edge = np.split(w, np.cumsum([obs, rec, pool]), axis=2)
-    slices = {"w_obs": w_obs.copy(), "w_rec": w_rec.copy()}
+    slices = {"w_obs": w_obs.copy()} if sees_obs else {}
+    slices["w_rec"] = w_rec.copy()
     if pool:
         slices["w_pool"] = w_pool.transpose(2, 0, 1, 3).reshape(pool, -1)
     if boundary:
@@ -380,8 +394,8 @@ def build_parameters(config, seed=0, dtype=np.float32):
         ps.add("core.compress.w", init.dense(int(np.prod(config.encoded_shape)), config.lstm_units))
         ps.add("core.compress.b", init.bias(config.lstm_units))
     for d in range(1, config.depth + 1):
-        for name, w in _gate_slices(config, init.conv(k, sum(config.gate_inputs),
-                                                      config.gate_channels)).items():
+        kernel = init.conv(k, sum(config.gate_inputs), config.gate_channels)
+        for name, w in _gate_slices(config, kernel, d == 1 or config.obs_skip_all_depths).items():
             ps.add(f"core.d{d}.gates.{name}", w)
         ps.add(f"core.d{d}.gates.b", init.bias(config.gate_channels))
         if pool:

@@ -19,10 +19,15 @@ def finite_difference_check(loss_fn, params, entries_per_param=0):
     """Max relative error between analytic and numeric gradients.
 
     `loss_fn` rebuilds the scalar loss graph on every call. With
-    `entries_per_param` = 0 every entry of every touched parameter is
-    checked; otherwise a deterministic subsample per parameter.
+    `entries_per_param` = 0 every entry of every trainable parameter is
+    checked; otherwise a deterministic subsample per parameter. A trainable
+    parameter the loss does not reach raises ValueError naming it, since its
+    gradient could not be checked.
     """
     record = compute_gradients(loss_fn(), params)
+    unreached = [path for path, _ in params.trainable_items() if path not in record]
+    if unreached:
+        raise ValueError(f"finite_difference_check: the loss does not reach {', '.join(unreached)}")
     eps = 1e-5
 
     def value():
@@ -50,13 +55,11 @@ def finite_difference_check(loss_fn, params, entries_per_param=0):
     return worst
 
 
-def tiny_drc_config():
-    return DrcConfig(
-        depth=2, repeats=2,
-        obs_shape=(4, 4, 1), action_count=5,
-        encoder=((4, 3, 1),), hidden_channels=4,
-        head_hidden=8,
-    )
+def tiny_drc_config(**overrides):
+    kw = dict(depth=2, repeats=2, obs_shape=(4, 4, 1), action_count=5, encoder=((4, 3, 1),),
+              hidden_channels=4, head_hidden=8, lstm_units=4)
+    kw.update(overrides)
+    return DrcConfig(**kw)
 
 
 def drc_episode_loss(net, seed):
@@ -89,8 +92,9 @@ def drc_episode_loss(net, seed):
     return loss_fn
 
 
-def full_drc_gradcheck(seed, entries_per_param=0):
-    """Finite-difference check of the whole DRC stack; returns max rel error."""
-    net = DrcNetwork.create(tiny_drc_config(), seed=seed, dtype=np.float64)
+def full_drc_gradcheck(seed, entries_per_param=0, **overrides):
+    """Finite-difference check of the whole DRC stack, `tiny_drc_config`
+    with `overrides`; returns max rel error."""
+    net = DrcNetwork.create(tiny_drc_config(**overrides), seed=seed, dtype=np.float64)
     loss_fn = drc_episode_loss(net, seed=seed + 1)
     return finite_difference_check(loss_fn, net.params, entries_per_param=entries_per_param)

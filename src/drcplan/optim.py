@@ -48,7 +48,9 @@ def adam_step(params, grads, state, lr):
         v += (1.0 - b2) * (g * g)
         m_hat = m / bias1
         v_hat = v / bias2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        # in place: a fresh array per step lands in the heap the freed tape
+        # left and pins it, which raised a training run's peak RSS
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def global_norm(grads):

@@ -97,7 +97,7 @@ def sample_action(logits, rng):
     z = z - z.max()
     p = np.exp(z)
     p /= p.sum()
-    return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, len(p) - 1))
+    return min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")), len(p) - 1)
 
 
 class ActorGroup:

@@ -92,12 +92,14 @@ def pool_projection_reference(h, w_p, b_p):
 
 def gate_kernel(net, depth):
     """The gate kernel of `depth` (0-based) put back together from the
-    slices the network stores: (K, K, Cin, Cout) with input channels [obs,
-    h below, own h, pool, boundary], in the parameters' dtype."""
+    slices the network stores: (K, K, Cin, Cout) with input channels [obs
+    (at a depth that sees it), h below, own h, pool, boundary], in the
+    parameters' dtype."""
     gate = f"core.d{depth + 1}.gates."
-    w_obs = net.params[gate + "w_obs"].data
-    k, _, _, cout = w_obs.shape
-    parts = [w_obs, net.params[gate + "w_rec"].data]
+    parts = [net.params[gate + "w_rec"].data]
+    k, _, _, cout = parts[0].shape
+    if gate + "w_obs" in net.params:
+        parts.insert(0, net.params[gate + "w_obs"].data)
     if gate + "w_pool" in net.params:
         w_pool = net.params[gate + "w_pool"].data
         parts.append(w_pool.reshape(-1, k, k, cout).transpose(1, 2, 0, 3))
@@ -108,13 +110,12 @@ def gate_kernel(net, depth):
 
 def unsplit_memory_step_reference(net, depth, i_t, c_prev, h_prev, h_below, pool):
     """One ConvLSTM module update with the whole gate input built and
-    convolved at once, in float64 numpy: [i_t, h_below, h_prev, the (B, C)
-    pooled projection `pool` tiled over space (if not None), the boundary
-    channel (if configured)], one conv over all of it plus bias, then the
-    LSTM cell. Returns (c, h)."""
-    i_t, c_prev, h_prev, h_below = (np.asarray(a, dtype=np.float64)
-                                    for a in (i_t, c_prev, h_prev, h_below))
-    parts = [i_t, h_below, h_prev]
+    convolved at once, in float64 numpy: [i_t (if not None), h_below, h_prev,
+    the (B, C) pooled projection `pool` tiled over space (if not None), the
+    boundary channel (if configured)], one conv over all of it plus bias,
+    then the LSTM cell. Returns (c, h)."""
+    c_prev, h_prev, h_below = (np.asarray(a, dtype=np.float64) for a in (c_prev, h_prev, h_below))
+    parts = [h_below, h_prev] if i_t is None else [np.asarray(i_t, dtype=np.float64), h_below, h_prev]
     if pool is not None:
         parts.append(np.broadcast_to(np.asarray(pool, np.float64)[:, None, None, :],
                                      h_prev.shape[:3] + pool.shape[-1:]))

@@ -107,7 +107,7 @@ def test_convlstm_matches_scalar_hand_recurrence():
     for col, gate in enumerate(("f", "i", "o", "g")):
         w[1, 1, :, col] = weights[gate][:4]  # obs, h below, own h, pooled
         b.data[col] = weights[gate][4]
-    for name, part in _gate_slices(cfg, w).items():
+    for name, part in _gate_slices(cfg, w, True).items():
         net.params[f"core.d1.gates.{name}"].data[...] = part
 
     i_t, c0, h0, below, pool = 0.8, -0.3, 0.25, 0.6, -0.45
@@ -191,7 +191,7 @@ def test_depth3_tick_matches_hand_wired_composition():
         c, h = [t.data for t in state.c], [t.data for t in state.h]
         pools = [_pool_reference(net, h[d], d) for d in range(3)]
         top_down = h[2] if cfg.top_down_skip else np.zeros_like(h[2])
-        deep_obs = i_t.data if cfg.obs_skip_all_depths else np.zeros_like(i_t.data)
+        deep_obs = i_t.data if cfg.obs_skip_all_depths else None
         c1, h1 = unsplit_memory_step_reference(net, 0, i_t.data, c[0], h[0], top_down, pools[0])
         c2, h2 = unsplit_memory_step_reference(net, 1, deep_obs, c[1], h[1], h1, pools[1])
         c3, h3 = unsplit_memory_step_reference(net, 2, deep_obs, c[2], h[2], h2, pools[2])
@@ -204,7 +204,9 @@ def test_depth3_tick_matches_hand_wired_composition():
 def test_obs_skip_ablation_changes_deep_outputs():
     on = tiny_net(depth=2, repeats=1, seed=3, obs_skip_all_depths=True)
     off = tiny_net(depth=2, repeats=1, seed=3, obs_skip_all_depths=False)
-    for path in on.params.paths():
+    # only the depths that see the observation have a w_obs; the rest is the same draw
+    assert sorted(set(on.params.paths()) - set(off.params.paths())) == ["core.d2.gates.w_obs"]
+    for path in off.params.paths():
         np.testing.assert_array_equal(on.params[path].data, off.params[path].data)
     obs = rand_obs(on, seed=2)
     st_on, _, _ = on.forward(on.zero_state(1), obs)
@@ -432,23 +434,53 @@ def test_full_network_gradient_check_subsampled():
 VARIANTS = [{}] + [{flag: False} for flag in ("pool_and_inject", "top_down_skip", "vision_shortcut",
                                                "obs_skip_all_depths", "boundary_padding")] \
     + [{"memory_kind": kind} for kind in MEMORY_KINDS[1:]]
+variant_id = lambda flags: "-".join(f"{k}={v}" for k, v in flags.items()) or "all"
 
 
-@pytest.mark.parametrize("flags", VARIANTS, ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()) or "all")
+@pytest.mark.parametrize("flags", VARIANTS[1:], ids=variant_id)
+def test_every_wiring_passes_the_gradient_check(flags):
+    """Each ablation and memory kind passes the finite-difference check of
+    `test_full_network_gradient_check_subsampled` at a few entries per
+    parameter: every parameter the variant builds reaches the loss, and
+    gradients flow past the terms that `forward` releases."""
+    assert full_drc_gradcheck(seed=0, entries_per_param=5, **flags) < 1e-4
+
+
+def test_the_gradient_check_refuses_a_parameter_the_loss_never_reaches(monkeypatch):
+    """A network whose every depth reads depth 1's boundary kernel leaves
+    `core.d2.gates.w_edge` cut off from the loss: the check names it rather
+    than pass without checking it."""
+    gate_terms = DrcNetwork.gate_terms
+
+    def miswired(self, depth, i_t):
+        edge = _edge_map(*self.config.encoded_shape[:2], self.dtype)
+        fixed = ad.conv2d(edge, self.params["core.d1.gates.w_edge"], self.params[f"core.d{depth + 1}.gates.b"])
+        return gate_terms(self, depth, i_t)._replace(fixed=fixed)
+
+    monkeypatch.setattr(DrcNetwork, "gate_terms", miswired)
+    with pytest.raises(ValueError, match=r"the loss does not reach core\.d2\.gates\.w_edge$"):
+        full_drc_gradcheck(seed=0, entries_per_param=1)
+
+
+@pytest.mark.parametrize("flags", VARIANTS, ids=variant_id)
 def test_the_gate_slices_are_one_initializer_draw(flags):
     """Each depth's gate is stored as the slices its ops read; put back
     together they are bit for bit the one `Initializer` draw made at the
-    kernel's place in the creation order, and every other parameter is the
-    draw made at its own place."""
+    kernel's place in the creation order, less the observation channels at
+    a depth that does not see the observation, and every other parameter is
+    the draw made at its own place."""
     cfg = preset_config("gridworld12", 2, 2, **flags)
     net = DrcNetwork.create(cfg, seed=7)
     init, gate_in = Initializer(7), sum(cfg.gate_inputs)
     for path, t in net.params.items():
-        if path.endswith(".gates.w_obs"):
-            got = gate_kernel(net, int(path.split(".")[1][1:]) - 1)
-            want = init.conv(got.shape[0], gate_in, got.shape[-1])
+        if path.endswith(".gates.w_rec"):
+            depth = int(path.split(".")[1][1:]) - 1
+            sees_obs = depth == 0 or cfg.obs_skip_all_depths
+            assert (path.replace("w_rec", "w_obs") in net.params) == sees_obs, path
+            got = gate_kernel(net, depth)
+            want = init.conv(got.shape[0], gate_in, got.shape[-1])[:, :, (0 if sees_obs else cfg.gate_inputs[0]):]
         elif ".gates.w_" in path:
-            continue  # checked with its kernel's w_obs
+            continue  # checked with its kernel's w_rec
         elif path.endswith(".b"):
             got, want = t.data, init.bias(t.size)
         else:

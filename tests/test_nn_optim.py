@@ -108,9 +108,11 @@ def test_adam_zero_lr_updates_moments_only():
 def test_adam_first_step_matches_hand_recurrence():
     ps = ParameterSet()
     ps.add("w", np.array([1.0]))
+    array = ps["w"].data
     state = AdamState()
     g = 0.3
     adam_step(ps, {"w": np.array([g])}, state, lr=0.01)
+    assert ps["w"].data is array  # updated in place, not reallocated every step
     want = adam_reference(1.0, [g], lr=0.01)
     np.testing.assert_allclose(ps["w"].data, [want], rtol=0, atol=1e-15)
     # first-step magnitude is ~ lr * g / (|g| + eps)
