@@ -2,13 +2,14 @@
 
 This is not a general autodiff system: it implements exactly the op set the
 rest of the library needs: elementwise arithmetic, dense layers, 2D
-convolution (`conv2d`), a fused gate preactivation (`gate_conv`) and a
-fused ConvLSTM update (`convlstm_cell`: that preactivation and the LSTM cell
-in one op, so no preactivation stays on the tape), all three on one
-convolution forward and adjoint (`_conv`: an im2col GEMM and its col2im);
-gate nonlinearities, reductions, reshaping, spatial pooling and
-log-softmax. Every map a convolution reads or writes is a batched NHWC
-array, (N, H, W, C), and every kernel is (K, K, Cin, Cout).
+convolution (`conv2d`) and a fused ConvLSTM update (`convlstm_cell`: the
+gate preactivation and the LSTM cell in one op, so no preactivation stays on
+the tape), both on one convolution forward and adjoint (`_conv`: an im2col
+GEMM and its col2im); gate nonlinearities, reductions, reshaping, spatial
+pooling and log-softmax. `sigmoid` and `tanh` are the reference chain that
+tests compare `convlstm_cell` against. Every map a convolution reads or
+writes is a batched NHWC array, (N, H, W, C), and every kernel is
+(K, K, Cin, Cout).
 
 A tape node keeps only the arrays its backward reads, captured in its
 closure. A convolution routes its bases' gradients by the shapes it saw in
@@ -50,6 +51,18 @@ class no_grad:
         return False
 
 
+def _array_attribute(name):
+    """A `Tensor` property that reads `name` of its array; on a tensor that
+    `release` emptied it raises, saying so."""
+
+    def get(self):
+        if self.data is None:
+            raise RuntimeError(f"{self!r} has no {name}: autodiff.release dropped its value")
+        return getattr(self.data, name)
+
+    return property(get)
+
+
 class Tensor:
     """A numpy array plus the bookkeeping needed for backpropagation.
 
@@ -59,6 +72,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
+    shape, ndim, dtype, size = map(_array_attribute, ("shape", "ndim", "dtype", "size"))
+
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data)
         self.grad = None
@@ -66,26 +81,12 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return self.data.item()
 
     def __repr__(self):
+        if self.data is None:
+            return f"Tensor(released, requires_grad={self.requires_grad})"
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
@@ -293,22 +294,24 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
 def _uniform_taps(h, w, k, dtype):
     """(H*W, K*K) matrix of which taps of each pixel's "same", stride-1 K x K
     window fall inside the (H, W) grid, read-only: where the pool term of
-    `gate_conv` lands. It depends on shapes alone, so it is built once."""
+    `convlstm_cell` lands. It depends on shapes alone, so it is built once."""
     taps = _im2col([np.ones((1, h, w, 1), dtype=dtype)], k, 1, _same_pad(h, w, k, 1)[2])
     taps.flags.writeable = False
     return taps
 
 
 def _conv(op, xs, w, bases, stride=1, pool=None, w_pool=None):
-    """The one convolution forward and adjoint, which `conv2d`, `gate_conv`
-    and `convlstm_cell` run: returns (output array, parents, backward(g)),
+    """The one convolution forward and adjoint, which `conv2d` and
+    `convlstm_cell` run: returns (output array, parents, backward(g)),
     where backward pushes the output's gradient `g` into the parents.
 
     The output is the "same" convolution of the (N, H, W, C_i) maps `xs`,
     side by side along channels, with the (K, K, sum(C_i), Cout) kernel `w`
-    read as its im2col matrix, plus each of `bases` and `gate_conv`'s pool
-    term. Forward and dW, dX are one GEMM each; backward rebuilds the im2col
-    matrix rather than keep it, and dX goes back through col2im.
+    read as its im2col matrix, plus each of `bases` and `convlstm_cell`'s
+    pool term. The inputs are padded straight into one im2col buffer, one
+    GEMM writes the output, and the bases and the pool term are added to it
+    in place. Forward and dW, dX are one GEMM each; backward rebuilds the
+    im2col matrix rather than keep it, and dX goes back through col2im.
     """
     cin = sum(x.shape[-1] for x in xs)
     k, cout = w.shape[0], w.shape[-1]
@@ -351,26 +354,6 @@ def _conv(op, xs, w, bases, stride=1, pool=None, w_pool=None):
     return out, parents, backward
 
 
-def gate_conv(xs, w, bases, pool=None, w_pool=None):
-    """A memory module's gate preactivation as one tape node:
-
-        conv2d(concat(xs, axis=-1), w) + sum(bases)
-            + conv2d(pool tiled over the grid, w_pool)
-
-    `xs` are (N, H, W, C_i) maps and `w` is the (K, K, sum(C_i), Cout)
-    kernel. Each of `bases` broadcasts to the output. `pool` (N, P) is the
-    spatially constant input of the pool term and `w_pool` its kernel as the
-    (P, K*K*Cout) matrix w[kh, kw, p, o] -> [p, (kh*K + kw)*Cout + o].
-
-    It is `conv2d`'s forward and adjoint (`_conv`) at stride 1: the inputs
-    are padded straight into one im2col buffer, one GEMM writes the output,
-    and the bases and the pool term are added to it in place. The pool term
-    is never tiled: each pixel sums pool @ w_pool over the taps of its
-    window that fall inside the grid.
-    """
-    return _node(*_conv("gate_conv", xs, w, bases, pool=pool, w_pool=w_pool))
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -406,10 +389,22 @@ def tanh(a):
 
 def convlstm_cell(xs, w, bases, c_prev, pool=None, w_pool=None):
     """A ConvLSTM update as one op: the gate preactivation [f, i, o, g]
-    (last axis) of `gate_conv(xs, w, bases, pool, w_pool)`, then
+    (last axis)
+
+        conv2d(concat(xs, axis=-1), w) + sum(bases)
+            + conv2d(pool tiled over the grid, w_pool)
+
+    as one `_conv` at stride 1, then
 
         c = sigmoid(f) * c_prev + sigmoid(i) * tanh(g)
         h = sigmoid(o) * tanh(c)
+
+    `xs` are (N, H, W, C_i) maps and `w` is the (K, K, sum(C_i), 4C)
+    kernel. Each of `bases` broadcasts to the preactivation. `pool` (N, P)
+    is the spatially constant input of the pool term and `w_pool` its kernel
+    as the (P, K*K*4C) matrix w[kh, kw, p, o] -> [p, (kh*K + kw)*4C + o]; the
+    pool term is never tiled: each pixel sums pool @ w_pool over the taps of
+    its window that fall inside the grid.
 
     c_prev, c and h are (N, H, W, C) maps, on a 1 x 1 grid for a vector
     LSTM. Returns (c, h) as two tape nodes with a hand-written backward; h's
@@ -516,33 +511,6 @@ def concat(tensors, axis=-1):
             _accumulate(t, g[tuple(idx)])
 
     return _node(out_data, tuple(tensors), backward)
-
-
-def split(a, sections, axis=-1):
-    """`sections` equal chunks of `a` along `axis`, as views.
-
-    The chunks' gradients are written into one buffer that reaches `a` as a
-    single gradient, rather than one full-size gradient per chunk. The
-    writes are in place, so the buffer belongs to a private node between `a`
-    and its chunks: `_accumulate` may store one array as the gradient of
-    several tensors, and `a`'s own gradient could be such an array.
-    """
-    dim = a.shape[axis]
-    if dim % sections:
-        raise ShapeError(f"split: axis size {dim} not divisible into {sections} chunks")
-    size = dim // sections
-    hub = _node(a.data, (a,), lambda g: _accumulate(a, g))
-    chunks = []
-    for lo in range(0, dim, size):
-        idx = (slice(None),) * (axis % a.ndim) + (slice(lo, lo + size),)
-
-        def backward(g, idx=idx):
-            if hub.grad is None:
-                hub.grad = np.zeros(a.shape, dtype=g.dtype)
-            hub.grad[idx] = g
-
-        chunks.append(_node(a.data[idx], (hub,), backward))
-    return chunks
 
 
 def gather_last(a, index):

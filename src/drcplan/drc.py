@@ -35,11 +35,10 @@ op that reads it:
   a (B, C) x (C, K*K*Cout) product with `core.dK.gates.w_pool`, spread over
   the pixels by which kernel taps fall inside the grid, never tiled.
 
-Per tick, one op computes the recurrent term and adds the others to it in
-place. For a ConvLSTM that op is `autodiff.convlstm_cell`, which also runs
-the LSTM cell on the preactivation and frees it, so the tape keeps the four
-gate activations, c and h, but no preactivation. The RNN kinds take the
-preactivation from an `autodiff.gate_conv` node.
+Per tick, one op, `autodiff.convlstm_cell`, computes the recurrent term,
+adds the others to it in place, runs the LSTM cell on that preactivation and
+frees it, so the tape keeps the four gate activations, c and h, but no
+preactivation.
 
 The observation and fixed terms are read only by those ops' forward, whose
 backward routes their gradients by shape, so `forward` releases both
@@ -67,10 +66,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import Initializer, ParameterSet
 
-MEMORY_KINDS = ("convlstm", "gated_convrnn", "simple_convrnn", "vector_lstm")
-
-# chunks the gate convolution output is split into
-_GATE_MULTIPLE = {"convlstm": 4, "gated_convrnn": 2, "simple_convrnn": 1, "vector_lstm": 4}
+MEMORY_KINDS = ("convlstm", "vector_lstm")
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,8 @@ class DrcConfig:
 
     def __post_init__(self):
         if self.memory_kind not in MEMORY_KINDS:
-            raise ValueError(f"unknown memory kind {self.memory_kind!r}")
+            raise ValueError(f"unknown memory kind {self.memory_kind!r}; "
+                             f"choose from {', '.join(MEMORY_KINDS)}")
         if not self.encoder:
             raise ValueError("encoder must have at least one layer")
         sizes = {name: getattr(self, name) for name in ("depth", "repeats", "kernel_size", "hidden_channels",
@@ -115,8 +112,9 @@ class DrcConfig:
 
     @property
     def gate_channels(self):
-        """Output channels of the per-depth gate convolution."""
-        return _GATE_MULTIPLE[self.memory_kind] * self.state_shape[2]
+        """Output channels of the per-depth gate convolution: the LSTM's four
+        gates [f, i, o, g]."""
+        return 4 * self.state_shape[2]
 
     @property
     def gate_inputs(self):
@@ -286,19 +284,10 @@ class DrcNetwork:
     def memory_step(self, terms, c_prev, h_prev, h_below, pool):
         """One memory module update from its depth's fixed `terms`
         (`gate_terms`), the per-tick inputs and the (B, C) pooled
-        projection (None without). An LSTM update is one
-        `autodiff.convlstm_cell` op; the other kinds take their gate
-        preactivation from one `autodiff.gate_conv` node."""
+        projection (None without): one `autodiff.convlstm_cell` op.
+        Returns (c, h)."""
         bases = (terms.fixed,) if terms.obs is None else (terms.obs, terms.fixed)
-        kind = self.config.memory_kind
-        if kind in ("convlstm", "vector_lstm"):
-            return ad.convlstm_cell([h_below, h_prev], terms.w_rec, bases, c_prev, pool, terms.w_pool)
-
-        raw = ad.gate_conv([h_below, h_prev], terms.w_rec, bases, pool, terms.w_pool)
-        if kind == "gated_convrnn":
-            o, g = ad.split(raw, 2, axis=-1)
-            return c_prev, ad.mul(ad.sigmoid(o), ad.tanh(g))
-        return c_prev, ad.tanh(raw)  # simple_convrnn
+        return ad.convlstm_cell([h_below, h_prev], terms.w_rec, bases, c_prev, pool, terms.w_pool)
 
     def tick(self, state, terms):
         """Run the full depth stack once (bottom to top) with the step's

@@ -10,10 +10,11 @@ batch; the actors' state is then detached, so the next unroll's graph
 starts from leaves (truncated BPTT).
 
 The paper's IMPALA actors lag the learner, and V-trace corrects for the
-lag. This synchronous loop has none: the behaviour logits are the logits
-the learner trains on, so every importance weight rho is 1 and V-trace
-reduces to lambda-returns. `vtrace_targets` stays the estimator all the
-same, as in the paper.
+lag. This synchronous loop has none: the actors act on the logits the
+learner trains on, so the learner passes those one policy's log-probs to
+`vtrace_targets` as both the behaviour and the target policy. Every
+importance weight rho is then 1 and V-trace reduces to lambda-returns;
+`vtrace_targets` stays the estimator all the same, as in the paper.
 
 Evaluation drives the same stepper without a tape, where a row whose stream
 of episodes runs out leaves the batch. The whole schedule is deterministic:
@@ -51,8 +52,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-4
-    rho_bar: float = 1.0
-    c_bar: float = 1.0
     clip_grad_norm: float = 0.0  # 0 disables clipping
     num_actors: int = 32  # the actors are the batch: must equal batch_size
     checkpoint_every: int = 0  # updates between checkpoints, 0 disables
@@ -88,7 +87,6 @@ class Unroll(NamedTuple):
     actions: np.ndarray  # (T, K)
     rewards: np.ndarray  # (T, K)
     dones: np.ndarray  # (T, K)
-    behaviour_logits: np.ndarray  # (T, K, A)
 
 
 def sample_action(logits, rng):
@@ -188,8 +186,7 @@ class ActorGroup:
             steps.append(self.step(obs[t]))  # the tape may hold obs[t]; self.obs is rewritten
         obs[-1] = self.obs
         logits, values, actions, rewards, dones = zip(*steps)
-        unroll = Unroll(obs, np.array(actions), np.array(rewards).astype(np.float32), np.array(dones),
-                        np.stack([l.data for l in logits]))
+        unroll = Unroll(obs, np.array(actions), np.array(rewards).astype(np.float32), np.array(dones))
         forward = (self.state, logits, values)
         self.state = self.state.rows(slice(None))  # leaves: the next unroll's graph starts here
         return unroll, forward
@@ -258,11 +255,10 @@ def learner_update(net, batch, forward, adam, config, env_steps):
         _, _, boot = net.forward(state, Tensor(batch.obs[-1]))
 
     values_np = np.stack([v.data for v in values_steps])  # (T, B)
-    target_logp = _action_log_probs(np.stack([l.data for l in logits_steps]), batch.actions)
-    behaviour_logp = _action_log_probs(batch.behaviour_logits, batch.actions)
-
-    vt = vtrace_targets(batch.rewards, batch.dones, behaviour_logp, target_logp, values_np,
-                        boot.data, config.gamma, config.lam, config.rho_bar, config.c_bar)
+    logp = _action_log_probs(np.stack([l.data for l in logits_steps]), batch.actions)
+    # the actors acted on these logits: one policy is behaviour and target
+    vt = vtrace_targets(batch.rewards, batch.dones, logp, logp, values_np, boot.data,
+                        config.gamma, config.lam)
 
     head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
     loss, parts = compute_loss(

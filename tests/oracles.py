@@ -77,6 +77,21 @@ def conv_same_reference(x, w):
     return sum(xp[:, i:i + h, j:j + wd, :] @ w[i, j] for i in range(k) for j in range(k))
 
 
+def lstm_cell_reference(pre, c_prev, gc, gh):
+    """The LSTM cell on a gate preactivation `pre` ([f, i, o, g] on the last
+    axis) and its backward for output gradients `gc`, `gh`, by hand:
+    returns (c, h, d pre, d c_prev)."""
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+    f, i, o, g = np.split(pre, 4, axis=-1)
+    sf, si, so, tg = sig(f), sig(i), sig(o), np.tanh(g)
+    c = sf * c_prev + si * tg
+    tc = np.tanh(c)
+    dc = gc + gh * so * (1 - tc * tc)
+    d_pre = np.concatenate([dc * c_prev * sf * (1 - sf), dc * tg * si * (1 - si),
+                            gh * tc * so * (1 - so), dc * si * (1 - tg * tg)], axis=-1)
+    return c, so * tc, d_pre, dc * sf
+
+
 def boundary_channel_reference(x):
     """Append a channel that is 1 on the spatial edges and 0 inside (NHWC)."""
     n, h, w, _ = x.shape

@@ -12,7 +12,8 @@ from drcplan.autodiff import ShapeError, Tensor
 from drcplan.gradcheck import finite_difference_check
 from drcplan.nn import ParameterSet
 
-from oracles import conv2d_backward_reference, conv2d_reference, pool_spatial_reference
+from oracles import (conv2d_backward_reference, conv2d_reference, lstm_cell_reference,
+                     pool_spatial_reference)
 
 TOL = 1e-4
 
@@ -48,20 +49,13 @@ OPS = {
     # input: rows pad 1 top / 2 bottom, columns 1 / 1
     "conv_stride2_same_even_kernel": (lambda x, w: ad.conv2d(x, w, stride=2, padding="same"),
                                       [(1, 7, 6, 2), (4, 4, 2, 2)]),
-    # two maps on a non-square grid, a per-row and a broadcast base, and the
-    # pool term; squared so that every gradient depends on the position
-    "gate_conv_k3_pool": (lambda x1, x2, w, base, b, pool, wp: ad.square(
-        ad.gate_conv([x1, x2], w, [base, b], pool, wp)),
-        [(2, 3, 4, 2), (2, 3, 4, 1), (3, 3, 3, 2), (2, 3, 4, 2), (1, 3, 4, 2), (2, 2), (2, 18)]),
-    # an even kernel pads one more row and column at the bottom/right
-    "gate_conv_even_k": (lambda x, w, b: ad.square(ad.gate_conv([x], w, [b])),
-                         [(1, 3, 3, 2), (2, 2, 2, 2), (2,)]),
-    # the pool term of an even kernel, whose taps overhang one side more
-    "gate_conv_even_k_pool": (lambda x, w, pool, wp: ad.square(ad.gate_conv([x], w, [], pool, wp)),
-                              [(2, 3, 2, 1), (2, 2, 1, 2), (2, 2), (2, 8)]),
+    # an even kernel at stride 1 pads one more row and column at the
+    # bottom/right; squared so that every gradient depends on the position
+    "conv_even_k": (lambda x, w, b: ad.square(ad.conv2d(x, w, b)),
+                    [(1, 3, 3, 2), (2, 2, 2, 2), (2,)]),
     # vectors as a 1 x 1 grid and a 1 x 1 kernel: the vector LSTM's dense gate
-    "gate_conv_vectors": (lambda h1, h2, w, base: ad.square(ad.gate_conv([h1, h2], w, [base])),
-                          [(3, 1, 1, 2), (3, 1, 1, 1), (1, 1, 3, 4), (3, 1, 1, 4)]),
+    "conv_vectors": (lambda x, w, b: ad.square(ad.conv2d(x, w, b)),
+                     [(3, 1, 1, 3), (1, 1, 3, 4), (4,)]),
     "relu": (ad.relu, [(3, 4)]),
     "sigmoid": (ad.sigmoid, [(3, 4)]),
     "tanh": (ad.tanh, [(3, 4)]),
@@ -72,6 +66,11 @@ OPS = {
     "convlstm_cell": (lambda x1, x2, w, base, b, c, pool, wp: ad.mul(
         *ad.convlstm_cell([x1, x2], w, [base, b], c, pool, wp)),
         [(2, 3, 2, 1), (2, 3, 2, 1), (2, 2, 2, 8), (2, 3, 2, 8), (1, 3, 2, 8), (2, 3, 2, 2), (2, 1), (1, 32)]),
+    # the same at k = 3: two maps on a non-square grid, a per-row and a
+    # broadcast base, and the pool term of an odd kernel
+    "convlstm_cell_k3": (lambda x1, x2, w, base, b, c, pool, wp: ad.mul(
+        *ad.convlstm_cell([x1, x2], w, [base, b], c, pool, wp)),
+        [(2, 3, 2, 1), (2, 3, 2, 1), (3, 3, 2, 4), (2, 3, 2, 4), (1, 3, 2, 4), (2, 3, 2, 1), (2, 1), (1, 36)]),
     # gradients past released values, wired as `DrcNetwork` runs them: a
     # ReLU whose conv map is released once it has run, and a convlstm_cell
     # base (the observation term) released once the cell has read it
@@ -87,12 +86,8 @@ OPS = {
     "sum_axis": (lambda a: ad.sum_axis(a, -1), [(3, 4)]),
     "reshape": (lambda a: ad.reshape(a, (6, 2)), [(3, 4)]),
     "concat": (lambda a, b: ad.concat([a, b], axis=-1), [(2, 3), (2, 2)]),
-    "split": (lambda a: ad.mul(*ad.split(a, 2, axis=-1)), [(2, 4)]),
     "spatial_max": (ad.spatial_max, [(2, 3, 3, 2)]),
     "spatial_mean": (ad.spatial_mean, [(2, 3, 3, 2)]),
-    # `add` hands `a` and `b` one gradient array; `a`'s chunks must not write into it
-    "split_after_add": (lambda a, b: ad.concat([ad.square(ad.add(a, b)), ad.mul(*ad.split(a, 2, axis=0))],
-                                               axis=0), [(2, 3), (2, 3)]),
     "gather": (lambda a: ad.gather_last(a, np.array([1, 0, 2])), [(3, 4)]),
 }
 
@@ -194,92 +189,77 @@ def test_conv2d_matches_loop_oracles(case, dtype):
 
 
 @st.composite
-def gate_conv_cases(draw):
-    k, cout = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+def convlstm_cell_cases(draw):
+    k, cell = draw(st.integers(1, 4)), draw(st.integers(1, 2))
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     nhw = (draw(st.integers(1, 2)), draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    return nhw, sizes, k, cout, draw(st.integers(0, 2**32 - 1))
+    return nhw, sizes, k, cell, draw(st.integers(0, 2**32 - 1))
+
+
+def _cell_oracle(tiled, w_np, c_np, gc, gh):
+    """`lstm_cell_reference` on the direct-summation conv of `tiled` with
+    `w_np`: (c, h, d tiled, d w, d c_prev)."""
+    c, h, d_pre, dc_prev = lstm_cell_reference(conv2d_reference(tiled, w_np), c_np, gc, gh)
+    return (c, h) + conv2d_backward_reference(tiled, w_np, d_pre) + (dc_prev,)
+
+
+def _cell_loss(c, h, gc, gh):
+    """The loss sum(c * gc) + sum(h * gh), whose output gradients are gc and gh."""
+    return ad.add(ad.sum_all(ad.mul(c, ad.constant(gc, gc.dtype))),
+                  ad.sum_all(ad.mul(h, ad.constant(gh, gh.dtype))))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=gate_conv_cases(), dtype=st.sampled_from([np.float64, np.float32]))
-def test_gate_conv_matches_loop_oracles(case, dtype):
-    """Forward, each input's gradient and the kernel's against direct
-    summation and the per-tap backward of a conv over the inputs'
-    concatenation: 1-3 maps split along channels, on grids down to 1 x 1,
-    with odd and even kernels."""
-    (n, h, wd), sizes, k, cout, seed = case
+@given(case=convlstm_cell_cases(), dtype=st.sampled_from([np.float64, np.float32]))
+def test_convlstm_cell_matches_loop_oracles(case, dtype):
+    """c, h and the gradients of each input map, the kernel and c_prev
+    against the LSTM cell on the direct summation, and its backward on the
+    per-tap backward, of a conv over the maps' concatenation: 1-3 maps split
+    along channels, on grids down to 1 x 1, with odd and even kernels."""
+    (n, h, wd), sizes, k, cell, seed = case
     rng = np.random.default_rng(seed)
     maps = [rng.normal(size=(n, h, wd, c)).astype(dtype) for c in sizes]
-    w_np = rng.normal(size=(k, k, sum(sizes), cout)).astype(dtype)
+    w_np = rng.normal(scale=0.5, size=(k, k, sum(sizes), 4 * cell)).astype(dtype)
+    c_np, gc, gh = rng.normal(size=(3, n, h, wd, cell)).astype(dtype)
     xs = [Tensor(m, requires_grad=True) for m in maps]
-    w = Tensor(w_np, requires_grad=True)
-    out = ad.gate_conv(xs, w, [])
-    x_np = np.concatenate(maps, axis=-1)
+    w, c_prev = Tensor(w_np, requires_grad=True), Tensor(c_np, requires_grad=True)
+    c, h_out = ad.convlstm_cell(xs, w, [], c_prev)
+    ad.backward(_cell_loss(c, h_out, gc, gh))
+    want = _cell_oracle(np.concatenate(maps, axis=-1), w_np, c_np, gc, gh)
+    dxs = np.split(want[2], np.cumsum(sizes)[:-1], axis=-1)
     tol = 1e-10 if dtype == np.float64 else 1e-5
-    assert out.dtype == dtype
-    assert _rel_err(out.data, conv2d_reference(x_np, w_np)) < tol
-    g = rng.normal(size=out.shape).astype(dtype)
-    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=dtype))))
-    dx, dw = conv2d_backward_reference(x_np, w_np, g)
-    for x, want in zip(xs, np.split(dx, np.cumsum(sizes)[:-1], axis=-1)):
-        assert x.grad.shape == x.shape
-        assert _rel_err(x.grad, want) < tol
-    assert _rel_err(w.grad, dw) < tol
+    for got, ref in zip([c.data, h_out.data] + [x.grad for x in xs] + [w.grad, c_prev.grad],
+                        list(want[:2]) + dxs + list(want[3:]), strict=True):
+        assert got.dtype == dtype and got.shape == ref.shape
+        assert _rel_err(got, ref) < tol
 
 
 def _check_pool_term(rng, k, hw):
-    """`gate_conv`'s pool term alone (zero map, zero kernel), pool (2, 3)
-    spread over an `hw` grid, against direct summation over the explicitly
-    tiled input: float64 values and the gradients of the pool and of its
-    (K, K, 3, 2) kernel, to a relative error of 1e-12."""
-    pool_np, wp_np = rng.normal(size=(2, 3)), rng.normal(size=(k, k, 3, 2))
+    """`convlstm_cell`'s pool term alone (zero map, zero kernel), pool
+    (2, 3) spread over an `hw` grid, against the LSTM cell on direct
+    summation over the explicitly tiled input: float64 c, h and the
+    gradients of the pool, of its (K, K, 3, 4) kernel and of c_prev, to a
+    relative error of 1e-12."""
+    pool_np, wp_np = rng.normal(size=(2, 3)), rng.normal(size=(k, k, 3, 4))
+    c_np, gc, gh = rng.normal(size=(3, 2) + hw + (1,))
     as_matrix = lambda w: w.transpose(2, 0, 1, 3).reshape(3, -1)
     pool, w_pool = Tensor(pool_np, requires_grad=True), Tensor(as_matrix(wp_np), requires_grad=True)
+    c_prev = Tensor(c_np, requires_grad=True)
     zeros = Tensor(np.zeros((2,) + hw + (1,)))
-    out = ad.gate_conv([zeros], Tensor(np.zeros((k, k, 1, 2))), [], pool, w_pool)
+    c, h = ad.convlstm_cell([zeros], Tensor(np.zeros((k, k, 1, 4))), [], c_prev, pool, w_pool)
+    ad.backward(_cell_loss(c, h, gc, gh))
     tiled = np.broadcast_to(pool_np[:, None, None, :], (2,) + hw + (3,))
-    assert _rel_err(out.data, conv2d_reference(tiled, wp_np, stride=1)) < 1e-12
-    g = rng.normal(size=out.shape)
-    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=np.float64))))
-    dx, dw = conv2d_backward_reference(tiled, wp_np, g)
-    assert _rel_err(pool.grad, dx.sum(axis=(1, 2))) < 1e-12
-    assert _rel_err(w_pool.grad, as_matrix(dw)) < 1e-12
+    c_ref, h_ref, dx, dw, dc_prev = _cell_oracle(tiled, wp_np, c_np, gc, gh)
+    for got, want in ((c.data, c_ref), (h.data, h_ref), (pool.grad, dx.sum(axis=(1, 2))),
+                      (w_pool.grad, as_matrix(dw)), (c_prev.grad, dc_prev)):
+        assert _rel_err(got, want) < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_gate_conv_pool_term_matches_conv_of_the_tiled_input(k):
+def test_convlstm_cell_pool_term_matches_conv_of_the_tiled_input(k):
     rng = np.random.default_rng(k)
-    for hw in ((3, 5), (4, 2), (1, 3)):
+    for hw in ((3, 5), (4, 2), (1, 3), (3, 4)):
         _check_pool_term(rng, k, hw)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_gate_conv_is_the_chain_it_replaces(k):
-    """One `gate_conv` node against concat -> conv2d -> add: the same
-    float32 values bit for bit, and the same gradients. Its pool term is
-    checked against the conv of the tiled pool, as above."""
-    rng = np.random.default_rng(k)
-    arrays = [rng.normal(size=s).astype(np.float32) for s in
-              ((2, 3, 4, 2), (2, 3, 4, 3), (k, k, 5, 6), (2, 3, 4, 6))]
-    g = ad.constant(rng.normal(size=(2, 3, 4, 6)))
-
-    def run(fused):
-        x1, x2, w, base = tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        if fused:
-            out = ad.gate_conv([x1, x2], w, [base])
-        else:
-            out = ad.add(ad.conv2d(ad.concat([x1, x2]), w), base)
-        ad.backward(ad.sum_all(ad.mul(out, g)))
-        return out.data, [t.grad for t in tensors]
-
-    (fused, fused_grads), (chain, chain_grads) = run(True), run(False)
-    np.testing.assert_array_equal(fused, chain)
-    for got, want in zip(fused_grads, chain_grads):
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
-    _check_pool_term(rng, k, (3, 4))
-    with pytest.raises(ShapeError, match="gate_conv"):
-        ad.gate_conv([Tensor(arrays[0])], Tensor(np.zeros((k, k, 5, 6))), [])
 
 
 def test_conv_takes_maps_and_kernels_in_one_layout():
@@ -289,12 +269,13 @@ def test_conv_takes_maps_and_kernels_in_one_layout():
     vectors = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1)))]
     kernel, matrix = Tensor(np.zeros((1, 1, 4, 8))), Tensor(np.zeros((4, 8)))
     c_prev = Tensor(np.zeros((2, 1, 1, 2)))
-    assert ad.gate_conv(maps, kernel, []).shape == (2, 1, 1, 8)
-    for xs, w in ((vectors, kernel), (maps, matrix), (maps, Tensor(np.zeros((1, 2, 4, 8))))):
-        with pytest.raises(ShapeError, match="^gate_conv: inputs"):
-            ad.gate_conv(xs, w, [])
-        with pytest.raises(ShapeError, match="^convlstm_cell: inputs"):
-            ad.convlstm_cell(xs, w, [], c_prev)
+    ops = {"conv2d": lambda xs, w: ad.conv2d(ad.concat(xs), w),
+           "convlstm_cell": lambda xs, w: ad.convlstm_cell(xs, w, [], c_prev)[0]}
+    for name, op in ops.items():
+        assert op(maps, kernel).shape[:3] == (2, 1, 1)
+        for xs, w in ((vectors, kernel), (maps, matrix), (maps, Tensor(np.zeros((1, 2, 4, 8))))):
+            with pytest.raises(ShapeError, match=f"^{name}: inputs"):
+                op(xs, w)
 
 
 def test_accumulate_stores_a_whole_view_and_copies_a_partial_one():
@@ -320,20 +301,19 @@ def test_no_leaf_gradient_is_a_view_of_a_larger_base():
 
 def test_release_drops_a_value_and_refuses_a_parameter():
     """`release` empties an interior node, while a leaf that requires grad
-    (a parameter) keeps its value."""
+    (a parameter) keeps its value. A released node prints as released, and
+    reading its array's attributes raises, naming `release`."""
     w = Tensor(np.ones((2, 3)), requires_grad=True)
     pre = ad.mul(w, w)
     ad.release(pre)
     assert pre.data is None
+    assert repr(pre) == "Tensor(released, requires_grad=True)"
+    for name in ("shape", "ndim", "size", "dtype"):
+        with pytest.raises(RuntimeError, match=f"has no {name}: autodiff.release dropped its value$"):
+            getattr(pre, name)
     with pytest.raises(ValueError, match="leaf that requires grad"):
         ad.release(w)
     np.testing.assert_array_equal(w.data, np.ones((2, 3)))
-
-
-def test_split_rejects_sizes_that_do_not_cover_the_axis():
-    w = Tensor(np.zeros((2, 1, 4, 3)))
-    with pytest.raises(ShapeError, match="divisible"):
-        ad.split(w, 3, axis=-2)
 
 
 def test_convlstm_cell_matches_gate_formula():
@@ -355,27 +335,31 @@ def test_convlstm_cell_matches_gate_formula():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_convlstm_cell_is_the_chain_it_replaces(k):
-    """One `convlstm_cell` op against `gate_conv` followed by the cell
-    formula in separate ops: the same float32 and float64 values bit for
-    bit, and float64 gradients within 1e-12, pool term included."""
+    """One `convlstm_cell` op against the chain of public ops it fuses:
+    conv2d over the concatenated maps, an `add` per base, each gate's
+    channels picked by a 0/1 selector `matmul`, then the cell formula. The
+    same float32 and float64 values bit for bit, and float64 gradients
+    within 1e-12. (The pool term has no public op; its oracle is
+    `_check_pool_term`.)"""
     rng = np.random.default_rng(k)
-    shapes = ((2, 3, 4, 2), (2, 3, 4, 3), (k, k, 5, 8), (2, 3, 4, 8), (8,), (2, 3, 4, 2), (2, 3),
-              (3, k * k * 8))
+    shapes = ((2, 3, 4, 2), (2, 3, 4, 3), (k, k, 5, 8), (2, 3, 4, 8), (8,), (2, 3, 4, 2))
     arrays = [rng.normal(size=s) for s in shapes]
-    gc, gh = (ad.constant(rng.normal(size=(2, 3, 4, 2)), dtype=np.float64) for _ in range(2))
+    gc, gh = rng.normal(size=(2, 2, 3, 4, 2))
 
     def run(fused, dtype):
         tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
-        x1, x2, w, base, b, c_prev, pool, wp = tensors
+        x1, x2, w, base, b, c_prev = tensors
         if fused:
-            c, h = ad.convlstm_cell([x1, x2], w, [base, b], c_prev, pool, wp)
+            c, h = ad.convlstm_cell([x1, x2], w, [base, b], c_prev)
         else:
-            f, i, o, g = ad.split(ad.gate_conv([x1, x2], w, [base, b], pool, wp), 4, axis=-1)
+            pre = ad.reshape(ad.add(ad.add(ad.conv2d(ad.concat([x1, x2]), w), base), b), (-1, 8))
+            f, i, o, g = (ad.reshape(ad.matmul(pre, ad.constant(np.eye(8)[:, 2 * j:2 * j + 2], dtype)),
+                                     c_prev.shape) for j in range(4))
             c = ad.add(ad.mul(ad.sigmoid(f), c_prev), ad.mul(ad.sigmoid(i), ad.tanh(g)))
             h = ad.mul(ad.sigmoid(o), ad.tanh(c))
         out = [c.data, h.data]
         if dtype == np.float64:
-            ad.backward(ad.add(ad.sum_all(ad.mul(c, gc)), ad.sum_all(ad.mul(h, gh))))
+            ad.backward(_cell_loss(c, h, gc, gh))
         return out, [t.grad for t in tensors]
 
     for dtype in (np.float32, np.float64):

@@ -14,6 +14,7 @@ from drcplan.checkpoint import save_checkpoint
 from drcplan.drc import DrcNetwork, count_parameters, preset_config
 from drcplan.envs import SokobanEnv
 from drcplan.nn import ParameterSet
+from drcplan.train import Trainer
 
 from oracles import gate_kernel
 
@@ -176,6 +177,22 @@ def test_a_network_size_below_one_fails_before_the_command_runs(tmp_path, capsys
     if command == "train":
         argv += ["--out", str(tmp_path / "out")]
     assert _error(capsys, argv) == f"drcplan {command}: error: kernel_size must be >= 1, got 0"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("drc.memory_kind = gated_convrnn",
+     "unknown memory kind 'gated_convrnn'; choose from convlstm, vector_lstm"),
+    ("train.rho_bar = 0.5", "unknown config keys: ['train.rho_bar']"),
+], ids=["memory_kind", "rho_bar"])
+def test_a_removed_memory_kind_or_key_fails_before_training(tmp_path, capsys, monkeypatch, line, message):
+    """A run config naming a memory kind or a V-trace clip that `drcplan`
+    no longer has ends `train` with one error line before any update."""
+    monkeypatch.setattr(Trainer, "train_one_update", lambda self: pytest.fail("an update ran"))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"game = gridworld12\n{line}\n")
+    argv = ["train", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert _error(capsys, argv) == f"drcplan train: error: {message}"
     assert not (tmp_path / "out").exists()
 
 

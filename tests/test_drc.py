@@ -119,26 +119,10 @@ def test_convlstm_matches_scalar_hand_recurrence():
     assert h.data.item() == pytest.approx(h_ref, abs=1e-12)
 
 
-def test_simple_convrnn_zero_weights_gives_zero():
-    net = tiny_net(depth=1, repeats=1, memory_kind="simple_convrnn")
-    zero_gate(net)
-    obs = rand_obs(net)
-    state, _, _ = net.forward(net.zero_state(1), obs)
-    np.testing.assert_array_equal(state.h[0].data, 0)
-
-
-def test_gated_convrnn_has_no_cell_state():
-    net = tiny_net(depth=1, repeats=2, memory_kind="gated_convrnn")
-    state = net.zero_state(1)
-    state2, _, _ = net.forward(state, rand_obs(net))
-    np.testing.assert_array_equal(state2.c[0].data, 0)  # untouched
-    assert np.any(state2.h[0].data != 0)
-
-
 def test_memory_kind_gate_channel_multiples():
+    """Both kinds are LSTMs: four gates per state channel."""
     assert tiny_net(memory_kind="convlstm").config.gate_channels == 16
-    assert tiny_net(memory_kind="gated_convrnn").config.gate_channels == 8
-    assert tiny_net(memory_kind="simple_convrnn").config.gate_channels == 4
+    assert tiny_net(memory_kind="vector_lstm", lstm_units=5).config.gate_channels == 20
 
 
 # -- tick wiring ------------------------------------------------------------
@@ -430,7 +414,7 @@ def test_full_network_gradient_check_subsampled():
 
 # -- parameters -----------------------------------------------------------------
 
-# every ablation and every memory kind
+# every ablation and the other memory kind
 VARIANTS = [{}] + [{flag: False} for flag in ("pool_and_inject", "top_down_skip", "vision_shortcut",
                                                "obs_skip_all_depths", "boundary_padding")] \
     + [{"memory_kind": kind} for kind in MEMORY_KINDS[1:]]

@@ -130,9 +130,9 @@ def test_cli_train_is_bit_exact_across_runs(tmp_path):
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
 def test_learner_replays_the_actor_forward_exactly(tmp_path, kind):
     """Every batch is one unroll taken under the parameters the learner
-    updates, and the behaviour logits the actors store are the logits the
-    learner trains on, so every importance weight is exactly 1, also across
-    episode ends inside an unroll."""
+    updates, and the actors act on the logits the learner trains on, so
+    every importance weight is exactly 1, also across episode ends inside an
+    unroll."""
     for batch, updates in ((3, 40), (8, 15)):
         out = _cli_train(tmp_path, f"run{batch}", batch=batch, extra=f"drc.memory_kind = {kind}\n")
         rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
@@ -182,7 +182,6 @@ def test_the_actor_tape_and_the_replay_agree(kind):
     rel = lambda a, b: float(np.abs(a - b).max()) / max(float(np.abs(b).max()), 1e-300)
     for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
         net, batch, taped, replayed = _taped_batch(kind, dtype)
-        np.testing.assert_array_equal(batch.behaviour_logits, np.stack([l.data for l in taped[1]]))
         (loss, grads), (want_loss, want_grads) = (_loss_and_gradients(net, batch, f)
                                                   for f in (taped, replayed))
         pairs = [(got.data, want.data)
@@ -208,11 +207,10 @@ def test_the_actor_tape_matches_the_replay_as_training_moves_the_parameters(monk
     ends, starts, real = [], [], train.learner_update
 
     def spy(net, batch, forward, *rest):
-        assert batch.obs.shape[:2] == (6, 8) and batch.behaviour_logits.shape[:2] == (5, 8)
+        assert batch.obs.shape[:2] == (6, 8)
         assert batch.actions.shape == batch.rewards.shape == batch.dones.shape == (5, 8)
         with ad.no_grad():
             replayed = replay_reference(net, starts[-1], batch.obs[:-1], batch.dones)
-        np.testing.assert_array_equal(batch.behaviour_logits, np.stack([l.data for l in forward[1]]))
         for got, want in zip(_forward_tensors(forward), _forward_tensors(replayed), strict=True):
             np.testing.assert_array_equal(got.data, want.data)
         ends.append(bool(batch.dones.any()))
@@ -259,9 +257,8 @@ def test_rows_leave_the_batch_only_without_a_tape():
 
 @pytest.mark.parametrize("actors", [2, 3])
 def test_float64_training_keeps_every_importance_weight_at_one(actors):
-    """The actors keep their behaviour logits in the network's dtype, so a
-    float64 run whose batches are one fresh unroll each reads mean_rho 1
-    exactly."""
+    """A float64 run, whose batches are one fresh unroll each, reads
+    mean_rho 1 exactly: behaviour and target are one policy."""
     net = DrcNetwork.create(preset_config("gridworld12", 1, 1), seed=0, dtype=np.float64)
     trainer = Trainer(net, source_factory("gridworld12"),
                       TrainConfig(num_actors=actors, batch_size=actors, unroll_length=3))
