@@ -262,6 +262,35 @@ def test_convlstm_cell_pool_term_matches_conv_of_the_tiled_input(k):
         _check_pool_term(rng, k, hw)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gate_conv_is_the_chain_it_replaces(k):
+    """The gate preactivation `convlstm_cell` computes (one `_conv` over
+    several maps plus several bases) against concat -> conv2d -> add: the
+    same float32 values bit for bit, and the same gradients. Its pool term is
+    checked against the conv of the tiled pool, as above."""
+    rng = np.random.default_rng(k)
+    arrays = [rng.normal(size=s).astype(np.float32) for s in
+              ((2, 3, 4, 2), (2, 3, 4, 3), (k, k, 5, 6), (2, 3, 4, 6), (6,))]
+    g = ad.constant(rng.normal(size=(2, 3, 4, 6)))
+
+    def run(fused):
+        x1, x2, w, base, b = tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        if fused:
+            out = ad._node(*ad._conv("convlstm_cell", [x1, x2], w, [base, b]))
+        else:
+            out = ad.add(ad.add(ad.conv2d(ad.concat([x1, x2]), w), base), b)
+        ad.backward(ad.sum_all(ad.mul(out, g)))
+        return out.data, [t.grad for t in tensors]
+
+    (fused, fused_grads), (chain, chain_grads) = run(True), run(False)
+    np.testing.assert_array_equal(fused, chain)
+    for got, want in zip(fused_grads, chain_grads, strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+    _check_pool_term(rng, k, (3, 4))
+    with pytest.raises(ShapeError, match="^convlstm_cell: inputs"):
+        ad._conv("convlstm_cell", [Tensor(arrays[0])], Tensor(np.zeros((k, k, 5, 6))), [])
+
+
 def test_conv_takes_maps_and_kernels_in_one_layout():
     """Each convolution op reads (N, H, W, C) maps and (K, K, sum(C), Cout)
     kernels only: vectors and im2col-matrix kernels are refused, naming the op."""
