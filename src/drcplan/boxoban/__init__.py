@@ -1,7 +1,6 @@
 """Boxoban dataset pipeline: levels, text I/O, solving, generation, filtering."""
 
-from .filtering import (SolutionReplayPolicy, UniformRandomPolicy, filter_by_agent,
-                        play_scripted)
+from .filtering import UniformRandomPolicy, filter_by_agent, play_scripted
 from .generator import generate_level, generate_level_set
 from .levels import (GRID_SIZE, LevelSet, SokobanLevel, level_hash,
                      parse_levels, serialize_levels)
@@ -15,5 +14,5 @@ __all__ = [
     "SOLVED", "UNSOLVABLE", "BUDGET_EXHAUSTED",
     "generate_level", "generate_level_set",
     "filter_by_agent", "play_scripted",
-    "UniformRandomPolicy", "SolutionReplayPolicy",
+    "UniformRandomPolicy",
 ]

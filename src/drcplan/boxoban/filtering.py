@@ -13,6 +13,9 @@ return, length) triples in input order. The filter passes
 `[seed, level_id, a]` whatever else the set holds. Scripted probes are
 `play_scripted` with a policy `(obs, rng) -> action` bound; a policy's
 `begin_episode(env)` hook, if any, runs at every episode start.
+
+The kept levels keep their source ids; the set carries no tier of its own
+(`drcplan filter-levels --tier` only names the file it writes).
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from ..envs.sokoban_env import ACTION_NOOP, SokobanEnv
-from .levels import LevelSet, level_hash
+from ..envs.sokoban_env import SokobanEnv
+from .levels import LevelSet
 
 
 class UniformRandomPolicy:
@@ -31,26 +34,6 @@ class UniformRandomPolicy:
 
     def __call__(self, obs, rng):
         return int(rng.integers(0, self.action_count))
-
-
-class SolutionReplayPolicy:
-    """Replays known solutions keyed by level hash; no-ops once exhausted."""
-
-    def __init__(self, solutions):
-        self.solutions = solutions  # level_hash -> action list
-        self._plan = []
-        self._i = 0
-
-    def begin_episode(self, env):
-        self._plan = self.solutions.get(level_hash(env.level), [])
-        self._i = 0
-
-    def __call__(self, obs, rng):
-        if self._i < len(self._plan):
-            a = self._plan[self._i]
-            self._i += 1
-            return a
-        return ACTION_NOOP
 
 
 def play_scripted(policy, env_factories, seed=0):
@@ -69,12 +52,13 @@ def play_scripted(policy, env_factories, seed=0):
     return outcomes
 
 
-def filter_by_agent(level_set, play, attempts=10, step_limit=None, seed=0, tier="medium"):
-    """Keep exactly the levels `play` solves in none of `attempts` episodes.
+def filter_by_agent(level_set, play, attempts=10, step_limit=None, seed=0):
+    """A new `LevelSet` of exactly the levels `play` solves in none of
+    `attempts` episodes, under their source ids.
 
     `attempts=0` returns an empty set by convention.
     """
-    out = LevelSet(tier=tier, split=level_set.split)
+    out = LevelSet()
     if attempts <= 0:
         return out
     for level_id, level in zip(level_set.ids, level_set.levels):

@@ -144,13 +144,15 @@ def _carve_floor(rng, min_floor=40, max_floor=54):
     return floor
 
 
-def generate_level_set(seed, count, boxes=4, tier="unfiltered", split="train"):
-    """A deduplicated set of `count` certified levels.
+def generate_level_set(seed, count, boxes=4):
+    """A deduplicated set of `count` certified levels with ids 0..count-1.
 
     Each level owns its RNG stream (seed = base seed xor level index); hash
-    collisions with earlier levels trigger a deterministic reseed.
+    collisions with earlier levels trigger a deterministic reseed. Where the
+    set goes is the caller's choice (`drcplan gen-levels --tier/--split`
+    name its directory); the set itself carries no tags.
     """
-    out = LevelSet(tier=tier, split=split)
+    out = LevelSet()
     seen = set()
     for i in range(count):
         attempt = 0

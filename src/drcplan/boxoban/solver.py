@@ -90,9 +90,6 @@ class _Board:
     def idx(self, cell):
         return cell[0] * self.w + cell[1]
 
-    def cell(self, idx):
-        return divmod(idx, self.w)
-
     def flood(self, free, start_bit):
         """All cells reachable from start through `free` cells."""
         w, nc0, ncw, full = self.w, self.not_col0, self.not_colw, self.full

@@ -92,12 +92,12 @@ def _load_levels(path):
 
 
 def _sokoban_run(args):
-    """Run config and output directory of a Sokoban-only command; other games fail first."""
+    """Run config of a Sokoban-only command; other games fail first."""
     run = load_run_config(args.config, seed=args.seed)
     if run.game != "sokoban":
         raise ValueError(f"{args.command} plays Sokoban only, but the run config's game is "
                          f"{run.game!r}")
-    return run, _ensure_out(args)
+    return run
 
 
 def _load_net(args, run):
@@ -120,11 +120,11 @@ def _write_json(path, payload):
 
 def cmd_train(args):
     run = load_run_config(args.config, seed=args.seed)
-    out = _ensure_out(args)
     net = DrcNetwork.create(run.drc, seed=run.train.seed)
     levels = _load_levels(run.levels_path) if run.levels_path else None
     factory = source_factory(run.game, levels=levels, gridworld_config=run.gridworld,
                              minipacman_config=run.minipacman, step_limit=run.step_limit)
+    out = _ensure_out(args)
     trainer = Trainer(net, factory, run.train, out_dir=out)
     trainer.run(args.env_steps, metrics_path=os.path.join(out, "metrics.jsonl"),
                 log_every=args.log_every)
@@ -134,20 +134,20 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    run, out = _sokoban_run(args)
+    run = _sokoban_run(args)
     net = _load_net(args, run)
     factories = sokoban_factories(_load_levels(args.levels), step_limit=run.step_limit)
     report = evaluate(net, factories, episodes_per_level=args.episodes_per_level,
                       mode=args.mode, seed=args.seed, batch_size=run.eval_batch_size,
                       level_set_id=args.levels)
-    _write_json(os.path.join(out, "eval.json"), report.to_dict())
+    _write_json(os.path.join(_ensure_out(args), "eval.json"), report.to_dict())
     print(f"{report.level_set_id}: solved {report.solved}/{report.episodes} "
           f"({report.solved_fraction:.3f} ± {report.ci95:.3f}), "
           f"return {report.mean_return:.2f}, length {report.mean_length:.1f}")
 
 
 def cmd_think_eval(args):
-    run, out = _sokoban_run(args)
+    run = _sokoban_run(args)
     net = _load_net(args, run)
     factories = sokoban_factories(_load_levels(args.levels), step_limit=run.step_limit)
     curve = thinking_steps_eval(net, factories, k_max=args.k_max,
@@ -155,14 +155,14 @@ def cmd_think_eval(args):
                                 mode=args.mode, seed=args.seed,
                                 batch_size=run.eval_batch_size, level_set_id=args.levels)
     payload = {str(k): r.to_dict() for k, r in curve.items()}
-    _write_json(os.path.join(out, "thinking_curve.json"), payload)
+    _write_json(os.path.join(_ensure_out(args), "thinking_curve.json"), payload)
     for k in sorted(curve):
         r = curve[k]
         print(f"k={k:2d}  solved {r.solved_fraction:.3f} ± {r.ci95:.3f}")
 
 
 def cmd_extrapolate(args):
-    run, out = _sokoban_run(args)
+    run = _sokoban_run(args)
     net = _load_net(args, run)
     result = extrapolate_boxes(net, box_counts=args.boxes, levels_per_count=args.levels_per_count,
                                seed=args.seed, mode=args.mode, step_limit=run.step_limit,
@@ -171,7 +171,7 @@ def cmd_extrapolate(args):
         "reports": {str(n): r.to_dict() for n, r in result["reports"].items()},
         "degradation_vs_base": {str(n): d for n, d in result["degradation_vs_base"].items()},
     }
-    _write_json(os.path.join(out, "extrapolation.json"), payload)
+    _write_json(os.path.join(_ensure_out(args), "extrapolation.json"), payload)
     for n in args.boxes:
         r = result["reports"][n]
         print(f"{n} boxes: solved {r.solved_fraction:.3f} ± {r.ci95:.3f} "
@@ -179,16 +179,15 @@ def cmd_extrapolate(args):
 
 
 def cmd_gen_levels(args):
-    out = _ensure_out(args)
+    out = os.path.join(args.out, args.tier, args.split)
+    os.makedirs(out, exist_ok=True)
     per_file = 1000
     written = 0
     file_idx = 0
-    os.makedirs(os.path.join(out, args.tier, args.split), exist_ok=True)
     while written < args.count:
         n = min(per_file, args.count - written)
-        ls = generate_level_set(args.seed + file_idx * 1_000_003, n, boxes=args.boxes,
-                                tier=args.tier, split=args.split)
-        path = os.path.join(out, args.tier, args.split, f"{file_idx:03d}.txt")
+        ls = generate_level_set(args.seed + file_idx * 1_000_003, n, boxes=args.boxes)
+        path = os.path.join(out, f"{file_idx:03d}.txt")
         with open(path, "w") as f:
             f.write(serialize_levels(ls))
         written += n
@@ -197,7 +196,7 @@ def cmd_gen_levels(args):
 
 
 def cmd_filter_levels(args):
-    run, out = _sokoban_run(args)
+    run = _sokoban_run(args)
     levels = _load_levels(args.levels)
     if args.policy == "network":
         if args.params is None:
@@ -206,8 +205,8 @@ def cmd_filter_levels(args):
     else:
         play = partial(play_scripted, UniformRandomPolicy(SokobanEnv.action_count))
     kept = filter_by_agent(levels, play, attempts=args.attempts, step_limit=run.step_limit,
-                           seed=args.seed, tier=args.tier)
-    path = os.path.join(out, f"{args.tier}.txt")
+                           seed=args.seed)
+    path = os.path.join(_ensure_out(args), f"{args.tier}.txt")
     with open(path, "w") as f:
         f.write(serialize_levels(kept))
     print(f"kept {len(kept)}/{len(levels)} levels -> {path}")
@@ -326,12 +325,13 @@ def build_parser():
 
 def main(argv=None):
     """Parse `argv` and run its subcommand. A `ValueError` the run raises
-    (a config, checkpoint or level file that does not fit) ends it with one
+    (a config, checkpoint or level file that does not fit) or an `OSError`
+    (a file or directory that cannot be read or written) ends it with one
     `drcplan <command>: error: ...` line and exit code 2, as a bad flag does."""
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"drcplan {args.command}: error: {e}", file=sys.stderr)
         sys.exit(2)
 

@@ -127,11 +127,4 @@ def load_run_config(path=None, seed=0):
     for key, value in (("env.step_limit", run.step_limit), ("eval.batch_size", run.eval_batch_size)):
         if value is not None and value < 1:
             raise ValueError(f"{key} must be >= 1, got {value}")
-    if run.gridworld.size < 2:  # a player and a goal need two cells
-        raise ValueError(f"gridworld.size must be >= 2, got {run.gridworld.size}")
-    for name in ("obstacle_count", "obstacle_side"):
-        value = getattr(run.gridworld, name)
-        if len(value) != 2 or not 0 <= value[0] <= value[1]:
-            raise ValueError(f"gridworld.{name} must be an inclusive range lo,hi with "
-                             f"0 <= lo <= hi, got {value}")
     return run

@@ -190,8 +190,8 @@ def zero_state(config, batch=1, dtype=np.float32):
 def pool_and_inject(h, w_p, b_p):
     """Spatial max+mean pooling and a linear projection: (B, H, W, C) -> (B, C).
 
-    The gate conv sees the projection tiled over space; `memory_step` hands it
-    untiled to the gate op, which spreads its term over the grid.
+    The gate conv sees the projection tiled over space; `DrcNetwork.tick`
+    hands it untiled to the gate op, which spreads its term over the grid.
     """
     mx = ad.spatial_max(h)
     mn = ad.spatial_mean(h)
@@ -239,14 +239,13 @@ class DrcNetwork:
     # -- encoder ------------------------------------------------------------
 
     def encode(self, obs):
-        """Run the convolutional encoder on an NHWC batch; ReLU after every layer."""
-        if isinstance(obs, np.ndarray):
-            obs = Tensor(obs.astype(self.dtype, copy=False))
+        """Run the convolutional encoder on an NHWC observation array; ReLU
+        after every layer."""
         if obs.shape[1:] != tuple(self.config.obs_shape):
             raise ValueError(
                 f"observation shape {obs.shape[1:]} does not match configured {tuple(self.config.obs_shape)}"
             )
-        x = obs
+        x = Tensor(obs.astype(self.dtype, copy=False))
         for i, (_, _, stride) in enumerate(self.config.encoder):
             pre = ad.conv2d(x, self.params[f"encoder.conv{i}.w"], self.params[f"encoder.conv{i}.b"],
                             stride=stride, padding="same")
@@ -281,21 +280,14 @@ class DrcNetwork:
         return [self.gate_terms(d, i_t if d == 0 or cfg.obs_skip_all_depths else None)
                 for d in range(cfg.depth)]
 
-    def memory_step(self, terms, c_prev, h_prev, h_below, pool):
-        """One memory module update from its depth's fixed `terms`
-        (`gate_terms`), the per-tick inputs and the (B, C) pooled
-        projection (None without): one `autodiff.convlstm_cell` op.
-        Returns (c, h)."""
-        bases = (terms.fixed,) if terms.obs is None else (terms.obs, terms.fixed)
-        return ad.convlstm_cell([h_below, h_prev], terms.w_rec, bases, c_prev, pool, terms.w_pool)
-
     def tick(self, state, terms):
         """Run the full depth stack once (bottom to top) with the step's
-        `terms` (`step_terms`)."""
+        `terms` (`step_terms`): per depth, the (B, C) pooled projection
+        (None without pool-and-inject) and one `autodiff.convlstm_cell` op."""
         cfg = self.config
         prev_c, prev_h = state.c, state.h
         new_c, new_h = [], []
-        for d in range(cfg.depth):
+        for d, t in enumerate(terms):
             if d > 0:
                 h_below = new_h[d - 1]
             elif cfg.top_down_skip:
@@ -303,10 +295,11 @@ class DrcNetwork:
             else:
                 h_below = Tensor(np.zeros_like(prev_h[0].data))
             pool = None
-            if terms[d].w_pool is not None:
+            if t.w_pool is not None:
                 pool = pool_and_inject(prev_h[d], self.params[f"core.d{d + 1}.pool.w"],
                                        self.params[f"core.d{d + 1}.pool.b"])
-            c, h = self.memory_step(terms[d], prev_c[d], prev_h[d], h_below, pool)
+            bases = (t.fixed,) if t.obs is None else (t.obs, t.fixed)
+            c, h = ad.convlstm_cell([h_below, prev_h[d]], t.w_rec, bases, prev_c[d], pool, t.w_pool)
             new_c.append(c)
             new_h.append(h)
         return DrcState(tuple(new_c), tuple(new_h))

@@ -39,6 +39,7 @@ GEM_RGB = (1.0, 1.0, 1.0)
 
 SOLUTION_LENGTH_MAX = 4  # boxes on the solution chain, drawn from 1..this
 BRANCH_LENGTH = 3  # boxes on each distractor chain
+NUM_DISTRACTORS = 2  # distractor chains per level
 MAX_TRIES = 200  # layouts sampled before generation gives up
 
 
@@ -63,21 +64,20 @@ class BoxworldLevel:
     solution_length: int
 
 
-def generate_boxworld(seed, num_distractors=2):
-    """Sample a certified-solvable level. Deterministic per seed."""
+def generate_boxworld(seed):
+    """Sample a certified-solvable level with `NUM_DISTRACTORS` distractor
+    chains. Deterministic per seed."""
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
-        level = _sample_layout(rng, num_distractors)
+        level = _sample_layout(rng)
         if level is not None and solve_scripted(level) is not None:
             return level
     raise RuntimeError(f"boxworld generation failed after {MAX_TRIES} tries (seed={seed})")
 
 
-def _sample_layout(rng, num_distractors):
+def _sample_layout(rng):
     length = int(rng.integers(1, SOLUTION_LENGTH_MAX + 1))
-    n_colors = length + num_distractors * BRANCH_LENGTH
-    if n_colors > len(PALETTE):
-        raise ValueError(f"need {n_colors} colours but palette has {len(PALETTE)}")
+    n_colors = length + NUM_DISTRACTORS * BRANCH_LENGTH  # at most 10 of the 16
     colors = list(rng.permutation(len(PALETTE))[:n_colors])
     chain = colors[:length]  # chain[i] opens solution box i
 
@@ -117,7 +117,7 @@ def _sample_layout(rng, num_distractors):
         boxes.append(BoxSpec(pos, lock_color=chain[i], content_color=content, on_solution=True))
 
     next_color = length
-    for b in range(num_distractors):
+    for b in range(NUM_DISTRACTORS):
         attach = int(rng.integers(0, length))  # consumes solution colour chain[attach]
         lock = chain[attach]
         for _ in range(BRANCH_LENGTH):

@@ -20,6 +20,7 @@ import numpy as np
 from .base import DIRECTIONS, Env
 
 EMPTY_VALUE, OBSTACLE_VALUE, GOAL_VALUE, PLAYER_VALUE = 0.0, 1.0, 0.5, 0.25
+MAX_TRIES = 1000  # layouts sampled before generation gives up
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,15 @@ class GridworldConfig:
     size: int = 32
     obstacle_count: tuple = (12, 24)  # inclusive range
     obstacle_side: tuple = (2, 10)  # inclusive range
-    max_generation_tries: int = 1000
+
+    def __post_init__(self):
+        if self.size < 2:  # a player and a goal need two cells
+            raise ValueError(f"gridworld.size must be >= 2, got {self.size}")
+        for name in ("obstacle_count", "obstacle_side"):
+            value = getattr(self, name)
+            if len(value) != 2 or not 0 <= value[0] <= value[1]:
+                raise ValueError(f"gridworld.{name} must be an inclusive range lo,hi with "
+                                 f"0 <= lo <= hi, got {value}")
 
 
 # desk-scale variant used by the small training runs
@@ -58,10 +67,11 @@ def _reachable(obstacles, start, goal):
 
 
 def generate_gridworld(seed, config=GridworldConfig()):
-    """Rejection-sample a layout whose goal is reachable from the player."""
+    """Rejection-sample a layout whose goal is reachable from the player;
+    raises RuntimeError after `MAX_TRIES` layouts without one."""
     rng = np.random.default_rng(seed)
     size = config.size
-    for _ in range(config.max_generation_tries):
+    for _ in range(MAX_TRIES):
         grid = np.zeros((size, size), dtype=bool)
         count = int(rng.integers(config.obstacle_count[0], config.obstacle_count[1] + 1))
         for _ in range(count):
@@ -79,7 +89,7 @@ def generate_gridworld(seed, config=GridworldConfig()):
         obstacles = tuple(tuple(bool(v) for v in row) for row in grid)
         if _reachable(obstacles, player, goal):
             return GridworldLayout(obstacles, player, goal)
-    raise RuntimeError(f"no reachable layout found after {config.max_generation_tries} tries (seed={seed})")
+    raise RuntimeError(f"no reachable layout found after {MAX_TRIES} tries (seed={seed})")
 
 
 class GridworldEnv(Env):

@@ -77,6 +77,8 @@ def run_episodes(net, env_factories, mode="sample", seed=0, batch_size=64,
     """
     if mode not in ("sample", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not env_factories:
         return []
     key = seed if isinstance(seed, tuple) else (seed,)
@@ -135,8 +137,7 @@ def extrapolate_boxes(net, box_counts=(4, 5, 6, 7), levels_per_count=100, seed=0
     """
     reports = {}
     for n in box_counts:
-        level_set = generate_level_set(seed ^ (n * 0x9E3779B9), levels_per_count, boxes=n,
-                                       tier=f"extrapolate-{n}box", split="eval")
+        level_set = generate_level_set(seed ^ (n * 0x9E3779B9), levels_per_count, boxes=n)
         factories = sokoban_factories(level_set, step_limit=step_limit)
         reports[n] = evaluate(net, factories, mode=mode, seed=seed, batch_size=batch_size,
                               level_set_id=f"{n}-box generated")

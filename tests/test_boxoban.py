@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from drcplan.boxoban import (BUDGET_EXHAUSTED, SOLVED, UNSOLVABLE, LevelSet,
-                             SokobanLevel, SolutionReplayPolicy, UniformRandomPolicy,
-                             filter_by_agent, generate_level, generate_level_set,
-                             level_hash, parse_levels, play_scripted, replay_solution,
+                             SokobanLevel, UniformRandomPolicy, filter_by_agent,
+                             generate_level, generate_level_set, level_hash,
+                             parse_levels, play_scripted, replay_solution,
                              serialize_levels, solve_bfs)
+from drcplan.envs.sokoban_env import ACTION_NOOP
 
 
 def level_from(text):
@@ -263,6 +264,27 @@ def test_generate_level_failure_names_its_cause():
     m = re.search(r"boxes=4\): (\d+) samples were degenerate and (\d+) could not "
                   r"be certified within node_budget=1$", str(info.value))
     assert m and int(m[1]) + int(m[2]) == 3 and int(m[2]) > 0
+
+
+class SolutionReplayPolicy:
+    """A scripted probe that replays known solutions keyed by level hash and
+    plays no-ops once a plan is exhausted (or on a level it has none for)."""
+
+    def __init__(self, solutions):
+        self.solutions = solutions  # level_hash -> action list
+        self._plan = []
+        self._i = 0
+
+    def begin_episode(self, env):
+        self._plan = self.solutions.get(level_hash(env.level), [])
+        self._i = 0
+
+    def __call__(self, obs, rng):
+        if self._i < len(self._plan):
+            a = self._plan[self._i]
+            self._i += 1
+            return a
+        return ACTION_NOOP
 
 
 def test_filter_keeps_levels_the_policy_fails():

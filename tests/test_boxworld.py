@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from drcplan.envs.boxworld import (AGENT_RGB, BORDER_RGB, GEM_RGB, PALETTE,
-                                   BoxworldEnv, generate_boxworld,
-                                   solve_scripted)
+from drcplan.envs.boxworld import (AGENT_RGB, BORDER_RGB, BRANCH_LENGTH, GEM_RGB,
+                                   NUM_DISTRACTORS, PALETTE, SOLUTION_LENGTH_MAX,
+                                   BoxworldEnv, generate_boxworld, solve_scripted)
 
 
 def test_solution_path_is_chain_ending_at_gem():
@@ -35,7 +35,7 @@ def test_scripted_rollout_reaches_gem():
 
 
 def test_distractor_branches_attach_to_solution_colors():
-    level = generate_boxworld(3, num_distractors=2)
+    level = generate_boxworld(3)
     chain_colors = [level.loose_key_color] + \
         [b.content_color for b in level.boxes[:level.solution_length - 1]]
     distractors = level.boxes[level.solution_length:]
@@ -45,11 +45,16 @@ def test_distractor_branches_attach_to_solution_colors():
         assert root.lock_color in chain_colors
 
 
+def test_the_palette_holds_a_distinct_colour_for_every_lock():
+    """The longest solution chain and all distractor chains draw distinct colours."""
+    assert SOLUTION_LENGTH_MAX + NUM_DISTRACTORS * BRANCH_LENGTH <= len(PALETTE)
+
+
 def test_opening_distractor_kills_the_run():
     """Dead-end property: spending a chain key on a distractor makes the gem
     unreachable (each colour exists exactly once)."""
     for seed in range(40):
-        level = generate_boxworld(seed, num_distractors=2)
+        level = generate_boxworld(seed)
         distractors = level.boxes[level.solution_length:]
         if not distractors:
             continue

@@ -184,15 +184,56 @@ def test_a_network_size_below_one_fails_before_the_command_runs(tmp_path, capsys
     ("drc.memory_kind = gated_convrnn",
      "unknown memory kind 'gated_convrnn'; choose from convlstm, vector_lstm"),
     ("train.rho_bar = 0.5", "unknown config keys: ['train.rho_bar']"),
-], ids=["memory_kind", "rho_bar"])
+    ("gridworld.max_generation_tries = 5", "unknown config keys: ['gridworld.max_generation_tries']"),
+], ids=["memory_kind", "rho_bar", "max_generation_tries"])
 def test_a_removed_memory_kind_or_key_fails_before_training(tmp_path, capsys, monkeypatch, line, message):
-    """A run config naming a memory kind or a V-trace clip that `drcplan`
-    no longer has ends `train` with one error line before any update."""
+    """A run config naming a memory kind, a V-trace clip or a generation
+    setting that `drcplan` no longer has ends `train` with one error line
+    before any update."""
     monkeypatch.setattr(Trainer, "train_one_update", lambda self: pytest.fail("an update ran"))
     config = tmp_path / "run.cfg"
     config.write_text(f"game = gridworld12\n{line}\n")
     argv = ["train", "--config", str(config), "--out", str(tmp_path / "out")]
     assert _error(capsys, argv) == f"drcplan train: error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+# the file flags each command is given in the test below
+FILE_FLAGS = {"train": ("--config",), "eval": ("--config", "--params", "--levels"),
+              "think-eval": ("--config", "--params", "--levels"),
+              "extrapolate": ("--config", "--params"), "filter-levels": ("--config", "--levels")}
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    ("train", "--config", "missing"),
+    ("train", "data.levels", "missing"),
+    ("eval", "--config", "missing"),
+    ("eval", "--params", "missing"),
+    ("think-eval", "--levels", "missing"),
+    ("extrapolate", "--params", "missing"),
+    ("filter-levels", "--levels", "missing"),
+    ("eval", "--levels", "empty directory"),
+    ("filter-levels", "--levels", "empty directory"),
+])
+def test_a_file_that_cannot_be_read_is_one_error_line(setup, tmp_path, capsys, command, flag, kind):
+    """A missing file (a flag's, or the run config's `data.levels`), or a
+    level directory with no `.txt` file, ends the command with one error
+    line and exit code 2, and no `--out` directory."""
+    bad = tmp_path / "bad"
+    if kind == "missing":
+        expected = f"[Errno 2] No such file or directory: '{bad}'"
+    else:
+        bad.mkdir()
+        expected = f"no .txt level files under {bad}"
+    given = {"--config": setup["config"], "--params": setup["params"], "--levels": setup["levels"],
+             flag: str(bad)}
+    if flag == "data.levels":
+        given["--config"] = tmp_path / "run.cfg"
+        given["--config"].write_text(f"drc.depth = 1\ndrc.repeats = 1\ndata.levels = {bad}\n")
+    argv = [command, "--out", str(tmp_path / "out")]
+    for f in FILE_FLAGS[command]:
+        argv += [f, str(given[f])]
+    assert _error(capsys, argv) == f"drcplan {command}: error: {expected}"
     assert not (tmp_path / "out").exists()
 
 

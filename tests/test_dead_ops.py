@@ -1,16 +1,21 @@
-"""Every public function of `drcplan.autodiff` has a caller in `src`.
+"""Every public function of `drcplan.autodiff` has a caller in `src`, and
+every public function, class and method of `src` is named somewhere else in
+`src` or in the benchmark (`perfbench/`).
 
-No linter runs on this project, so this scan is the check. An op counts as
+No linter runs on this project, so these scans are the check. An op counts as
 used when another `src` module refers to it (as `ad.<op>`, `autodiff.<op>`
 or a name imported from the module) or another autodiff function calls it.
 The only exceptions are reference ops, which `src` does not run but a test
-compares a fused op against; each is mapped to that test.
+compares a fused op against; each is mapped to that test. Code that only
+tests reach belongs in the tests.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "drcplan"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "drcplan"
 AUTODIFF = SRC / "autodiff.py"
 
 # op -> the test that compares against it
@@ -77,3 +82,55 @@ def test_each_reference_op_is_compared_against_in_its_test():
     for op, test in REFERENCE_OPS.items():
         assert test in tests, test
         assert op in {node.attr for node in ast.walk(tests[test]) if isinstance(node, ast.Attribute)}, op
+
+
+def names_named(tree):
+    """How often `tree` names each name: as a variable, an attribute or a
+    whole string (the benchmark patches methods by name), except in an
+    `__all__` list, which only re-exports."""
+    exported = {id(node) for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in assign.targets)
+                for node in ast.walk(assign.value)}
+    named = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            named[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in exported):
+            named[node.value] += 1
+    return named
+
+
+def public_definitions(tree):
+    """The module's public functions and classes, and their public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        yield f"{node.name}.{method.name}", method
+
+
+def unnamed_definitions():
+    """`module:definition` for each public definition in `src` that no code
+    outside its own body names."""
+    paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    named = sum((names_named(tree) for tree in trees.values()), Counter())
+    unnamed = []
+    for path, tree in trees.items():
+        if SRC not in path.parents:
+            continue
+        for label, node in public_definitions(tree):
+            if path == AUTODIFF and node.name in REFERENCE_OPS:
+                continue
+            if named[node.name] == names_named(node)[node.name]:
+                unnamed.append(f"{path.relative_to(SRC).with_suffix('')}:{label}")
+    return unnamed
+
+
+def test_every_public_definition_in_src_is_named_outside_itself():
+    assert unnamed_definitions() == []

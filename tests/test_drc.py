@@ -79,12 +79,20 @@ def test_encode_rejects_wrong_shape():
 
 # -- memory modules ----------------------------------------------------------
 
+def memory_step(terms, c_prev, h_prev, h_below, pool):
+    """One depth's memory update with its own h below, h and pooled
+    projection, as `DrcNetwork.tick` runs it: one `convlstm_cell` op on the
+    depth's `gate_terms`."""
+    bases = (terms.fixed,) if terms.obs is None else (terms.obs, terms.fixed)
+    return ad.convlstm_cell([h_below, h_prev], terms.w_rec, bases, c_prev, pool, terms.w_pool)
+
+
 def test_convlstm_zero_weights_and_inputs():
     net = tiny_net(depth=1, repeats=1)
     zero_gate(net)
     z = Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32))
     pool = Tensor(np.zeros((1, 4), dtype=np.float32))
-    c, h = net.memory_step(net.gate_terms(0, z), z, z, z, pool)
+    c, h = memory_step(net.gate_terms(0, z), z, z, z, pool)
     # all-zero preactivations: every gate sits at 0.5, candidate tanh at 0
     np.testing.assert_array_equal(c.data, 0)
     np.testing.assert_array_equal(h.data, 0)
@@ -113,7 +121,7 @@ def test_convlstm_matches_scalar_hand_recurrence():
     i_t, c0, h0, below, pool = 0.8, -0.3, 0.25, 0.6, -0.45
     mk = lambda v: Tensor(np.full((1, 1, 1, 1), v, dtype=np.float64))
     pool_proj = Tensor(np.full((1, 1), pool, dtype=np.float64))  # (B, C), untiled
-    c, h = net.memory_step(net.gate_terms(0, mk(i_t)), mk(c0), mk(h0), mk(below), pool_proj)
+    c, h = memory_step(net.gate_terms(0, mk(i_t)), mk(c0), mk(h0), mk(below), pool_proj)
     c_ref, h_ref = scalar_convlstm_reference(weights, i_t, c0, h0, below, pool)
     assert c.data.item() == pytest.approx(c_ref, abs=1e-12)
     assert h.data.item() == pytest.approx(h_ref, abs=1e-12)
@@ -205,7 +213,7 @@ def test_topdown_skip_ablation_changes_outputs():
     off = tiny_net(depth=2, repeats=2, seed=3, top_down_skip=False)
     state_on = rand_state(on, seed=4)
     state_off = rand_state(off, seed=4)
-    i_t = on.encode(Tensor(rand_obs(on, seed=5)))
+    i_t = on.encode(rand_obs(on, seed=5))
     a = on.tick(state_on, on.step_terms(i_t))
     b = off.tick(state_off, off.step_terms(i_t))
     assert np.any(a.h[0].data != b.h[0].data)
@@ -217,7 +225,7 @@ def test_step_n1_equals_single_tick():
     net = tiny_net(depth=2, repeats=1)
     state, obs = rand_state(net), rand_obs(net)
     via_step, _, _ = net.forward(state, obs)
-    via_tick = net.tick(state, net.step_terms(net.encode(Tensor(obs))))
+    via_tick = net.tick(state, net.step_terms(net.encode(obs)))
     for got, want in zip(via_step.c + via_step.h, via_tick.c + via_tick.h):
         np.testing.assert_array_equal(got.data, want.data)
     np.testing.assert_array_equal(via_step.h[-1].data, via_tick.h[-1].data)
@@ -226,7 +234,7 @@ def test_step_n1_equals_single_tick():
 def test_step_n3_equals_manual_tick_loop_bit_identical():
     net = tiny_net(depth=2, repeats=3)
     state, obs = rand_state(net), rand_obs(net)
-    manual, terms = state, net.step_terms(net.encode(Tensor(obs)))
+    manual, terms = state, net.step_terms(net.encode(obs))
     for _ in range(3):
         manual = net.tick(manual, terms)
     stepped, _, _ = net.forward(state, obs)
@@ -256,7 +264,7 @@ def test_drc11_reduces_to_plain_convlstm():
     obs = rand_obs(net, seed=10)
     new_state, _, _ = net.forward(state, obs)
 
-    i_t = net.encode(Tensor(obs)).data.astype(np.float64)
+    i_t = net.encode(obs).data.astype(np.float64)
     h = state.h[0].data.astype(np.float64)
     c = state.c[0].data.astype(np.float64)
     w = gate_kernel(net, 0).astype(np.float64)
@@ -399,7 +407,7 @@ def test_repeats_touch_identical_parameter_set():
 def test_cell_state_growth_at_most_linear():
     net = tiny_net(depth=2, repeats=1, seed=8)
     state = net.zero_state(1)
-    terms = net.step_terms(net.encode(Tensor(rand_obs(net, seed=3) * 4)))
+    terms = net.step_terms(net.encode(rand_obs(net, seed=3) * 4))
     for ticks in range(1, 51):
         state = net.tick(state, terms)
         for c in state.c:
@@ -407,7 +415,7 @@ def test_cell_state_growth_at_most_linear():
 
 
 def test_full_network_gradient_check_subsampled():
-    # the exhaustive 20-seed run lives in the acceptance suite
+    # the exhaustive run is `drcplan gradcheck --seeds 20`
     err = full_drc_gradcheck(seed=0, entries_per_param=25)
     assert err < 1e-4
 

@@ -75,6 +75,15 @@ def test_rejects_unknown_mode_and_noops_without_a_noop_action(levels, net):
         run_episodes(grid, factories, force_noop_steps=1)
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_rejects_a_batch_size_below_one_before_any_environment_is_built(levels, net, batch_size):
+    def make():
+        pytest.fail("an environment was built")
+
+    with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+        run_episodes(net, [make] * 3, batch_size=batch_size)
+
+
 @pytest.mark.parametrize("protocol", [ev.evaluate, ev.thinking_steps_eval])
 def test_rejects_fewer_than_one_episode_per_level(monkeypatch, levels, net, protocol):
     monkeypatch.setattr(ev, "run_episodes", lambda *a, **k: pytest.fail("an episode ran"))

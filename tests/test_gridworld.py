@@ -1,10 +1,12 @@
 """Gridworld generation (rejection-sampled reachability) and dynamics."""
 
+import re
 from collections import deque
 
 import numpy as np
 import pytest
 
+from drcplan.envs import gridworld
 from drcplan.envs.gridworld import (GRIDWORLD12, GridworldConfig, GridworldEnv,
                                     generate_gridworld)
 
@@ -134,9 +136,23 @@ def test_episode_cap():
     assert env.steps <= 7 and (done or env.steps == 7)
 
 
-def test_generation_error_after_retry_bound():
+def test_generation_error_after_retry_bound(monkeypatch):
     # a board this full can never host both player and goal
-    cfg = GridworldConfig(size=4, obstacle_count=(30, 30), obstacle_side=(4, 4),
-                          max_generation_tries=5)
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(gridworld, "MAX_TRIES", 5)
+    cfg = GridworldConfig(size=4, obstacle_count=(30, 30), obstacle_side=(4, 4))
+    with pytest.raises(RuntimeError, match="^no reachable layout found after 5 tries"):
         generate_gridworld(0, cfg)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(size=1), "gridworld.size must be >= 2, got 1"),
+    (dict(obstacle_count=(5, 2)),
+     "gridworld.obstacle_count must be an inclusive range lo,hi with 0 <= lo <= hi, got (5, 2)"),
+    (dict(obstacle_side=(3,)),
+     "gridworld.obstacle_side must be an inclusive range lo,hi with 0 <= lo <= hi, got (3,)"),
+], ids=["size", "obstacle_count", "obstacle_side"])
+def test_a_config_built_in_python_is_checked_like_a_run_config(overrides, message):
+    """The checks `load_run_config` reports also hold for a config built
+    directly, before any layout is sampled."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GridworldEnv(0, GridworldConfig(**overrides))
