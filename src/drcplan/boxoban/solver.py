@@ -19,6 +19,20 @@ target no matter where the player stands, i.e. its push distance is
 infinite. This subsumes the non-target corner case and wall lines without
 targets. No other state is pruned, so a search that exhausts without hitting
 the node budget is a proof of unsolvability.
+
+To keep the Python work per expanded node small:
+- each board lists, per box cell, its statically legal pushes (player cell
+  and destination on the grid and floor, destination not dead) with their
+  change of the bound, so a push is tested only against the player's region
+  and the other boxes;
+- a heap entry is one int that sorts as (pushes + bound, -pushes, insertion
+  count), and the insertion count indexes a list of (boxes, player cell,
+  parent's count, push) records, which also holds the parent links;
+- the insertion filter keys states by the int `boxes << cell_bits | player
+  cell`, and a popped state is new only if its player cell lies in no region
+  already flooded for its box set: the region cache is the visited set.
+`tests/oracles.py` keeps the tuple-keyed search this one must reproduce
+node for node.
 """
 
 from __future__ import annotations
@@ -80,6 +94,18 @@ class _Board:
         for i in range(n):
             if (self.floor >> i) & 1 and self.dist[i] is None:
                 self.dead |= 1 << i
+        # per box cell, its statically legal pushes in direction order:
+        # (player cell bit, destination bit, bound change, (box, dir, player));
+        # both cells are on the grid and floor, and the destination is not dead
+        self.pushes = [[] for _ in range(n)]
+        for bi in range(n):
+            if self.dist[bi] is None:
+                continue
+            for d in range(4):
+                pi, ti = self.neighbor[bi][d ^ 1], self.neighbor[bi][d]
+                if pi < 0 or ti < 0 or not (self.floor >> pi) & 1 or self.dist[ti] is None:
+                    continue
+                self.pushes[bi].append((1 << pi, 1 << ti, self.dist[ti] - self.dist[bi], (bi, d, pi)))
 
     def _mask(self, cells):
         m = 0
@@ -89,17 +115,6 @@ class _Board:
 
     def idx(self, cell):
         return cell[0] * self.w + cell[1]
-
-    def flood(self, free, start_bit):
-        """All cells reachable from start through `free` cells."""
-        w, nc0, ncw, full = self.w, self.not_col0, self.not_colw, self.full
-        reach = start_bit
-        while True:
-            grown = (reach | ((reach & nc0) >> 1) | ((reach & ncw) << 1)
-                     | (reach >> w) | ((reach << w) & full)) & free | reach
-            if grown == reach:
-                return reach
-            reach = grown
 
     def _push_distances(self):
         """Per cell, the fewest pushes that bring a lone box there to a target.
@@ -126,10 +141,6 @@ class _Board:
         return dist
 
 
-def _lowest_bit_index(x):
-    return (x & -x).bit_length() - 1
-
-
 def solve_bfs(level, node_budget=200000):
     """Certify a level: solved (with actions), unsolvable, or out of budget."""
     if node_budget <= 0:
@@ -145,83 +156,89 @@ def solve_bfs(level, node_budget=200000):
 
     # States are deduplicated twice: a (boxes, player cell) filter at
     # insertion that keeps the fewest pushes seen, since A* can reach a state
-    # by a longer path first, and the exact (boxes, normalized reach region)
-    # key when a state is popped. Flood fills are cached per box
-    # configuration, so each distinct (boxes, region) pair is flooded once.
-    dist = board.dist
-    visited = set()
-    best_g = {(boxes0, player0): 0}
-    # heap entries: (pushes + bound, -pushes, insertion count, pushes, bound,
-    # boxes, player cell, parent key, (box, dir, player) push); among equal
+    # by a longer path first, and the exact (boxes, reach region) check when
+    # a state is popped. Each box configuration keeps the regions expanded
+    # with it, so each distinct (boxes, region) pair is flooded once.
+    cell_bits = (board.h * board.w - 1).bit_length()
+    # Heap order is (pushes + bound, -pushes, insertion count): among equal
     # totals the deeper state goes first, and the count makes the order
-    # deterministic
-    h0 = sum(dist[board.idx(c)] for c in level.boxes)
-    heap = [(h0, 0, 0, 0, h0, boxes0, player0, None, None)]
-    inserted = 1
-    parents = {}
+    # deterministic. At most `node_budget` states are expanded, so pushes
+    # stay <= node_budget, and each expansion inserts at most 4 per box; the
+    # field widths below hold any budget. The count indexes `states`.
+    g_bits = node_budget.bit_length()
+    g_top = (1 << g_bits) - 1
+    count_bits = (4 * len(level.boxes) * node_budget + 1).bit_length()
+    count_mask = (1 << count_bits) - 1
+    f_shift = g_bits + count_bits
+    h0 = sum(board.dist[board.idx(c)] for c in level.boxes)
+    heap = [(h0 << f_shift) | (g_top << count_bits)]
+    states = [(boxes0, player0, None, None)]
+    best_g = {boxes0 << cell_bits | player0: 0}
     region_cache = {}
+    pushes_from = board.pushes
+    floor, w, nc0, ncw = board.floor, board.w, board.not_col0, board.not_colw
+    heappop, heappush = heapq.heappop, heapq.heappush
     nodes = 0
 
-    def get_region(boxes, player_bit):
+    while heap:
+        entry = heappop(heap)
+        count = entry & count_mask
+        boxes, player, _, _ = states[count]
+        player_bit = 1 << player
         regions = region_cache.get(boxes)
         if regions is None:
             regions = region_cache[boxes] = []
-        for reg in regions:
-            if reg & player_bit:
-                return reg
-        reg = board.flood(board.floor & ~boxes, player_bit)
-        regions.append(reg)
-        return reg
-
-    goal_state = None
-    while heap:
-        _, _, _, g, h, boxes, player_idx, parent_key, push = heapq.heappop(heap)
-        reach = get_region(boxes, 1 << player_idx)
-        key = (boxes, 1 << _lowest_bit_index(reach))
-        if key in visited:
-            continue
-        visited.add(key)
-        parents[key] = (parent_key, push[0], push[1], push[2]) if push else None
+        else:
+            for reach in regions:
+                if reach & player_bit:
+                    break
+            else:
+                reach = 0
+            if reach:  # this (boxes, region) was expanded before
+                continue
+        free = floor & ~boxes
+        reach = player_bit
+        while True:  # bit-parallel flood fill through free cells
+            grown = (reach | ((reach & nc0) >> 1) | ((reach & ncw) << 1)
+                     | (reach >> w) | (reach << w)) & free
+            if grown == reach:
+                break
+            reach = grown
+        regions.append(reach)
+        g = g_top - ((entry >> count_bits) & g_top)
+        h = (entry >> f_shift) - g
         if h == 0:  # every box on a target
-            goal_state = key
             break
         nodes += 1
         if nodes > node_budget:
             return SolveResult(BUDGET_EXHAUSTED, nodes=nodes)
         ng = g + 1
+        ng_field = (g_top - ng) << count_bits
         rem = boxes
         while rem:
             b = rem & -rem
             rem ^= b
             bi = b.bit_length() - 1
-            for d in range(4):
-                pi = board.neighbor[bi][d ^ 1]  # player stands opposite the push
-                ti = board.neighbor[bi][d]      # box destination
-                if pi < 0 or ti < 0:
+            for player_need, t, dh, push in pushes_from[bi]:
+                if not (reach & player_need) or boxes & t:
                     continue
-                if not ((reach >> pi) & 1):
-                    continue
-                t = 1 << ti
-                if not (board.floor & t) or (boxes & t) or (board.dead & t):
-                    continue
-                nboxes = (boxes ^ b) | t
-                pre = (nboxes, bi)
+                nboxes = boxes ^ b | t
+                pre = nboxes << cell_bits | bi
                 if best_g.get(pre, ng + 1) <= ng:
                     continue
                 best_g[pre] = ng
-                nh = h - dist[bi] + dist[ti]
-                heapq.heappush(heap, (ng + nh, -ng, inserted, ng, nh, nboxes, bi, key, (bi, d, pi)))
-                inserted += 1
-    if goal_state is None:
+                heappush(heap, ((ng + h + dh) << f_shift) | ng_field | len(states))
+                states.append((nboxes, bi, count, push))
+    else:
         return SolveResult(UNSOLVABLE, nodes=nodes)
 
     pushes = []
-    key = goal_state
-    while parents[key] is not None:
-        key, bi, d, pi = parents[key]
-        pushes.append((bi, d, pi))
+    _, _, parent, push = states[count]
+    while push is not None:
+        pushes.append(push)
+        _, _, parent, push = states[parent]
     pushes.reverse()
-    actions = _expand_moves(board, boxes0, board.idx(level.player), pushes)
+    actions = _expand_moves(board, boxes0, player0, pushes)
     return SolveResult(SOLVED, Solution(actions, len(pushes)), nodes=nodes)
 
 

@@ -18,7 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .boxoban import (SOLVED, UniformRandomPolicy, filter_by_agent, generate_level_set,
-                      level_hash, parse_levels, play_scripted, serialize_levels, solve_bfs)
+                      level_hash, parse_levels, play_scripted, replay_solution, serialize_levels,
+                      solve_bfs)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_run_config
 from .drc import DrcNetwork, build_parameters, count_parameters, format_count_report
@@ -216,10 +217,13 @@ def cmd_verify_levels(args):
     levels = _load_levels(args.levels)
     solved = 0
     hashes = set()
-    for lv in levels.levels:
+    for level_id, lv in zip(levels.ids, levels.levels):
         res = solve_bfs(lv, node_budget=args.budget)
         if res.status == SOLVED:
-            solved += 1
+            if replay_solution(lv, res.solution.actions):
+                solved += 1
+            else:
+                print(f"level {level_id}: the solver's plan does not solve it")
         hashes.add(level_hash(lv))
     print(f"{solved}/{len(levels)} solvable within budget; "
           f"{len(hashes)} distinct hashes")

@@ -58,6 +58,18 @@ class MiniPacmanConfig:
     ghost_move_prob: float = 0.95
     edible_steps: int = 20
 
+    def __post_init__(self):
+        for name in ("n_ghosts", "n_pills", "edible_steps"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"minipacman.{name} must be >= 0, got {value}")
+        if not 0 <= self.ghost_move_prob <= 1:
+            raise ValueError(f"minipacman.ghost_move_prob must be in [0, 1], got {self.ghost_move_prob}")
+        # the player, each ghost and each pill start on a corridor cell of their own
+        if 1 + self.n_ghosts + self.n_pills > len(CORRIDORS):
+            raise ValueError(f"minipacman.n_ghosts + minipacman.n_pills must be <= {len(CORRIDORS) - 1}, "
+                             f"the corridor cells besides the player's, got {self.n_ghosts} + {self.n_pills}")
+
 
 def _corridors():
     return [(r, c) for r in range(HEIGHT) for c in range(WIDTH) if MAZE[r][c] == " "]

@@ -3,10 +3,16 @@
 Everything here is deliberately naive (explicit loops, direct summation) and
 shares no code with the library paths it checks, except `replay_reference`,
 which runs the actors' per-step forward to check the actors' taped unroll
-against.
+against, and `solve_bfs_reference`, which shares the solver's board geometry
+and plan expansion but runs its own search.
 """
 
+import heapq
+
 import numpy as np
+
+from drcplan.boxoban.solver import (BUDGET_EXHAUSTED, SOLVED, UNSOLVABLE, Solution,
+                                    SolveResult, _Board, _expand_moves)
 
 
 def _conv_geometry(h, wd, k, stride):
@@ -263,3 +269,99 @@ def replay_reference(net, state, obs, dones=None):
         if dones is not None and dones[t].any():
             state = state.scale(1.0 - dones[t].astype(np.float32))
     return state, logits_steps, values_steps
+
+
+def _flood_reference(board, free, start_bit):
+    """All cells reachable from start through `free` cells."""
+    w, nc0, ncw, full = board.w, board.not_col0, board.not_colw, board.full
+    reach = start_bit
+    while True:
+        grown = (reach | ((reach & nc0) >> 1) | ((reach & ncw) << 1)
+                 | (reach >> w) | ((reach << w) & full)) & free | reach
+        if grown == reach:
+            return reach
+        reach = grown
+
+
+def solve_bfs_reference(level, node_budget=200000):
+    """The A* push search `solve_bfs` must reproduce, with tuple heap
+    entries (pushes + bound, -pushes, insertion count, ...), tuple state
+    keys and one flood per (boxes, region) through a per-box-set cache.
+    Its status, node count and plan are the ones `solve_bfs` returns."""
+    if node_budget <= 0:
+        raise ValueError("node_budget must be positive")
+    board = _Board(level)
+    boxes0 = board._mask(level.boxes)
+    player0 = board.idx(level.player)
+    if boxes0 & ~board.targets == 0:
+        return SolveResult(SOLVED, Solution([], 0), nodes=0)
+    if boxes0 & board.dead:
+        return SolveResult(UNSOLVABLE, nodes=0)
+
+    dist = board.dist
+    visited = set()
+    best_g = {(boxes0, player0): 0}
+    h0 = sum(dist[board.idx(c)] for c in level.boxes)
+    heap = [(h0, 0, 0, 0, h0, boxes0, player0, None, None)]
+    inserted = 1
+    parents = {}
+    region_cache = {}
+    nodes = 0
+
+    def get_region(boxes, player_bit):
+        regions = region_cache.setdefault(boxes, [])
+        for reg in regions:
+            if reg & player_bit:
+                return reg
+        reg = _flood_reference(board, board.floor & ~boxes, player_bit)
+        regions.append(reg)
+        return reg
+
+    goal_state = None
+    while heap:
+        _, _, _, g, h, boxes, player_idx, parent_key, push = heapq.heappop(heap)
+        reach = get_region(boxes, 1 << player_idx)
+        key = (boxes, reach & -reach)
+        if key in visited:
+            continue
+        visited.add(key)
+        parents[key] = (parent_key, push)
+        if h == 0:
+            goal_state = key
+            break
+        nodes += 1
+        if nodes > node_budget:
+            return SolveResult(BUDGET_EXHAUSTED, nodes=nodes)
+        ng = g + 1
+        rem = boxes
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            bi = b.bit_length() - 1
+            for d in range(4):
+                pi = board.neighbor[bi][d ^ 1]
+                ti = board.neighbor[bi][d]
+                if pi < 0 or ti < 0 or not ((reach >> pi) & 1):
+                    continue
+                t = 1 << ti
+                if not (board.floor & t) or (boxes & t) or (board.dead & t):
+                    continue
+                nboxes = (boxes ^ b) | t
+                pre = (nboxes, bi)
+                if best_g.get(pre, ng + 1) <= ng:
+                    continue
+                best_g[pre] = ng
+                nh = h - dist[bi] + dist[ti]
+                heapq.heappush(heap, (ng + nh, -ng, inserted, ng, nh, nboxes, bi, key, (bi, d, pi)))
+                inserted += 1
+    if goal_state is None:
+        return SolveResult(UNSOLVABLE, nodes=nodes)
+
+    pushes = []
+    key = goal_state
+    while parents[key][1] is not None:
+        key, push = parents[key]
+        pushes.append(push)
+    pushes.reverse()
+    actions = _expand_moves(board, boxes0, player0, pushes)
+    return SolveResult(SOLVED, Solution(actions, len(pushes)), nodes=nodes)

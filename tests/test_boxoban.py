@@ -1,5 +1,6 @@
 """Level text format, hashing, the A* solver oracle, generation, filtering."""
 
+import heapq
 import re
 from functools import partial
 
@@ -11,7 +12,11 @@ from drcplan.boxoban import (BUDGET_EXHAUSTED, SOLVED, UNSOLVABLE, LevelSet,
                              generate_level, generate_level_set, level_hash,
                              parse_levels, play_scripted, replay_solution,
                              serialize_levels, solve_bfs)
+from drcplan.boxoban import solver
+from drcplan.boxoban.generator import _reverse_play_sample
 from drcplan.envs.sokoban_env import ACTION_NOOP
+
+import oracles
 
 
 def level_from(text):
@@ -178,8 +183,7 @@ def test_solver_single_forced_push():
     assert res.solution.pushes == 1
 
 
-def test_solver_corner_deadlock_unsolvable():
-    lvl = level_from("""\
+CORNER_DEADLOCK = """\
 ##########
 #$       #
 #  @   . #
@@ -189,13 +193,10 @@ def test_solver_corner_deadlock_unsolvable():
 #        #
 #        #
 #        #
-##########""")
-    assert solve_bfs(lvl).status == UNSOLVABLE
+##########"""
 
-
-def test_solver_wall_line_deadlock_unsolvable():
-    # box against the top wall, no target anywhere on that wall line
-    lvl = level_from("""\
+# box against the top wall, no target anywhere on that wall line
+WALL_LINE_DEADLOCK = """\
 ##########
 #   $    #
 #   @    #
@@ -205,8 +206,30 @@ def test_solver_wall_line_deadlock_unsolvable():
 #        #
 #        #
 #        #
-##########""")
-    assert solve_bfs(lvl).status == UNSOLVABLE
+##########"""
+
+
+# four boxes frozen in a 2x2 block: the search must try every place of the
+# fifth box before it proves the level unsolvable
+FROZEN_BLOCK = """\
+##########
+#        #
+# $$   . #
+# $$   . #
+#     $. #
+#      . #
+#      . #
+#  @     #
+#        #
+##########"""
+
+
+def test_solver_corner_deadlock_unsolvable():
+    assert solve_bfs(level_from(CORNER_DEADLOCK)).status == UNSOLVABLE
+
+
+def test_solver_wall_line_deadlock_unsolvable():
+    assert solve_bfs(level_from(WALL_LINE_DEADLOCK)).status == UNSOLVABLE
 
 
 def test_solver_budget_exhaustion_is_a_value():
@@ -233,6 +256,64 @@ def test_solver_solutions_replay_and_are_push_minimal_or_better():
         res = solve_bfs(lvl)
         assert res.status == SOLVED
         assert replay_solution(lvl, res.solution.actions)
+
+
+def _reference_levels():
+    """GOLDEN, the hand-made deadlocks and six unchecked reverse-play samples
+    per box count 1-5 (the degenerate ones, which come back as None, are
+    skipped)."""
+    levels = parse_levels(GOLDEN).levels + [
+        level_from(text) for text in (CORNER_DEADLOCK, WALL_LINE_DEADLOCK, FROZEN_BLOCK)]
+    rng = np.random.default_rng(0)
+    for boxes in range(1, 6):
+        samples = []
+        while len(samples) < 6:
+            level = _reverse_play_sample(rng, boxes)
+            if level is not None:
+                samples.append(level)
+        levels += samples
+    return levels
+
+
+class _CountingHeapq:
+    """`heapq` as a solver module sees it, counting heap insertions."""
+
+    heappop = staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.pushes = 0
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+
+def test_solver_runs_the_reference_search_node_for_node(monkeypatch):
+    """`solve_bfs` inserts and expands the same states in the same order as
+    the tuple-keyed search in `oracles`: same status, node count, plan and
+    number of heap insertions, at the CLI's 200k budget and at half the
+    nodes each level needs there. (Insertions are what the (boxes, player
+    cell) filter saves; without it the expansions would not change.)"""
+    counters = {}
+    for module in (solver, oracles):
+        counters[module] = _CountingHeapq()
+        monkeypatch.setattr(module, "heapq", counters[module])
+
+    def run(module, solve, level, budget):
+        counters[module].pushes = 0
+        res = solve(level, node_budget=budget)
+        plan = res.solution and (res.solution.pushes, res.solution.actions)
+        return res.status, res.nodes, plan, counters[module].pushes
+
+    exhausted = unsolvable_searched = 0
+    for level in _reference_levels():
+        full = run(oracles, oracles.solve_bfs_reference, level, 200000)
+        small = max(1, full[1] // 2)
+        for budget, want in ((200000, full), (small, run(oracles, oracles.solve_bfs_reference, level, small))):
+            assert run(solver, solve_bfs, level, budget) == want, (level, budget)
+            exhausted += want[0] == BUDGET_EXHAUSTED
+            unsolvable_searched += want[0] == UNSOLVABLE and want[1] > 0
+    assert exhausted >= 20 and unsolvable_searched == 1
 
 
 def test_generated_levels_certified_and_deterministic():

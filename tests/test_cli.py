@@ -58,6 +58,27 @@ def test_verify_levels_certifies_a_generated_file(setup, capsys):
     assert "6/6 solvable within budget; 6 distinct hashes" in capsys.readouterr().out
 
 
+def test_verify_levels_counts_only_plans_that_replay(setup, capsys, monkeypatch):
+    """A level counts as solvable only when the solver's plan solves it in
+    the environment; a plan that does not names its level and fails the run."""
+    levels = parse_levels(Path(setup["levels"]).read_text())
+    real = cli.solve_bfs
+
+    def wrong_plan_for_level_2(level, node_budget):
+        res = real(level, node_budget=node_budget)
+        if level == levels.levels[2]:
+            res.solution.actions = res.solution.actions[:-1]  # stops one push short
+        return res
+
+    monkeypatch.setattr(cli, "solve_bfs", wrong_plan_for_level_2)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify-levels", "--levels", setup["levels"]])
+    assert info.value.code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"level {levels.ids[2]}: the solver's plan does not solve it",
+                   "5/6 solvable within budget; 6 distinct hashes"]
+
+
 @pytest.mark.parametrize("mode", ["sample", "greedy"])
 def test_eval_reports_every_episode_within_the_step_limit(setup, tmp_path, mode):
     out = _run(setup, "eval", tmp_path, "--params", setup["params"], "--levels", setup["levels"],

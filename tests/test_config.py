@@ -7,6 +7,7 @@ import pytest
 from drcplan.config import load_run_config, parse_config_text
 from drcplan.drc import DrcConfig
 from drcplan.envs.gridworld import GRIDWORLD12
+from drcplan.envs.minipacman import MiniPacmanConfig
 
 
 def _load(tmp_path, text, **kw):
@@ -77,6 +78,24 @@ def test_impossible_gridworld_ranges_are_rejected(tmp_path, key, value):
     """Both are inclusive lo,hi ranges; each case used to fail only at the first env."""
     with pytest.raises(ValueError, match=f"^{key} must be an inclusive range lo,hi"):
         _load(tmp_path, f"game = gridworld12\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n_ghosts", -1, "minipacman.n_ghosts must be >= 0, got -1"),
+    ("n_pills", -3, "minipacman.n_pills must be >= 0, got -3"),
+    ("edible_steps", -1, "minipacman.edible_steps must be >= 0, got -1"),
+    ("ghost_move_prob", 7.0, "minipacman.ghost_move_prob must be in [0, 1], got 7.0"),
+    ("ghost_move_prob", -0.5, "minipacman.ghost_move_prob must be in [0, 1], got -0.5"),
+    ("n_pills", 1000, "minipacman.n_ghosts + minipacman.n_pills must be <= 143, "
+                      "the corridor cells besides the player's, got 2 + 1000"),
+])
+def test_impossible_minipacman_settings_are_rejected(tmp_path, field, value, message):
+    """Each used to play on: no ghosts for -1, a move probability of 7, or a
+    failure inside numpy's sampling when the maze had no room left."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MiniPacmanConfig(**{field: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _load(tmp_path, f"game = minipacman\nminipacman.{field} = {value}\n")
 
 
 def test_duplicate_key_is_rejected():
