@@ -13,26 +13,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..envs.base import DIRECTIONS
+from ..envs.base import DIRECTIONS, grid_search
 from .levels import GRID_SIZE, LevelSet, SokobanLevel, level_hash
 from .solver import SOLVED, solve_bfs
 
 
-def generate_level(seed, boxes=4, max_tries=100, node_budget=None):
+MAX_TRIES = 100  # samples drawn before generation gives up
+# solver nodes that certify a sample; above 5 boxes the push space is larger
+NODE_BUDGET = 25000
+NODE_BUDGET_OVER_5_BOXES = 150000
+
+
+def generate_level(seed, boxes=4):
     """One certified-solvable level with the given box count.
 
     Reverse play guarantees solvability, but certification is still run and
     samples the solver cannot certify within the node budget are discarded,
-    so every emitted level carries a within-budget solver certificate. High
-    box counts search a larger push space, hence the bigger default budget.
+    so every emitted level carries a within-budget solver certificate.
     Raises RuntimeError, naming the box count, the budget and why each sample
-    was rejected, when no sample of `max_tries` is accepted.
+    was rejected, when no sample of `MAX_TRIES` is accepted.
     """
-    if node_budget is None:
-        node_budget = 25000 if boxes <= 5 else 150000
+    node_budget = NODE_BUDGET if boxes <= 5 else NODE_BUDGET_OVER_5_BOXES
     rng = np.random.default_rng(seed)
     degenerate = 0
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         level = _reverse_play_sample(rng, boxes)
         if level is None:
             degenerate += 1
@@ -40,8 +44,8 @@ def generate_level(seed, boxes=4, max_tries=100, node_budget=None):
         if solve_bfs(level, node_budget=node_budget).status == SOLVED:
             return level
     raise RuntimeError(
-        f"level generation exhausted {max_tries} tries (seed={seed}, boxes={boxes}): "
-        f"{degenerate} samples were degenerate and {max_tries - degenerate} could not "
+        f"level generation exhausted {MAX_TRIES} tries (seed={seed}, boxes={boxes}): "
+        f"{degenerate} samples were degenerate and {MAX_TRIES - degenerate} could not "
         f"be certified within node_budget={node_budget}")
 
 
@@ -67,7 +71,7 @@ def _reverse_play_sample(rng, n_boxes):
     # tractable
     phases = n_boxes * int(rng.integers(2, 5) if n_boxes <= 5 else rng.integers(1, 3))
     for _ in range(phases):
-        reach = _player_reach(floor, boxes, player)
+        reach = grid_search(player, floor - boxes)
         options = []
         for b in boxes:
             for d, (dr, dc) in enumerate(DIRECTIONS):
@@ -101,19 +105,6 @@ def _reverse_play_sample(rng, n_boxes):
         return None
     walls = tuple(tuple((r, c) not in floor for c in range(GRID_SIZE)) for r in range(GRID_SIZE))
     return SokobanLevel(walls, targets, frozenset(boxes), player)
-
-
-def _player_reach(floor, boxes, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        r, c = stack.pop()
-        for dr, dc in DIRECTIONS:
-            nxt = (r + dr, c + dc)
-            if nxt in floor and nxt not in boxes and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 def _carve_floor(rng, min_floor=40, max_floor=54):

@@ -25,7 +25,8 @@ _VALID_CHARS = set("# .$@*+")
 
 @dataclass(frozen=True)
 class SokobanLevel:
-    """Static walls/targets plus the initial box and player placement."""
+    """Static walls/targets plus the initial box and player placement. The
+    border is all wall, so no move leaves the grid."""
 
     walls: tuple  # tuple of rows, each a tuple of bools
     targets: frozenset  # (row, col)
@@ -37,6 +38,10 @@ class SokobanLevel:
         for r, c in self.boxes | self.targets | {self.player}:
             if not (0 <= r < h and 0 <= c < w):
                 raise ValueError(f"cell ({r},{c}) outside {h}x{w} grid")
+        for r, row in enumerate(self.walls):
+            for c in range(w) if r in (0, h - 1) else (0, w - 1):
+                if not row[c]:
+                    raise ValueError(f"border cell ({r},{c}) is not a wall")
         if self.walls[self.player[0]][self.player[1]]:
             raise ValueError(f"player at {self.player} is inside a wall")
         for r, c in self.boxes | self.targets:
@@ -86,7 +91,9 @@ class SokobanLevel:
 
     @classmethod
     def from_lines(cls, lines, lineno=0):
-        """Parse a block of grid rows; `lineno` is used for error messages."""
+        """Parse a block of grid rows. `lineno` is the line of the level's
+        header: an error in one row names that row's line, any other error
+        the header's."""
         if len(lines) != GRID_SIZE:
             raise ValueError(f"line {lineno}: expected {GRID_SIZE} rows, got {len(lines)}")
         walls, targets, boxes = [], set(), set()
@@ -110,10 +117,11 @@ class SokobanLevel:
                     players += 1
             walls.append(tuple(row))
         if players != 1:
-            raise ValueError(f"line {lineno + 1}: level has {players} players, expected 1")
-        if len(boxes) != len(targets):
-            raise ValueError(f"line {lineno + 1}: {len(boxes)} boxes but {len(targets)} targets")
-        return cls(tuple(walls), frozenset(targets), frozenset(boxes), player)
+            raise ValueError(f"line {lineno}: level has {players} players, expected 1")
+        try:
+            return cls(tuple(walls), frozenset(targets), frozenset(boxes), player)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
 
 
 @dataclass

@@ -41,7 +41,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from ..envs.base import DIRECTIONS
+from ..envs.base import DIRECTIONS, grid_path, grid_search
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -243,39 +243,22 @@ def solve_bfs(level, node_budget=200000):
 
 
 def _expand_moves(board, boxes, player, pushes):
-    """Convert a push plan into player move actions via per-leg path BFS."""
+    """Convert a push plan into player move actions, walking each leg along
+    a `grid_search` path through the free cells."""
+    w = board.w
     actions = []
     for bi, d, pi in pushes:
         if player != pi:
-            actions.extend(_walk(board, boxes, player, pi))
+            free = board.floor & ~boxes
+            open_cells = {divmod(i, w) for i in range(free.bit_length()) if free >> i & 1}
+            path = grid_path(grid_search(divmod(player, w), open_cells), divmod(pi, w))
+            if path is None:
+                raise RuntimeError("push plan references an unreachable player cell")
+            actions.extend(path)
         actions.append(d)
         boxes = (boxes ^ (1 << bi)) | (1 << board.neighbor[bi][d])
         player = bi
     return actions
-
-
-def _walk(board, boxes, start, goal):
-    free = board.floor & ~boxes
-    prev = {start: None}
-    q = deque([start])
-    while q:
-        cur = q.popleft()
-        if cur == goal:
-            break
-        for d in range(4):
-            nxt = board.neighbor[cur][d]
-            if nxt >= 0 and ((free >> nxt) & 1) and nxt not in prev:
-                prev[nxt] = (cur, d)
-                q.append(nxt)
-    if goal not in prev:
-        raise RuntimeError("push plan references an unreachable player cell")
-    path = []
-    cur = goal
-    while prev[cur] is not None:
-        cur, d = prev[cur]
-        path.append(d)
-    path.reverse()
-    return path
 
 
 def replay_solution(level, actions):

@@ -1,8 +1,14 @@
-"""Shared environment protocol.
+"""What the grid games and the Boxoban tools share.
 
-Environments are deterministic functions of (seed, action sequence): any
-stochasticity comes from a generator owned by the instance and seeded at
-construction. Observations are float32 arrays in [0, 1], laid out H x W x C.
+- `Env`, the environment protocol. Environments are deterministic functions
+  of (seed, action sequence): any stochasticity comes from a generator owned
+  by the instance and seeded at construction. Observations are float32
+  arrays in [0, 1], laid out H x W x C.
+- `DIRECTIONS`, the four moves of a grid, whose index is the move's action
+  id in every game.
+- `grid_search` and `grid_path`, the one breadth-first search over
+  4-connected cells: Gridworld's and the level generator's reach checks,
+  Boxworld's scripted solver and the Sokoban solver's player walks.
 """
 
 from __future__ import annotations
@@ -78,3 +84,39 @@ class Env:
 
 # row/col deltas shared by the grid games: up, down, left, right
 DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+# (action, row delta, col delta): flat triples keep `grid_search`'s inner
+# loop as fast as the hand-written searches it replaced
+_MOVES = tuple((action, dr, dc) for action, (dr, dc) in enumerate(DIRECTIONS))
+
+
+def grid_search(start, open_cells):
+    """Breadth-first search from `start` through the cells in `open_cells`.
+
+    Returns a map from each reached cell to (previous cell, action), with
+    `start` mapped to None. Neighbours are tried in `DIRECTIONS` order, so
+    the path to each cell is, of its shortest paths, the one whose action
+    list sorts first.
+    """
+    parents = {start: None}
+    frontier = [start]
+    for cell in frontier:  # the list grows as it is read: a FIFO queue
+        r, c = cell
+        for action, dr, dc in _MOVES:
+            nxt = (r + dr, c + dc)
+            if nxt in open_cells and nxt not in parents:
+                parents[nxt] = (cell, action)
+                frontier.append(nxt)
+    return parents
+
+
+def grid_path(parents, goal):
+    """The actions that walk a `grid_search` map's start to `goal`, or None
+    if the search did not reach it."""
+    if goal not in parents:
+        return None
+    path = []
+    while parents[goal] is not None:
+        goal, action = parents[goal]
+        path.append(action)
+    path.reverse()
+    return path

@@ -16,14 +16,14 @@ is emitted, so every level is solvable by construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DIRECTIONS, Env
+from .base import DIRECTIONS, Env, grid_path, grid_search
 
 SIZE = 14  # full observation, including the 1-pixel border
+INTERIOR = frozenset((r, c) for r in range(1, SIZE - 1) for c in range(1, SIZE - 1))
 
 # saturated, pairwise-distinct key colours
 PALETTE = (
@@ -162,9 +162,8 @@ class BoxworldEnv(Env):
         self._check_step(action)
         reward = 0.0
         dr, dc = DIRECTIONS[action]
-        nr, nc = self.agent[0] + dr, self.agent[1] + dc
-        dest = (nr, nc)
-        if 1 <= nr < SIZE - 1 and 1 <= nc < SIZE - 1:
+        dest = (self.agent[0] + dr, self.agent[1] + dc)
+        if dest in INTERIOR:
             if dest in self.locks:
                 i = self.locks[dest]
                 box = self.level.boxes[i]
@@ -214,27 +213,6 @@ class BoxworldEnv(Env):
         return obs
 
 
-def _bfs_path(blocked, start, goal):
-    """Shortest action sequence between interior cells, or None."""
-    if start == goal:
-        return []
-    seen = {start}
-    q = deque([(start, [])])
-    while q:
-        pos, path = q.popleft()
-        for a, (dr, dc) in enumerate(DIRECTIONS):
-            nxt = (pos[0] + dr, pos[1] + dc)
-            if not (1 <= nxt[0] < SIZE - 1 and 1 <= nxt[1] < SIZE - 1):
-                continue
-            if nxt == goal:
-                return path + [a]
-            if nxt in blocked or nxt in seen:
-                continue
-            seen.add(nxt)
-            q.append((nxt, path + [a]))
-    return None
-
-
 def solve_scripted(level):
     """Follow the solution chain; returns the action list or None if stuck."""
     env = BoxworldEnv(level)
@@ -245,7 +223,7 @@ def solve_scripted(level):
         if env.gem_pos is not None:
             blocked.add(env.gem_pos)
         blocked.discard(goal)
-        path = _bfs_path(blocked, env.agent, goal)
+        path = grid_path(grid_search(env.agent, INTERIOR - blocked), goal)
         if path is None:
             return False
         for a in path:

@@ -12,12 +12,11 @@ player 0.25.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DIRECTIONS, Env
+from .base import DIRECTIONS, Env, grid_search
 
 EMPTY_VALUE, OBSTACLE_VALUE, GOAL_VALUE, PLAYER_VALUE = 0.0, 1.0, 0.5, 0.25
 MAX_TRIES = 1000  # layouts sampled before generation gives up
@@ -50,22 +49,6 @@ class GridworldLayout:
     goal: tuple
 
 
-def _reachable(obstacles, start, goal):
-    size = len(obstacles)
-    seen = {start}
-    q = deque([start])
-    while q:
-        pos = q.popleft()
-        if pos == goal:
-            return True
-        for dr, dc in DIRECTIONS:
-            nr, nc = pos[0] + dr, pos[1] + dc
-            if 0 <= nr < size and 0 <= nc < size and not obstacles[nr][nc] and (nr, nc) not in seen:
-                seen.add((nr, nc))
-                q.append((nr, nc))
-    return False
-
-
 def generate_gridworld(seed, config=GridworldConfig()):
     """Rejection-sample a layout whose goal is reachable from the player;
     raises RuntimeError after `MAX_TRIES` layouts without one."""
@@ -80,14 +63,13 @@ def generate_gridworld(seed, config=GridworldConfig()):
             r = int(rng.integers(0, size - side + 1))
             c = int(rng.integers(0, size - side + 1))
             grid[r:r + side, c:c + side] = True
-        empty = np.argwhere(~grid)
+        empty = list(map(tuple, np.argwhere(~grid).tolist()))
         if len(empty) < 2:
             continue
         pick = rng.choice(len(empty), size=2, replace=False)
-        player = tuple(int(x) for x in empty[pick[0]])
-        goal = tuple(int(x) for x in empty[pick[1]])
-        obstacles = tuple(tuple(bool(v) for v in row) for row in grid)
-        if _reachable(obstacles, player, goal):
+        player, goal = empty[pick[0]], empty[pick[1]]
+        if goal in grid_search(player, set(empty)):
+            obstacles = tuple(tuple(bool(v) for v in row) for row in grid)
             return GridworldLayout(obstacles, player, goal)
     raise RuntimeError(f"no reachable layout found after {MAX_TRIES} tries (seed={seed})")
 

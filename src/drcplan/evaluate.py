@@ -133,7 +133,8 @@ def extrapolate_boxes(net, box_counts=(4, 5, 6, 7), levels_per_count=100, seed=0
                       mode="sample", step_limit=None, batch_size=64):
     """Solve rates on freshly generated certified levels per box count.
 
-    Reports include the degradation relative to the 4-box baseline.
+    Reports include the degradation relative to the first requested count:
+    `degradation_vs_base[n]` is that count's solved fraction minus n's.
     """
     reports = {}
     for n in box_counts:

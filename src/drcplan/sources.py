@@ -7,6 +7,8 @@ a training run is reproducible from its config alone.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .envs import (BoxworldEnv, GridworldConfig, GridworldEnv, MiniPacmanConfig,
@@ -31,52 +33,38 @@ class SokobanSource:
         return SokobanEnv(self.levels[self._order.pop()], step_limit=self.step_limit)
 
 
-class GridworldSource:
-    def __init__(self, seed, config=GridworldConfig(), step_limit=None):
+class SeededSource:
+    """Builds each env with `make(env_seed, step_limit=...)`, drawing the env
+    seeds from its own RNG."""
+
+    def __init__(self, seed, make, step_limit=None):
         self.rng = np.random.default_rng(seed)
-        self.config = config
+        self.make = make
         self.step_limit = step_limit
 
     def next_env(self):
-        return GridworldEnv(int(self.rng.integers(0, 2 ** 62)), self.config, self.step_limit)
+        return self.make(int(self.rng.integers(0, 2 ** 62)), step_limit=self.step_limit)
 
 
-class BoxworldSource:
-    def __init__(self, seed, step_limit=None):
-        self.rng = np.random.default_rng(seed)
-        self.step_limit = step_limit
-
-    def next_env(self):
-        return BoxworldEnv(generate_boxworld(int(self.rng.integers(0, 2 ** 62))), self.step_limit)
-
-
-class MiniPacmanSource:
-    def __init__(self, seed, config=MiniPacmanConfig(), step_limit=None):
-        self.rng = np.random.default_rng(seed)
-        self.config = config
-        self.step_limit = step_limit
-
-    def next_env(self):
-        return MiniPacmanEnv(int(self.rng.integers(0, 2 ** 62)), self.config, self.step_limit)
+# the benchmark's tracer wraps `next_env` under this name
+GridworldSource = SeededSource
 
 
 def source_factory(game, *, levels=None, gridworld_config=None, minipacman_config=None,
                    step_limit=None):
-    """Build a (seed, actor_index) -> source callable for the Trainer."""
-    if game == "sokoban" and levels is None:
-        raise ValueError("sokoban training needs a level set: set data.levels in the run config")
-    def make(seed, actor_index):
-        stream = [seed, 7919, actor_index]
-        if game == "sokoban":
-            return SokobanSource(levels, stream, step_limit=step_limit)
-        if game == "gridworld":
-            return GridworldSource(stream, gridworld_config or GridworldConfig(), step_limit)
-        if game == "gridworld12":
-            return GridworldSource(stream, gridworld_config or GRIDWORLD12, step_limit)
-        if game == "boxworld":
-            return BoxworldSource(stream, step_limit)
-        if game == "minipacman":
-            return MiniPacmanSource(stream, minipacman_config or MiniPacmanConfig(), step_limit)
+    """Build a (seed, actor_index) -> source callable for the Trainer; an
+    unknown game, or Sokoban without a level set, fails here."""
+    makers = {
+        "gridworld": partial(GridworldEnv, config=gridworld_config or GridworldConfig()),
+        "gridworld12": partial(GridworldEnv, config=gridworld_config or GRIDWORLD12),
+        "boxworld": lambda env_seed, step_limit: BoxworldEnv(generate_boxworld(env_seed), step_limit),
+        "minipacman": partial(MiniPacmanEnv, config=minipacman_config or MiniPacmanConfig()),
+    }
+    if game == "sokoban":
+        if levels is None:
+            raise ValueError("sokoban training needs a level set: set data.levels in the run config")
+        return lambda seed, actor_index: SokobanSource(levels, [seed, 7919, actor_index], step_limit)
+    if game not in makers:
         raise ValueError(f"unknown game {game!r}")
-
-    return make
+    make = makers[game]
+    return lambda seed, actor_index: SeededSource([seed, 7919, actor_index], make, step_limit)

@@ -12,7 +12,7 @@ from drcplan.boxoban import (BUDGET_EXHAUSTED, SOLVED, UNSOLVABLE, LevelSet,
                              generate_level, generate_level_set, level_hash,
                              parse_levels, play_scripted, replay_solution,
                              serialize_levels, solve_bfs)
-from drcplan.boxoban import solver
+from drcplan.boxoban import generator, solver
 from drcplan.boxoban.generator import _reverse_play_sample
 from drcplan.envs.sokoban_env import ACTION_NOOP
 
@@ -85,6 +85,19 @@ def test_parse_error_wrong_dimensions():
     bad = GOLDEN.replace("##########\n#@ $ .   #", "##########\n#@ $ .  #", 1)
     with pytest.raises(ValueError, match="expected 10 characters"):
         parse_levels(bad)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({22: "         #"}, "border cell (8,0) is not a wall"),
+    ({16: "# @      #", 17: "#        #", 18: "#        #", 19: "#        #"},
+     "level has no boxes"),
+])
+def test_parse_error_in_a_level_names_its_header_line(rows, message):
+    lines = GOLDEN.split("\n")  # level 1's header is line 13
+    for n, row in rows.items():
+        lines[n - 1] = row
+    with pytest.raises(ValueError, match=f"^line 13: {re.escape(message)}$"):
+        parse_levels("\n".join(lines))
 
 
 @pytest.mark.parametrize("rows", [9, 4])
@@ -338,10 +351,12 @@ def test_generate_extrapolation_box_counts():
         assert solve_bfs(lvl).status == SOLVED
 
 
-def test_generate_level_failure_names_its_cause():
+def test_generate_level_failure_names_its_cause(monkeypatch):
     # one expansion cannot certify a level whose four boxes all need a push
+    monkeypatch.setattr(generator, "MAX_TRIES", 3)
+    monkeypatch.setattr(generator, "NODE_BUDGET", 1)
     with pytest.raises(RuntimeError) as info:
-        generate_level(5, max_tries=3, node_budget=1)
+        generate_level(5)
     m = re.search(r"boxes=4\): (\d+) samples were degenerate and (\d+) could not "
                   r"be certified within node_budget=1$", str(info.value))
     assert m and int(m[1]) + int(m[2]) == 3 and int(m[2]) > 0

@@ -1,6 +1,6 @@
 """Every public function of `drcplan.autodiff` has a caller in `src`, and
-every public function, class and method of `src` is named somewhere else in
-`src` or in the benchmark (`perfbench/`).
+every function, class and method of `src`, public or private, is named
+somewhere else in `src` or in the benchmark (`perfbench/`).
 
 No linter runs on this project, so these scans are the check. An op counts as
 used when another `src` module refers to it (as `ad.<op>`, `autodiff.<op>`
@@ -103,20 +103,25 @@ def names_named(tree):
     return named
 
 
-def public_definitions(tree):
-    """The module's public functions and classes, and their public methods."""
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree):
+    """The module's top-level functions and classes, public or private, and
+    their methods but the dunder ones, which Python calls by protocol."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
-                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    if isinstance(method, ast.FunctionDef) and not is_dunder(method.name):
                         yield f"{node.name}.{method.name}", method
 
 
 def unnamed_definitions():
-    """`module:definition` for each public definition in `src` that no code
-    outside its own body names."""
+    """`module:definition` for each definition in `src` that no code outside
+    its own body names."""
     paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in paths}
     named = sum((names_named(tree) for tree in trees.values()), Counter())
@@ -124,7 +129,7 @@ def unnamed_definitions():
     for path, tree in trees.items():
         if SRC not in path.parents:
             continue
-        for label, node in public_definitions(tree):
+        for label, node in definitions(tree):
             if path == AUTODIFF and node.name in REFERENCE_OPS:
                 continue
             if named[node.name] == names_named(node)[node.name]:
@@ -132,5 +137,5 @@ def unnamed_definitions():
     return unnamed
 
 
-def test_every_public_definition_in_src_is_named_outside_itself():
+def test_every_definition_in_src_is_named_outside_itself():
     assert unnamed_definitions() == []

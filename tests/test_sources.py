@@ -98,3 +98,8 @@ def test_the_games_preset_fits_its_envs(game):
     with pytest.raises(ValueError, match="out of range"):
         env.step(preset.action_count)
     assert env.step(preset.action_count - 1).obs.shape == preset.obs_shape
+
+
+def test_an_unknown_game_fails_when_the_factory_is_built():
+    with pytest.raises(ValueError, match="^unknown game 'chess'$"):
+        source_factory("chess")
