@@ -6,25 +6,39 @@ sequences. Boards are encoded as integers with one bit per cell, which keeps
 reachability flood fills and state hashing cheap.
 
 States are expanded in order of pushes so far plus a lower bound on the
-pushes still needed: the sum, over boxes, of each box's static push distance
-to its nearest target (a reverse push BFS from the targets that ignores other
-boxes and the player). One push moves one box one cell, so the bound drops by
-at most one per push; it is consistent, and the first time a state is
-expanded its push count is optimal (Junghanns & Schaeffer, "Sokoban:
-enhancing general single-agent search methods using domain knowledge",
-AIJ 2001).
+pushes still needed: the minimum-matching bound of Junghanns & Schaeffer
+("Sokoban: enhancing general single-agent search methods using domain
+knowledge", AIJ 2001). Each target gets a reverse push BFS that ignores
+other boxes and the player, giving d(x, t), the fewest pushes that bring a
+lone box from cell x to target t. The bound of a box set is the cheapest
+assignment of its boxes to distinct targets under d, found by a dynamic
+programme over sets of targets and computed once per box set and search.
 
-Static deadlock pruning: a cell is dead when a box on it can never reach any
-target no matter where the player stands, i.e. its push distance is
-infinite. This subsumes the non-target corner case and wall lines without
-targets. No other state is pruned, so a search that exhausts without hitting
-the node budget is a proof of unsolvability.
+The bound is consistent. A push moves one box one cell, from x to x', and
+d(x, t) <= 1 + d(x', t) for every target t, since the push followed by the
+best pushes from x' reaches t. So every assignment of the child costs at
+least its parent's same assignment minus one, and so does the cheapest. The
+first time a state is expanded its push count is therefore optimal, and
+the first goal popped is push-optimal.
+
+Pruning. A cell is dead when no target is reachable from it (d infinite for
+every target), which subsumes the non-target corner case and wall lines
+without targets; no push onto a dead cell is generated. A box set with no
+assignment of finite cost, say two boxes that can only reach the same one
+target, cannot be solved: in a solution each box ends on its own target,
+and the pushes that bring it there are legal for a lone box too, so that
+assignment would cost a finite number of pushes. Such a child is not
+inserted, and such a start is unsolvable without a search. No other state
+is pruned, so a search that exhausts without hitting the node budget is a
+proof of unsolvability.
 
 To keep the Python work per expanded node small:
 - each board lists, per box cell, its statically legal pushes (player cell
-  and destination on the grid and floor, destination not dead) with their
-  change of the bound, so a push is tested only against the player's region
-  and the other boxes;
+  and destination on the grid and floor, destination not dead), so a push
+  is tested only against the player's region and the other boxes;
+- a box set is matched as its moved box plus the other boxes, whose
+  cheapest assignments to each set of targets are kept: the children that
+  move one box of a state share that table, and each child adds one box;
 - a heap entry is one int that sorts as (pushes + bound, -pushes, insertion
   count), and the insertion count indexes a list of (boxes, player cell,
   parent's count, push) records, which also holds the parent links;
@@ -32,7 +46,8 @@ To keep the Python work per expanded node small:
   cell`, and a popped state is new only if its player cell lies in no region
   already flooded for its box set: the region cache is the visited set.
 `tests/oracles.py` keeps the tuple-keyed search this one must reproduce
-node for node.
+node for node, with its own push distances and a bound found by trying
+every permutation of the targets.
 """
 
 from __future__ import annotations
@@ -81,31 +96,28 @@ class _Board:
             not_colw &= ~(1 << (r * self.w + self.w - 1))
         self.not_col0 = not_col0
         self.not_colw = not_colw
-        # neighbor index per (cell, direction), -1 when off-grid
-        self.neighbor = [[-1] * 4 for _ in range(n)]
-        for r in range(self.h):
-            for c in range(self.w):
-                for d, (dr, dc) in enumerate(DIRECTIONS):
-                    nr, nc = r + dr, c + dc
-                    if 0 <= nr < self.h and 0 <= nc < self.w:
-                        self.neighbor[r * self.w + c][d] = nr * self.w + nc
-        self.dist = self._push_distances()
-        self.dead = 0
-        for i in range(n):
-            if (self.floor >> i) & 1 and self.dist[i] is None:
-                self.dead |= 1 << i
+        # cell index step per direction; the border is all wall, so a step
+        # from a floor cell stays on the grid
+        self.step = tuple(dr * self.w + dc for dr, dc in DIRECTIONS)
+        # one reverse push BFS per target; per cell, (1 << k, pushes) for
+        # each target k (in cell order) that a lone box there can reach; a
+        # cell with none is dead
+        self.to_targets = [[] for _ in range(n)]
+        targets = [i for i in range(n) if (self.targets >> i) & 1]
+        for k, target in enumerate(targets):
+            for i, d in self._push_distances(target).items():
+                self.to_targets[i].append((1 << k, d))
         # per box cell, its statically legal pushes in direction order:
-        # (player cell bit, destination bit, bound change, (box, dir, player));
-        # both cells are on the grid and floor, and the destination is not dead
+        # (player cell bit, destination bit, (box, dir, player)); both cells
+        # are floor, and the destination is not dead
         self.pushes = [[] for _ in range(n)]
         for bi in range(n):
-            if self.dist[bi] is None:
+            if not self.to_targets[bi]:
                 continue
-            for d in range(4):
-                pi, ti = self.neighbor[bi][d ^ 1], self.neighbor[bi][d]
-                if pi < 0 or ti < 0 or not (self.floor >> pi) & 1 or self.dist[ti] is None:
-                    continue
-                self.pushes[bi].append((1 << pi, 1 << ti, self.dist[ti] - self.dist[bi], (bi, d, pi)))
+            for d, s in enumerate(self.step):
+                pi, ti = bi - s, bi + s
+                if (self.floor >> pi) & 1 and self.to_targets[ti]:
+                    self.pushes[bi].append((1 << pi, 1 << ti, (bi, d, pi)))
 
     def _mask(self, cells):
         m = 0
@@ -116,29 +128,70 @@ class _Board:
     def idx(self, cell):
         return cell[0] * self.w + cell[1]
 
-    def _push_distances(self):
-        """Per cell, the fewest pushes that bring a lone box there to a target.
-
-        None marks a cell from which a box can never reach any target.
-        """
-        dist = [None] * (self.h * self.w)
-        frontier = deque()
-        for i in range(self.h * self.w):
-            if (self.targets >> i) & 1:
-                dist[i] = 0
-                frontier.append(i)
+    def _push_distances(self, target):
+        """Per cell from which a lone box can reach `target`, the fewest
+        pushes that bring it there."""
+        dist = {target: 0}
+        frontier = deque([target])
         while frontier:
             y = frontier.popleft()
-            for d in range(4):
-                x = self.neighbor[y][d ^ 1]  # cell pushed toward y along d
-                if x < 0 or not ((self.floor >> x) & 1) or dist[x] is not None:
-                    continue
-                p = self.neighbor[x][d ^ 1]  # player cell behind the box
-                if p < 0 or not ((self.floor >> p) & 1):
-                    continue
-                dist[x] = dist[y] + 1
-                frontier.append(x)
+            for s in self.step:
+                x = y - s  # a box here is pushed onto y by a player on x - s
+                if x not in dist and (self.floor >> x) & 1 and (self.floor >> (x - s)) & 1:
+                    dist[x] = dist[y] + 1
+                    frontier.append(x)
         return dist
+
+
+class _Matching:
+    """Matching bounds for one search, cached per box mask in `bounds`.
+
+    A box set's bound is the fewest pushes of any assignment of its boxes to
+    distinct targets, each box costing its static push distance to its
+    target; None when no assignment has every distance finite. A box set is
+    matched as one box on `cell` plus the `others`, whose cheapest
+    assignments to each set of targets are kept per mask: the children that
+    move the same box of a state share them.
+    """
+
+    def __init__(self, board):
+        self.to_targets = board.to_targets
+        self.all_targets = (1 << board.targets.bit_count()) - 1
+        self.bounds = {}
+        self._rest = {}
+
+    def bound(self, boxes, others, cell):
+        """The bound of `boxes`, which is `others` plus a box on `cell`;
+        also stored in `bounds`."""
+        rest = self._rest.get(others)
+        if rest is None:
+            rest = self._rest[others] = self._assignments(others)
+        h = None
+        for t, d in self.to_targets[cell]:
+            c = rest.get(self.all_targets ^ t)
+            if c is not None and (h is None or c + d < h):
+                h = c + d
+        self.bounds[boxes] = h
+        return h
+
+    def _assignments(self, boxes):
+        """Per set of targets (a mask of target bits), the cheapest
+        assignment of `boxes` to exactly those targets: a dynamic programme
+        that adds the boxes in cell order."""
+        cost = {0: 0}
+        while boxes:
+            b = boxes & -boxes
+            boxes ^= b
+            pairs = self.to_targets[b.bit_length() - 1]
+            nxt = {}
+            for used, c in cost.items():
+                for t, d in pairs:
+                    if not used & t:
+                        key = used | t
+                        if key not in nxt or nxt[key] > c + d:
+                            nxt[key] = c + d
+            cost = nxt
+        return cost
 
 
 def solve_bfs(level, node_budget=200000):
@@ -151,7 +204,10 @@ def solve_bfs(level, node_budget=200000):
 
     if boxes0 & ~board.targets == 0:
         return SolveResult(SOLVED, Solution([], 0), nodes=0)
-    if boxes0 & board.dead:
+    matching = _Matching(board)
+    low = boxes0 & -boxes0
+    h0 = matching.bound(boxes0, boxes0 ^ low, low.bit_length() - 1)
+    if h0 is None:
         return SolveResult(UNSOLVABLE, nodes=0)
 
     # States are deduplicated twice: a (boxes, player cell) filter at
@@ -170,11 +226,11 @@ def solve_bfs(level, node_budget=200000):
     count_bits = (4 * len(level.boxes) * node_budget + 1).bit_length()
     count_mask = (1 << count_bits) - 1
     f_shift = g_bits + count_bits
-    h0 = sum(board.dist[board.idx(c)] for c in level.boxes)
     heap = [(h0 << f_shift) | (g_top << count_bits)]
     states = [(boxes0, player0, None, None)]
     best_g = {boxes0 << cell_bits | player0: 0}
     region_cache = {}
+    bounds, bound_of = matching.bounds, matching.bound
     pushes_from = board.pushes
     floor, w, nc0, ncw = board.floor, board.w, board.not_col0, board.not_colw
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -219,7 +275,7 @@ def solve_bfs(level, node_budget=200000):
             b = rem & -rem
             rem ^= b
             bi = b.bit_length() - 1
-            for player_need, t, dh, push in pushes_from[bi]:
+            for player_need, t, push in pushes_from[bi]:
                 if not (reach & player_need) or boxes & t:
                     continue
                 nboxes = boxes ^ b | t
@@ -227,7 +283,12 @@ def solve_bfs(level, node_budget=200000):
                 if best_g.get(pre, ng + 1) <= ng:
                     continue
                 best_g[pre] = ng
-                heappush(heap, ((ng + h + dh) << f_shift) | ng_field | len(states))
+                nh = bounds.get(nboxes, -1)
+                if nh == -1:
+                    nh = bound_of(nboxes, boxes ^ b, t.bit_length() - 1)
+                if nh is None:  # no box-target matching: unsolvable
+                    continue
+                heappush(heap, ((ng + nh) << f_shift) | ng_field | len(states))
                 states.append((nboxes, bi, count, push))
     else:
         return SolveResult(UNSOLVABLE, nodes=nodes)
@@ -256,7 +317,7 @@ def _expand_moves(board, boxes, player, pushes):
                 raise RuntimeError("push plan references an unreachable player cell")
             actions.extend(path)
         actions.append(d)
-        boxes = (boxes ^ (1 << bi)) | (1 << board.neighbor[bi][d])
+        boxes = (boxes ^ (1 << bi)) | (1 << (bi + board.step[d]))
         player = bi
     return actions
 

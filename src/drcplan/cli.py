@@ -219,11 +219,12 @@ def cmd_verify_levels(args):
     hashes = set()
     for level_id, lv in zip(levels.ids, levels.levels):
         res = solve_bfs(lv, node_budget=args.budget)
-        if res.status == SOLVED:
-            if replay_solution(lv, res.solution.actions):
-                solved += 1
-            else:
-                print(f"level {level_id}: the solver's plan does not solve it")
+        if res.status != SOLVED:
+            print(f"level {level_id}: {res.status} after {res.nodes} nodes")
+        elif replay_solution(lv, res.solution.actions):
+            solved += 1
+        else:
+            print(f"level {level_id}: the solver's plan does not solve it")
         hashes.add(level_hash(lv))
     print(f"{solved}/{len(levels)} solvable within budget; "
           f"{len(hashes)} distinct hashes")

@@ -4,10 +4,12 @@ Everything here is deliberately naive (explicit loops, direct summation) and
 shares no code with the library paths it checks, except `replay_reference`,
 which runs the actors' per-step forward to check the actors' taped unroll
 against, and `solve_bfs_reference`, which shares the solver's board geometry
-and plan expansion but runs its own search.
+and plan expansion but runs its own search with its own push distances and
+matching bound.
 """
 
 import heapq
+import itertools
 
 import numpy as np
 
@@ -283,11 +285,46 @@ def _flood_reference(board, free, start_bit):
         reach = grown
 
 
+def push_distances_reference(level):
+    """Per target, in sorted order, a dict from cell to the fewest pushes
+    that bring a lone box on that cell to the target, found by a
+    breadth-first search of reverse pushes over (row, col) cells."""
+    floor = {(r, c) for r in range(level.height) for c in range(level.width)
+             if not level.walls[r][c]}
+    tables = []
+    for target in sorted(level.targets):
+        dist = {target: 0}
+        frontier = [target]
+        for cell in frontier:  # grows while it is read: FIFO order
+            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                box = (cell[0] - dr, cell[1] - dc)  # pushed along (dr, dc) onto cell
+                player = (box[0] - dr, box[1] - dc)
+                if box in floor and player in floor and box not in dist:
+                    dist[box] = dist[cell] + 1
+                    frontier.append(box)
+        tables.append(dist)
+    return tables
+
+
+def matching_bound_reference(tables, boxes):
+    """The fewest total pushes over every assignment of the `boxes` cells to
+    distinct targets, each box costing its distance in `tables`, by trying
+    every permutation; None when no assignment has every distance finite."""
+    best = None
+    for perm in itertools.permutations(range(len(tables))):
+        if all(box in tables[t] for box, t in zip(boxes, perm)):
+            cost = sum(tables[t][box] for box, t in zip(boxes, perm))
+            best = cost if best is None else min(best, cost)
+    return best
+
+
 def solve_bfs_reference(level, node_budget=200000):
     """The A* push search `solve_bfs` must reproduce, with tuple heap
     entries (pushes + bound, -pushes, insertion count, ...), tuple state
-    keys and one flood per (boxes, region) through a per-box-set cache.
-    Its status, node count and plan are the ones `solve_bfs` returns."""
+    keys and one flood per (boxes, region) through a per-box-set cache. The
+    bound is `matching_bound_reference`, and a child with no matching is
+    not inserted. Its status, node count and plan are the ones `solve_bfs`
+    returns."""
     if node_budget <= 0:
         raise ValueError("node_budget must be positive")
     board = _Board(level)
@@ -295,13 +332,21 @@ def solve_bfs_reference(level, node_budget=200000):
     player0 = board.idx(level.player)
     if boxes0 & ~board.targets == 0:
         return SolveResult(SOLVED, Solution([], 0), nodes=0)
-    if boxes0 & board.dead:
-        return SolveResult(UNSOLVABLE, nodes=0)
 
-    dist = board.dist
+    tables = push_distances_reference(level)
+    bounds = {}
+
+    def bound(boxes):
+        if boxes not in bounds:
+            cells = [divmod(i, board.w) for i in range(boxes.bit_length()) if boxes >> i & 1]
+            bounds[boxes] = matching_bound_reference(tables, cells)
+        return bounds[boxes]
+
+    h0 = bound(boxes0)
+    if h0 is None:
+        return SolveResult(UNSOLVABLE, nodes=0)
     visited = set()
     best_g = {(boxes0, player0): 0}
-    h0 = sum(dist[board.idx(c)] for c in level.boxes)
     heap = [(h0, 0, 0, 0, h0, boxes0, player0, None, None)]
     inserted = 1
     parents = {}
@@ -339,19 +384,21 @@ def solve_bfs_reference(level, node_budget=200000):
             rem ^= b
             bi = b.bit_length() - 1
             for d in range(4):
-                pi = board.neighbor[bi][d ^ 1]
-                ti = board.neighbor[bi][d]
-                if pi < 0 or ti < 0 or not ((reach >> pi) & 1):
+                pi = bi - board.step[d]
+                ti = bi + board.step[d]
+                if not ((reach >> pi) & 1):
                     continue
                 t = 1 << ti
-                if not (board.floor & t) or (boxes & t) or (board.dead & t):
+                if not (board.floor & t) or (boxes & t):
                     continue
                 nboxes = (boxes ^ b) | t
                 pre = (nboxes, bi)
                 if best_g.get(pre, ng + 1) <= ng:
                     continue
                 best_g[pre] = ng
-                nh = h - dist[bi] + dist[ti]
+                nh = bound(nboxes)
+                if nh is None:
+                    continue
                 heapq.heappush(heap, (ng + nh, -ng, inserted, ng, nh, nboxes, bi, key, (bi, d, pi)))
                 inserted += 1
     if goal_state is None:
@@ -365,3 +412,50 @@ def solve_bfs_reference(level, node_budget=200000):
     pushes.reverse()
     actions = _expand_moves(board, boxes0, player0, pushes)
     return SolveResult(SOLVED, Solution(actions, len(pushes)), nodes=nodes)
+
+
+def push_bfs_reference(level):
+    """The fewest pushes that solve `level`, or None when no push sequence
+    does: a breadth-first search over (boxes, player region) states of
+    frozensets of (row, col) cells, with no bound, which drops only pushes
+    onto a cell from which no target can be reached."""
+    floor = {(r, c) for r in range(level.height) for c in range(level.width)
+             if not level.walls[r][c]}
+    live = set().union(*push_distances_reference(level))
+    moves = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+    def region(boxes, start):
+        seen = {start}
+        frontier = [start]
+        for r, c in frontier:
+            for dr, dc in moves:
+                cell = (r + dr, c + dc)
+                if cell in floor and cell not in boxes and cell not in seen:
+                    seen.add(cell)
+                    frontier.append(cell)
+        return frozenset(seen)
+
+    if level.boxes <= level.targets:
+        return 0
+    start = (level.boxes, region(level.boxes, level.player))
+    seen = {start}
+    frontier = [start]
+    pushes = 0
+    while frontier:
+        pushes += 1
+        nxt = []
+        for boxes, reach in frontier:
+            for r, c in boxes:
+                for dr, dc in moves:
+                    to = (r + dr, c + dc)
+                    if (r - dr, c - dc) not in reach or to not in live or to in boxes:
+                        continue
+                    nboxes = boxes - {(r, c)} | {to}
+                    if nboxes <= level.targets:
+                        return pushes
+                    state = (nboxes, region(nboxes, (r, c)))
+                    if state not in seen:
+                        seen.add(state)
+                        nxt.append(state)
+        frontier = nxt
+    return None

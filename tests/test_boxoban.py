@@ -1,5 +1,6 @@
 """Level text format, hashing, the A* solver oracle, generation, filtering."""
 
+import hashlib
 import heapq
 import re
 from functools import partial
@@ -237,6 +238,22 @@ FROZEN_BLOCK = """\
 ##########"""
 
 
+# both boxes sit against the top wall, so each can only reach the one
+# target on that wall: every box can reach a target, but no two can reach
+# distinct ones
+SHARED_TARGET = """\
+##########
+#  $ $.  #
+#        #
+#   @    #
+#        #
+#     .  #
+#        #
+#        #
+#        #
+##########"""
+
+
 def test_solver_corner_deadlock_unsolvable():
     assert solve_bfs(level_from(CORNER_DEADLOCK)).status == UNSOLVABLE
 
@@ -327,6 +344,89 @@ def test_solver_runs_the_reference_search_node_for_node(monkeypatch):
             exhausted += want[0] == BUDGET_EXHAUSTED
             unsolvable_searched += want[0] == UNSOLVABLE and want[1] > 0
     assert exhausted >= 20 and unsolvable_searched == 1
+
+
+def _random_placement(rng, boxes, size=7):
+    """A size x size level with a few random interior walls and boxes,
+    targets and player on distinct random floor cells, redrawn until every
+    box can reach some target: many such levels are unsolvable."""
+    while True:
+        walls = tuple(tuple(r in (0, size - 1) or c in (0, size - 1) or rng.random() < 0.1
+                            for c in range(size)) for r in range(size))
+        floor = [(r, c) for r in range(size) for c in range(size) if not walls[r][c]]
+        cells = [floor[i] for i in rng.choice(len(floor), size=2 * boxes + 1, replace=False)]
+        level = SokobanLevel(walls, frozenset(cells[boxes:2 * boxes]), frozenset(cells[:boxes]), cells[-1])
+        if level.boxes <= set().union(*oracles.push_distances_reference(level)):
+            return level
+
+
+def test_solver_agrees_with_an_exhaustive_push_search():
+    """Status and push count equal those of a breadth-first search with no
+    bound, on 1-2-box reverse-play samples, 1-3-box random placements
+    (solvable, unsolvable at the root, unsolvable after a search) and
+    SHARED_TARGET, which only the missing matching proves unsolvable
+    without a search."""
+    rng = np.random.default_rng(0)
+    # (the exhaustive search takes up to seconds on a 3-box 10 x 10 sample)
+    samples = [_reverse_play_sample(rng, boxes) for boxes in (1, 2) for _ in range(8)]
+    levels = [level_from(SHARED_TARGET)] + [s for s in samples if s is not None]
+    levels += [_random_placement(rng, boxes) for boxes in (1, 2, 3) for _ in range(10)]
+    outcomes = set()
+    for level in levels:
+        res = solve_bfs(level)
+        pushes = oracles.push_bfs_reference(level)
+        assert (res.status, res.solution and res.solution.pushes) == (
+            (SOLVED, pushes) if pushes is not None else (UNSOLVABLE, None)), level
+        outcomes.add((res.status, res.nodes > 0))
+    assert outcomes == {(SOLVED, True), (UNSOLVABLE, False), (UNSOLVABLE, True)}
+    assert solve_bfs(level_from(SHARED_TARGET)).nodes == 0
+
+
+def test_matching_bound_is_the_cheapest_assignment():
+    """`_Matching.bound` equals the minimum over every permutation of the
+    targets, on the box sets of a random walk of single box moves through
+    2-, 4- and 6-box samples: each state's children, one per cell next to a
+    box, share that box's table of the other boxes, as in a search."""
+    rng = np.random.default_rng(1)
+    outcomes = set()
+    for boxes in (2, 4, 6):
+        level = None
+        while level is None:
+            level = _reverse_play_sample(rng, boxes)
+        board = solver._Board(level)
+        matching = solver._Matching(board)
+        tables = oracles.push_distances_reference(level)
+        cells = set(level.boxes)
+        for _ in range(25):
+            moved = sorted(cells)[rng.integers(len(cells))]
+            others = cells - {moved}
+            to = [(moved[0] + dr, moved[1] + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))]
+            to = [c for c in to if not level.walls[c[0]][c[1]] and c not in others]
+            for cell in to:
+                want = oracles.matching_bound_reference(tables, sorted(others | {cell}))
+                got = matching.bound(board._mask(others | {cell}), board._mask(others), board.idx(cell))
+                assert got == want, (level, others, cell)
+                outcomes.add(want is None)
+            if to:
+                cells = others | {to[rng.integers(len(to))]}
+    assert outcomes == {True, False}
+
+
+# sha256 of serialize_levels(generate_level_set(40 + b, n, boxes=b))
+GENERATED_SETS = {
+    (4, 4): "a814266cf3533325cb56d95a8db9b99d045b310162c91d78d1a6949cccc0ef54",
+    (5, 3): "0e077a27827eab135533b684258eed5842fa5c0608ec05650530fbf54a54a7d0",
+    (6, 2): "30c361eee29b88364891a39b23566785312f5ab352061c96f7ce92874c40629c",
+    (7, 2): "0d465a5eb0700249db9e48c5943b0154ff7a6287026e5d48407c7d4cae667c38",
+}
+
+
+@pytest.mark.parametrize("boxes, count", sorted(GENERATED_SETS))
+def test_generated_level_sets_keep_their_bytes(boxes, count):
+    """Generation and certification emit the same levels as before: a
+    solver change that rejects or accepts other samples fails here."""
+    text = serialize_levels(generate_level_set(40 + boxes, count, boxes=boxes))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_SETS[boxes, count]
 
 
 def test_generated_levels_certified_and_deterministic():

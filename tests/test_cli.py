@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from drcplan import cli, evaluate
-from drcplan.boxoban import filtering, generate_level_set, parse_levels, serialize_levels
+from drcplan.boxoban import (BUDGET_EXHAUSTED, UNSOLVABLE, SolveResult, filtering,
+                             generate_level_set, parse_levels, serialize_levels)
 from drcplan.checkpoint import save_checkpoint
 from drcplan.drc import DrcNetwork, count_parameters, preset_config
 from drcplan.envs import SokobanEnv
@@ -77,6 +78,29 @@ def test_verify_levels_counts_only_plans_that_replay(setup, capsys, monkeypatch)
     out = capsys.readouterr().out.splitlines()
     assert out == [f"level {levels.ids[2]}: the solver's plan does not solve it",
                    "5/6 solvable within budget; 6 distinct hashes"]
+
+
+def test_verify_levels_names_each_level_it_cannot_certify(setup, capsys, monkeypatch):
+    """A level the solver does not solve is named with its status and node
+    count, and fails the run."""
+    levels = parse_levels(Path(setup["levels"]).read_text())
+    real = cli.solve_bfs
+
+    def not_solved_on_levels_1_and_4(level, node_budget):
+        if level == levels.levels[1]:
+            return SolveResult(BUDGET_EXHAUSTED, nodes=node_budget + 1)
+        if level == levels.levels[4]:
+            return SolveResult(UNSOLVABLE, nodes=7)
+        return real(level, node_budget=node_budget)
+
+    monkeypatch.setattr(cli, "solve_bfs", not_solved_on_levels_1_and_4)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify-levels", "--levels", setup["levels"], "--budget", "40"])
+    assert info.value.code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"level {levels.ids[1]}: budget_exhausted after 41 nodes",
+                   f"level {levels.ids[4]}: unsolvable after 7 nodes",
+                   "4/6 solvable within budget; 6 distinct hashes"]
 
 
 @pytest.mark.parametrize("mode", ["sample", "greedy"])
