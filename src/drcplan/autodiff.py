@@ -6,7 +6,8 @@ convolution (`conv2d`) and a fused ConvLSTM update (`convlstm_cell`: the
 gate preactivation and the LSTM cell in one op, so no preactivation stays on
 the tape), both on one convolution forward and adjoint (`_conv`: an im2col
 GEMM and its col2im); gate nonlinearities, reductions, reshaping, spatial
-pooling and log-softmax. `sigmoid` and `tanh` are the reference chain that
+pooling, and the actor-critic loss as one op (`actor_critic_loss`, whose
+gradients are closed forms). `sigmoid` and `tanh` are the reference chain that
 tests compare `convlstm_cell` against. Every map a convolution reads or
 writes is a batched NHWC array, (N, H, W, C), and every kernel is
 (K, K, Cin, Cout).
@@ -157,18 +158,6 @@ def add(a, b):
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.shape))
         _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _node(out_data, (a, b), backward)
-
-
-def sub(a, b):
-    if a.shape != b.shape:
-        _check_broadcast(a.shape, b.shape, "sub")
-    out_data = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -446,15 +435,6 @@ def convlstm_cell(xs, w, bases, c_prev, pool=None, w_pool=None):
     return c, _node(so * np.tanh(c_data), (c,), backward_h)
 
 
-def exp(a):
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * out_data)
-
-    return _node(out_data, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions and reshaping
 
@@ -464,25 +444,6 @@ def sum_all(a):
 
     def backward(g):
         _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return _node(out_data, (a,), backward)
-
-
-def mean_all(a):
-    scale = 1.0 / a.size
-    out_data = a.data.sum(dtype=a.dtype) * scale
-
-    def backward(g):
-        _accumulate(a, np.broadcast_to(g * scale, a.shape).astype(a.dtype, copy=False))
-
-    return _node(out_data, (a,), backward)
-
-
-def sum_axis(a, axis):
-    out_data = a.data.sum(axis=axis)
-
-    def backward(g):
-        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
 
     return _node(out_data, (a,), backward)
 
@@ -513,40 +474,6 @@ def concat(tensors, axis=-1):
     return _node(out_data, tuple(tensors), backward)
 
 
-def gather_last(a, index):
-    """Pick one entry along the last axis per leading position: (R, A)[r, index[r]]."""
-    idx = np.asarray(index)
-    if idx.shape != a.shape[:-1]:
-        raise ShapeError(f"gather_last: index shape {idx.shape} does not match leading dims {a.shape[:-1]}")
-    taken = np.take_along_axis(a.data, idx[..., None], axis=-1)
-    out_data = taken[..., 0]
-
-    def backward(g):
-        dg = np.zeros(a.shape, dtype=g.dtype)
-        np.put_along_axis(dg, idx[..., None], g[..., None], axis=-1)
-        _accumulate(a, dg)
-
-    return _node(out_data, (a,), backward)
-
-
-# ---------------------------------------------------------------------------
-# softmax family
-
-
-def log_softmax(a):
-    """Log-softmax over the last axis."""
-    x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - logsum
-
-    def backward(g):
-        p = np.exp(out_data)
-        _accumulate(a, g - p * g.sum(axis=-1, keepdims=True))
-
-    return _node(out_data, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # spatial pooling for NHWC tensors
 
@@ -575,6 +502,70 @@ def spatial_mean(a):
         _accumulate(a, np.broadcast_to(g[:, None, None, :] * scale, a.shape).astype(g.dtype, copy=False))
 
     return _node(out_data, (a,), backward)
+
+
+# ---------------------------------------------------------------------------
+# the actor-critic loss
+
+
+def actor_critic_loss(logits_steps, values_steps, actions, advantages, targets, costs):
+    """The actor-critic loss of T steps' (B, A) logits and (B,) values as
+    one node. `actions`, `advantages` and `targets` hold one entry per row
+    of the steps' rows stacked step after step, N rows in all. With `costs`
+    = (baseline, entropy, logit_l2) the loss is
+
+        policy + baseline * value - entropy * entropy_term + logit_l2 * logit_term
+
+    the means over the rows of -advantage * log p(action), of (value -
+    target)^2 and of the softmax entropy, and the mean squared logit.
+    Returns (the scalar loss tensor, those four means as floats keyed
+    policy_loss, value_loss, entropy, logit_l2).
+
+    Everything is computed in float64. The gradients are closed forms, per
+    row with p = softmax(z) and H its entropy:
+
+        d/dz = (advantage * (p - onehot(action)) + entropy * p * (log p + H)
+                + logit_l2 * 2 z / A) / N
+        d/dvalue = baseline * 2 (value - target) / N
+
+    so the tape keeps only them, cast to the logits' dtype, and backward
+    scales them into each step's tensors.
+    """
+    z = np.concatenate([t.data for t in logits_steps]).astype(np.float64)
+    v = np.concatenate([t.data for t in values_steps]).astype(np.float64)
+    n, a = z.shape
+    actions = np.asarray(actions)
+    adv, targets = np.asarray(advantages, np.float64), np.asarray(targets, np.float64)
+    if any(x.shape != (n,) for x in (v, actions, adv, targets)):
+        raise ShapeError(f"actor_critic_loss: {n} logit rows but values {v.shape}, actions "
+                         f"{actions.shape}, advantages {adv.shape} and targets {targets.shape}")
+    baseline, entropy_cost, logit_cost = costs
+    lp = z - z.max(axis=-1, keepdims=True)
+    lp -= np.log(np.exp(lp).sum(axis=-1, keepdims=True))
+    p = np.exp(lp)
+    neg_h = (p * lp).sum(axis=-1)
+    rows = np.arange(n)
+    err = v - targets
+    terms = {"policy_loss": -(adv * lp[rows, actions]).mean(), "value_loss": (err * err).mean(),
+             "entropy": -neg_h.mean(), "logit_l2": (z * z).mean()}
+    loss = (terms["policy_loss"] + baseline * terms["value_loss"]
+            - entropy_cost * terms["entropy"] + logit_cost * terms["logit_l2"])
+
+    dt = logits_steps[0].dtype
+    dz = adv[:, None] * p + entropy_cost * p * (lp - neg_h[:, None]) + (2 * logit_cost / a) * z
+    dz[rows, actions] -= adv
+    ends = np.cumsum([t.shape[0] for t in logits_steps])[:-1]
+    dzs = np.split((dz / n).astype(dt), ends)
+    dvs = np.split((2 * baseline / n * err).astype(dt), ends)
+
+    parents = tuple(logits_steps) + tuple(values_steps)
+
+    def backward(g):
+        for t, d in zip(parents, dzs + dvs):
+            _accumulate(t, g * d)
+
+    out = _node(np.asarray(loss, dtype=dt), parents, backward)
+    return out, {name: float(x) for name, x in terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ MAX_TRIES = 100  # samples drawn before generation gives up
 # solver nodes that certify a sample; above 5 boxes the push space is larger
 NODE_BUDGET = 25000
 NODE_BUDGET_OVER_5_BOXES = 150000
+# the most boxes whose minimum floor, 24 + 4 * boxes cells, fits the 58-cell cap
+MAX_BOXES = 8
 
 
 def generate_level(seed, boxes=4):
@@ -30,9 +32,12 @@ def generate_level(seed, boxes=4):
     Reverse play guarantees solvability, but certification is still run and
     samples the solver cannot certify within the node budget are discarded,
     so every emitted level carries a within-budget solver certificate.
-    Raises RuntimeError, naming the box count, the budget and why each sample
-    was rejected, when no sample of `MAX_TRIES` is accepted.
+    Raises ValueError for a box count outside 1 to `MAX_BOXES`, and
+    RuntimeError, naming the box count, the budget and why each sample was
+    rejected, when no sample of `MAX_TRIES` is accepted.
     """
+    if not 1 <= boxes <= MAX_BOXES:
+        raise ValueError(f"boxes must be between 1 and {MAX_BOXES}, got {boxes}")
     node_budget = NODE_BUDGET if boxes <= 5 else NODE_BUDGET_OVER_5_BOXES
     rng = np.random.default_rng(seed)
     degenerate = 0

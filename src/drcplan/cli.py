@@ -181,7 +181,6 @@ def cmd_extrapolate(args):
 
 def cmd_gen_levels(args):
     out = os.path.join(args.out, args.tier, args.split)
-    os.makedirs(out, exist_ok=True)
     per_file = 1000
     written = 0
     file_idx = 0
@@ -189,6 +188,7 @@ def cmd_gen_levels(args):
         n = min(per_file, args.count - written)
         ls = generate_level_set(args.seed + file_idx * 1_000_003, n, boxes=args.boxes)
         path = os.path.join(out, f"{file_idx:03d}.txt")
+        os.makedirs(out, exist_ok=True)
         with open(path, "w") as f:
             f.write(serialize_levels(ls))
         written += n
@@ -199,12 +199,10 @@ def cmd_gen_levels(args):
 def cmd_filter_levels(args):
     run = _sokoban_run(args)
     levels = _load_levels(args.levels)
-    if args.policy == "network":
-        if args.params is None:
-            raise ValueError("filter-levels --policy network needs --params <checkpoint>")
-        play = partial(run_episodes, _load_net(args, run), batch_size=run.eval_batch_size)
-    else:
+    if args.params is None:
         play = partial(play_scripted, UniformRandomPolicy(SokobanEnv.action_count))
+    else:
+        play = partial(run_episodes, _load_net(args, run), batch_size=run.eval_batch_size)
     kept = filter_by_agent(levels, play, attempts=args.attempts, step_limit=run.step_limit,
                            seed=args.seed)
     path = os.path.join(_ensure_out(args), f"{args.tier}.txt")
@@ -303,9 +301,8 @@ def build_parser():
                        "attempt (env.step_limit steps; eval.batch_size attempts per forward)")
     _add_common(p)
     p.add_argument("--levels", required=True)
-    p.add_argument("--policy", choices=("random", "network"), default="random",
-                   help="probe agent; 'network' samples from the --params checkpoint")
-    p.add_argument("--params", default=None)
+    p.add_argument("--params", default=None, help="checkpoint of the probe network, which "
+                   "samples its actions; without it the probe is the uniform random policy")
     p.add_argument("--attempts", type=positive_int, default=10)
     p.add_argument("--tier", default="medium")
     p.set_defaults(fn=cmd_filter_levels)

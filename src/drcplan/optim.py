@@ -1,4 +1,5 @@
-"""Adam optimizer with bias correction, plus optional global-norm clipping."""
+"""Adam optimizer with bias correction, and the global gradient norm that
+training reports."""
 
 from __future__ import annotations
 
@@ -54,21 +55,9 @@ def adam_step(params, grads, state, lr):
 
 
 def global_norm(grads):
+    """The joint L2 norm of the `grads` arrays, summed in float64."""
     total = 0.0
     for g in grads.values():
         total += float(np.square(g, dtype=np.float64).sum())
     return float(np.sqrt(total))
 
-
-def clip_by_global_norm(grads, max_norm):
-    """Rescale all gradients so their joint L2 norm is at most `max_norm`.
-
-    Returns the pre-clip norm. Off by default in training configs; exposed
-    as an optional knob.
-    """
-    norm = global_norm(grads)
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for path in grads:
-            grads[path] = grads[path] * scale
-    return norm

@@ -33,7 +33,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .nn import compute_gradients
-from .optim import AdamState, adam_step, clip_by_global_norm
+from .optim import AdamState, adam_step, global_norm
 from .vtrace import vtrace_targets
 
 
@@ -52,7 +52,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-4
-    clip_grad_norm: float = 0.0  # 0 disables clipping
     num_actors: int = 32  # the actors are the batch: must equal batch_size
     checkpoint_every: int = 0  # updates between checkpoints, 0 disables
     seed: int = 0
@@ -63,7 +62,7 @@ class TrainConfig:
         for names, ok, rule in (
                 (("num_actors", "batch_size", "unroll_length"), lambda v: v >= 1, ">= 1"),
                 (("entropy_cost", "baseline_cost", "logit_l2_cost", "head_l2_cost", "lr_init",
-                  "checkpoint_every", "clip_grad_norm", "seed"), lambda v: v >= 0, ">= 0"),
+                  "checkpoint_every", "seed"), lambda v: v >= 0, ">= 0"),
                 (("anneal_horizon", "adam_eps"), lambda v: v > 0, "> 0"),
                 (("adam_beta1", "adam_beta2"), lambda v: 0 <= v < 1, "in [0, 1)")):
             for name in names:
@@ -206,43 +205,19 @@ def compute_loss(logits_steps, values_steps, actions_flat, advantages_flat,
 
     Terms: score-function policy loss weighted by fixed advantages, squared
     value error against fixed targets (baseline weight), an entropy bonus, a
-    mean-squared penalty on the policy logits, and L2 on the output-head
-    weight matrices. Returns the scalar loss tensor and per-term floats.
+    mean-squared penalty on the policy logits, all four one
+    `autodiff.actor_critic_loss` node, and L2 on the output-head weight
+    matrices. Returns the scalar loss tensor and per-term floats.
     """
-    logits_all = ad.concat(logits_steps, axis=0)
-    values_all = ad.concat(values_steps, axis=0)
-    dt = logits_all.dtype
-
-    lp = ad.log_softmax(logits_all)
-    logp_a = ad.gather_last(lp, actions_flat)
-    adv = ad.constant(advantages_flat, dtype=dt)
-    policy_term = ad.mul(ad.constant(-1.0, dtype=dt), ad.mean_all(ad.mul(adv, logp_a)))
-
-    err = ad.sub(values_all, ad.constant(value_targets_flat, dtype=dt))
-    value_term = ad.mean_all(ad.square(err))
-
-    probs = ad.exp(lp)
-    neg_entropy = ad.mean_all(ad.sum_axis(ad.mul(probs, lp), -1))
-    entropy = -neg_entropy.item()
-
-    logit_term = ad.mean_all(ad.square(logits_all))
-
-    loss = ad.add(policy_term, ad.mul(ad.constant(config.baseline_cost, dtype=dt), value_term))
-    loss = ad.add(loss, ad.mul(ad.constant(config.entropy_cost, dtype=dt), neg_entropy))
-    loss = ad.add(loss, ad.mul(ad.constant(config.logit_l2_cost, dtype=dt), logit_term))
+    costs = (config.baseline_cost, config.entropy_cost, config.logit_l2_cost)
+    loss, parts = ad.actor_critic_loss(logits_steps, values_steps, actions_flat, advantages_flat,
+                                       value_targets_flat, costs)
     head_l2 = 0.0
     for w in head_weights:
         term = ad.sum_all(ad.square(w))
         head_l2 += term.item()
-        loss = ad.add(loss, ad.mul(ad.constant(config.head_l2_cost, dtype=dt), term))
-
-    parts = {
-        "policy_loss": float(policy_term.item()),
-        "value_loss": float(value_term.item()),
-        "entropy": float(entropy),
-        "logit_l2": float(logit_term.item()),
-        "head_l2": float(head_l2),
-    }
+        loss = ad.add(loss, ad.mul(ad.constant(config.head_l2_cost, dtype=loss.dtype), term))
+    parts["head_l2"] = float(head_l2)
     return loss, parts
 
 
@@ -266,13 +241,12 @@ def learner_update(net, batch, forward, adam, config, env_steps):
         vt.pg_advantages.reshape(-1), vt.vs.reshape(-1), head_weights, config)
 
     grads = compute_gradients(loss, net.params)
-    grad_norm = clip_by_global_norm(grads, config.clip_grad_norm)
     lr = anneal_lr(env_steps, config)
     adam_step(net.params, grads, adam, lr)
 
     parts.update({
         "loss": float(loss.item()),
-        "grad_norm": grad_norm,
+        "grad_norm": global_norm(grads),
         "lr": lr,
         "mean_rho": float(vt.rhos.mean()),
     })

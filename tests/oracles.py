@@ -197,6 +197,73 @@ def lambda_return_reference(rewards, values, bootstrap, dones, gamma, lam):
     return out
 
 
+def lambda_targets_reference(rewards, dones, values, bootstrap, gamma, lam):
+    """Value targets and policy-gradient advantages of a (T, B) batch as
+    lambda-returns, V-trace's on-policy case, one column and one step at a
+    time from the end:
+
+        G_t = r_t + gamma (1 - d_t) ((1 - lam) V_{t+1} + lam G_{t+1})
+        A_t = r_t + gamma (1 - d_t) G_{t+1} - V_t
+
+    with V_T = G_T the (B,) `bootstrap`. Returns (G, A) in float64."""
+    t_len, batch = np.shape(rewards)
+    targets = np.zeros((t_len, batch))
+    advantages = np.zeros((t_len, batch))
+    for b in range(batch):
+        next_value = next_return = float(bootstrap[b])
+        for t in reversed(range(t_len)):
+            keep = 0.0 if dones[t][b] else gamma
+            r, v = float(rewards[t][b]), float(values[t][b])
+            advantages[t, b] = r + keep * next_return - v
+            targets[t, b] = r + keep * ((1 - lam) * next_value + lam * next_return)
+            next_value, next_return = v, targets[t, b]
+    return targets, advantages
+
+
+def actor_critic_loss_reference(logits, values, actions, advantages, targets, costs):
+    """The actor-critic loss as a chain of elementary steps in float64 numpy,
+    and its gradient by running the chain's adjoints in reverse, one step at
+    a time: log-softmax of the (N, A) `logits`, the taken actions' entries,
+    the policy, value, entropy and logit means, and their sum weighted by
+    `costs` = (baseline, entropy, logit_l2). Returns (loss, the four means
+    keyed as `autodiff.actor_critic_loss` keys them, d loss/d logits,
+    d loss/d values)."""
+    z, v = np.asarray(logits, np.float64), np.asarray(values, np.float64)
+    adv, tgt = np.asarray(advantages, np.float64), np.asarray(targets, np.float64)
+    baseline, entropy_cost, logit_cost = costs
+    n, a = z.shape
+    rows = np.arange(n)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    probs = np.exp(lp)
+    policy = -np.mean(adv * lp[rows, actions])
+    err = v - tgt
+    value = np.mean(err * err)
+    neg_entropy = np.mean(np.sum(probs * lp, axis=-1))
+    logit = np.mean(z * z)
+    loss = policy + baseline * value + entropy_cost * neg_entropy + logit_cost * logit
+
+    # the logit term: mean of z * z
+    d_square = np.full(z.shape, logit_cost / z.size)
+    dz = d_square * z + d_square * z
+    # the value term: mean of err * err
+    d_err_square = np.full(n, baseline / n)
+    dv = d_err_square * err + d_err_square * err
+    # the entropy term: mean over rows of the row sum of probs * lp
+    d_product = np.broadcast_to(np.full(n, entropy_cost / n)[:, None], z.shape)
+    d_lp = d_product * probs
+    d_probs = d_product * lp
+    d_lp = d_lp + d_probs * probs  # probs = exp(lp)
+    # the policy term: minus the mean of adv * lp[row, action]
+    d_taken = -np.ones(n) / n * adv
+    for r in range(n):
+        d_lp[r, actions[r]] += d_taken[r]
+    # log-softmax
+    dz = dz + d_lp - probs * d_lp.sum(axis=-1, keepdims=True)
+    terms = {"policy_loss": policy, "value_loss": value, "entropy": -neg_entropy, "logit_l2": logit}
+    return loss, terms, dz, dv
+
+
 def scalar_convlstm_reference(weights, i_t, c_prev, h_prev, h_below, pool_in, steps=1):
     """Hand-written scalar LSTM recurrence matching the gate layout.
 

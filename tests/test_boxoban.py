@@ -451,6 +451,16 @@ def test_generate_extrapolation_box_counts():
         assert solve_bfs(lvl).status == SOLVED
 
 
+def test_generate_level_takes_one_to_eight_boxes(monkeypatch):
+    """Eight boxes still fit the carved floor. Counts outside 1-8 fail,
+    naming the range, before any sample is drawn."""
+    assert generate_level(7, boxes=8).box_count == 8
+    monkeypatch.setattr(generator, "_reverse_play_sample", lambda *a: pytest.fail("a sample was drawn"))
+    for boxes in (0, 9):
+        with pytest.raises(ValueError, match=f"^boxes must be between 1 and 8, got {boxes}$"):
+            generate_level(0, boxes=boxes)
+
+
 def test_generate_level_failure_names_its_cause(monkeypatch):
     # one expansion cannot certify a level whose four boxes all need a push
     monkeypatch.setattr(generator, "MAX_TRIES", 3)

@@ -134,7 +134,7 @@ def test_extrapolate_reports_each_box_count(setup, tmp_path):
 @pytest.mark.parametrize("policy", ["random", "network"])
 def test_filter_levels_keeps_a_subset_of_the_source(setup, tmp_path, capsys, policy):
     extra = ["--params", setup["params"]] if policy == "network" else []
-    out = _run(setup, "filter-levels", tmp_path, "--levels", setup["levels"], "--policy", policy,
+    out = _run(setup, "filter-levels", tmp_path, "--levels", setup["levels"],
                "--attempts", "2", "--seed", "9", *extra)
     kept = parse_levels((out / "medium.txt").read_text())
     source = parse_levels(Path(setup["levels"]).read_text())
@@ -145,7 +145,7 @@ def test_filter_levels_keeps_a_subset_of_the_source(setup, tmp_path, capsys, pol
 
 def test_network_filter_does_not_depend_on_eval_batch_size(setup, tmp_path):
     files = [(_run(setup, "filter-levels", tmp_path / config, "--levels", setup["levels"],
-                   "--policy", "network", "--params", setup["params"], "--attempts", "3",
+                   "--params", setup["params"], "--attempts", "3",
                    "--seed", "9", config=config) / "medium.txt").read_bytes()
              for config in ("config", "config_batch1")]
     assert files[0] == files[1]
@@ -161,6 +161,8 @@ def test_param_count_matches_the_configured_network(setup, capsys):
 
 @pytest.mark.parametrize("policy", ["random", "network"])
 def test_filter_levels_plays_to_the_configured_step_limit(setup, tmp_path, monkeypatch, policy):
+    """The probe, the network with --params and the uniform random policy
+    without it, plays to `env.step_limit`."""
     limits = set()
 
     class SpyEnv(SokobanEnv):
@@ -169,10 +171,14 @@ def test_filter_levels_plays_to_the_configured_step_limit(setup, tmp_path, monke
             super().__init__(level, step_limit=step_limit)
 
     monkeypatch.setattr(filtering, "SokobanEnv", SpyEnv)
+    probes = []
+    for name in ("play_scripted", "run_episodes"):
+        spy = lambda *a, real=getattr(cli, name), name=name, **kw: probes.append(name) or real(*a, **kw)
+        monkeypatch.setattr(cli, name, spy)
     extra = ["--params", setup["params"]] if policy == "network" else []
-    _run(setup, "filter-levels", tmp_path, "--levels", setup["levels"], "--policy", policy,
-         "--attempts", "1", *extra)
+    _run(setup, "filter-levels", tmp_path, "--levels", setup["levels"], "--attempts", "1", *extra)
     assert limits == {10}
+    assert set(probes) == {"run_episodes" if extra else "play_scripted"}
 
 
 def test_extrapolate_plays_at_the_configured_eval_batch_size(setup, tmp_path, monkeypatch):
@@ -206,12 +212,15 @@ def test_sokoban_train_without_levels(tmp_path, capsys):
                                     "set data.levels in the run config")
 
 
-def test_network_filter_without_params(tmp_path, capsys):
-    levels = tmp_path / "levels.txt"
-    levels.write_text(serialize_levels(generate_level_set(3, 1, boxes=1)))
-    argv = ["filter-levels", "--levels", str(levels), "--policy", "network", "--out", str(tmp_path / "out")]
-    assert _error(capsys, argv) == ("drcplan filter-levels: error: filter-levels --policy network "
-                                    "needs --params <checkpoint>")
+@pytest.mark.parametrize("command", ["gen-levels", "extrapolate"])
+def test_a_box_count_the_generator_cannot_carve_fails_first(setup, tmp_path, capsys, command):
+    """Nine boxes do not fit the generator's floor: the command ends with
+    one error line naming the range, and writes nothing."""
+    argv = [command, "--boxes", "9", "--out", str(tmp_path / "out")]
+    if command == "extrapolate":
+        argv += ["--config", setup["config"], "--params", setup["params"]]
+    assert _error(capsys, argv) == f"drcplan {command}: error: boxes must be between 1 and 8, got 9"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["param-count", "train"])
@@ -292,7 +301,7 @@ def test_sokoban_commands_reject_another_game_first(tmp_path, capsys, command):
     extra = {"eval": ["--params", params, "--levels", levels],
              "think-eval": ["--params", params, "--levels", levels],
              "extrapolate": ["--params", params],
-             "filter-levels": ["--levels", levels, "--policy", "network", "--params", params]}
+             "filter-levels": ["--levels", levels, "--params", params]}
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), *extra[command]]
     assert _error(capsys, argv) == (f"drcplan {command}: error: {command} plays Sokoban only, but "
                                     "the run config's game is 'gridworld12'")

@@ -52,7 +52,7 @@ def test_encoder_spec(tmp_path):
                                  "data.eval_levels", "train.queue_capacity",
                                  "gridworld.step_limit", "minipacman.step_limit",
                                  "train.logit_l2_on_value_head",
-                                 "drc.obs_shape", "drc.action_count"])
+                                 "drc.obs_shape", "drc.action_count", "train.clip_grad_norm"])
 def test_unknown_key_is_rejected(tmp_path, key):
     with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
         _load(tmp_path, f"{key} = 1\n")

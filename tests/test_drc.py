@@ -344,7 +344,7 @@ def test_heads_zero_weights_uniform_policy_zero_value():
     _, logits, value = net.forward(net.zero_state(1), rand_obs(net))
     np.testing.assert_array_equal(logits.data, 0)
     assert value.data[0] == 0
-    p = np.exp(ad.log_softmax(logits).data)
+    p = np.exp(logits.data) / np.exp(logits.data).sum()
     np.testing.assert_allclose(p, 1.0 / net.config.action_count)
 
 
@@ -357,11 +357,21 @@ def test_sokoban_heads_output_five_logits():
 
 
 def test_softmax_shift_invariance():
+    """A constant added to every logit moves neither the policy term nor
+    the entropy of the actor-critic loss, nor, with no logit penalty, the
+    logits' gradient."""
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(3, 5))
-    a = np.exp(ad.log_softmax(Tensor(logits)).data)
-    b = np.exp(ad.log_softmax(Tensor(logits + 13.7)).data)
-    np.testing.assert_allclose(a, b, atol=1e-6)
+    actions, advantages, targets = [4, 0, 2], rng.normal(size=3), np.zeros(3)
+    out = []
+    for shift in (0.0, 13.7):
+        t = Tensor(logits + shift, requires_grad=True)
+        loss, terms = ad.actor_critic_loss([t], [Tensor(np.zeros(3))], actions, advantages, targets,
+                                           (0.5, 0.01, 0.0))
+        ad.backward(loss)
+        out.append((terms["policy_loss"], terms["entropy"], t.grad))
+    for a, b in zip(*out):
+        np.testing.assert_allclose(a, b, atol=1e-6)
 
 
 def test_vision_shortcut_changes_head_input_width():
@@ -399,7 +409,7 @@ def test_repeats_touch_identical_parameter_set():
     for repeats in (1, 3):
         net = tiny_net(depth=2, repeats=repeats, seed=4)
         state, logits, value = net.forward(net.zero_state(1), rand_obs(net))
-        loss = ad.add(ad.mean_all(ad.square(logits)), ad.mean_all(ad.square(value)))
+        loss = ad.add(ad.sum_all(ad.square(logits)), ad.sum_all(ad.square(value)))
         grads_by_repeats.append(set(compute_gradients(loss, net.params)))
     assert grads_by_repeats[0] == grads_by_repeats[1]
 

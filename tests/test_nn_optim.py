@@ -16,11 +16,12 @@ from numpy.lib.format import write_array
 from drcplan import autodiff as ad
 from drcplan.checkpoint import load_checkpoint, save_checkpoint
 from drcplan.drc import DrcNetwork
-from drcplan.gradcheck import drc_episode_loss, tiny_drc_config
+from drcplan.gradcheck import tiny_drc_config
 from drcplan.nn import Initializer, ParameterSet, compute_gradients
-from drcplan.optim import AdamState, adam_step, clip_by_global_norm
+from drcplan.optim import AdamState, adam_step
+from drcplan.train import TrainConfig, compute_loss
 
-from oracles import adam_reference, backward_reference
+from oracles import adam_reference, backward_reference, replay_reference
 
 
 def _params():
@@ -67,11 +68,21 @@ def _interior_nodes(root):
 
 
 def test_backward_frees_the_tape_and_keeps_parameter_gradients():
-    """After compute_gradients no interior node of a DRC(2, 2) episode loss
-    holds a gradient, closure or parents, and every parameter gradient equals
-    the one a backward pass that keeps the whole tape computes."""
+    """After compute_gradients no interior node of a DRC(2, 2) loss over a
+    3-step episode holds a gradient, closure or parents, and every parameter
+    gradient equals the one a backward pass that keeps the whole tape
+    computes."""
     net = DrcNetwork.create(tiny_drc_config(), seed=0, dtype=np.float64)
-    loss_fn = drc_episode_loss(net, seed=1)
+    rng = np.random.default_rng(1)
+    obs = rng.uniform(0.0, 1.0, (3, 1) + net.config.obs_shape)
+    actions = rng.integers(0, net.config.action_count, size=3)
+    advantages, targets = rng.normal(size=(2, 3))
+    head_weights = [net.params["heads.policy.w"], net.params["heads.value.w"]]
+
+    def loss_fn():
+        _, logits, values = replay_reference(net, net.zero_state(1), obs)
+        return compute_loss(logits, values, actions, advantages, targets, head_weights, TrainConfig())[0]
+
     net.params.zero_grads()
     backward_reference(loss_fn())
     want = {path: t.grad for path, t in net.params.trainable_items()}
@@ -155,16 +166,6 @@ def test_adam_shape_mismatch_error():
     ps = _params()
     with pytest.raises(ValueError):
         adam_step(ps, {"a.w": np.ones(5)}, AdamState(), lr=0.1)
-
-
-def test_clip_by_global_norm():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    norm = clip_by_global_norm(grads, 1.0)
-    assert norm == pytest.approx(5.0)
-    assert np.hypot(grads["a"][0], grads["b"][0]) == pytest.approx(1.0)
-    grads = {"a": np.array([0.3])}
-    clip_by_global_norm(grads, 0.0)  # 0 disables
-    assert grads["a"][0] == 0.3
 
 
 def test_initializer_deterministic_and_fan_in_scaled():
