@@ -46,8 +46,8 @@ def play_scripted(policy, env_factories, seed=0):
         obs = env.reset()
         if hasattr(policy, "begin_episode"):
             policy.begin_episode(env)
-        while not env.done:
-            obs = env.step(policy(obs, rng)).obs
+        while not env.step(policy(obs, rng)).done:
+            obs = env.render()
         outcomes.append((env.solved, env.episode_return, env.steps))
     return outcomes
 

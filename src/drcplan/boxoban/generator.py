@@ -36,8 +36,7 @@ def generate_level(seed, boxes=4):
     RuntimeError, naming the box count, the budget and why each sample was
     rejected, when no sample of `MAX_TRIES` is accepted.
     """
-    if not 1 <= boxes <= MAX_BOXES:
-        raise ValueError(f"boxes must be between 1 and {MAX_BOXES}, got {boxes}")
+    check_box_count(boxes)
     node_budget = NODE_BUDGET if boxes <= 5 else NODE_BUDGET_OVER_5_BOXES
     rng = np.random.default_rng(seed)
     degenerate = 0
@@ -52,6 +51,12 @@ def generate_level(seed, boxes=4):
         f"level generation exhausted {MAX_TRIES} tries (seed={seed}, boxes={boxes}): "
         f"{degenerate} samples were degenerate and {MAX_TRIES - degenerate} could not "
         f"be certified within node_budget={node_budget}")
+
+
+def check_box_count(boxes):
+    """Raise ValueError unless `boxes` is a count the generator can carve."""
+    if not 1 <= boxes <= MAX_BOXES:
+        raise ValueError(f"boxes must be between 1 and {MAX_BOXES}, got {boxes}")
 
 
 def _reverse_play_sample(rng, n_boxes):

@@ -305,25 +305,30 @@ def solve_bfs(level, node_budget=200000):
 
 def _expand_moves(board, boxes, player, pushes):
     """Convert a push plan into player move actions, walking each leg along
-    a `grid_search` path through the free cells."""
+    a `grid_search` path, stopped at the leg's end, through the free cells.
+    The plan keeps one set of free cells and moves one box in it per push."""
     w = board.w
+    free = board.floor & ~boxes
+    open_cells = {divmod(i, w) for i in range(free.bit_length()) if free >> i & 1}
     actions = []
     for bi, d, pi in pushes:
         if player != pi:
-            free = board.floor & ~boxes
-            open_cells = {divmod(i, w) for i in range(free.bit_length()) if free >> i & 1}
-            path = grid_path(grid_search(divmod(player, w), open_cells), divmod(pi, w))
+            goal = divmod(pi, w)
+            path = grid_path(grid_search(divmod(player, w), open_cells, goal), goal)
             if path is None:
                 raise RuntimeError("push plan references an unreachable player cell")
             actions.extend(path)
         actions.append(d)
-        boxes = (boxes ^ (1 << bi)) | (1 << (bi + board.step[d]))
+        open_cells.add(divmod(bi, w))
+        open_cells.discard(divmod(bi + board.step[d], w))
         player = bi
     return actions
 
 
 def replay_solution(level, actions):
-    """Check a move sequence solves a level; returns True/False."""
+    """Check a move sequence solves a level; returns True/False. The moves
+    run through `SokobanEnv`'s rules, and the only frame drawn is the one
+    of the env's initial `reset()`."""
     from ..envs.sokoban_env import SokobanEnv
 
     env = SokobanEnv(level, step_limit=max(len(actions), 1) + 1)

@@ -2,8 +2,9 @@
 
 - `Env`, the environment protocol. Environments are deterministic functions
   of (seed, action sequence): any stochasticity comes from a generator owned
-  by the instance and seeded at construction. Observations are float32
-  arrays in [0, 1], laid out H x W x C.
+  by the instance and seeded at construction. `step` applies the rules and
+  draws nothing; `render()` draws the current observation, a float32 array
+  in [0, 1] laid out H x W x C, for the callers that read one.
 - `DIRECTIONS`, the four moves of a grid, whose index is the move's action
   id in every game.
 - `grid_search` and `grid_path`, the one breadth-first search over
@@ -15,12 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass
 class StepResult:
-    obs: np.ndarray
     reward: float
     done: bool
     solved: bool = False
@@ -42,7 +40,8 @@ class Env:
     the episode once it is solved or has run `step_limit` steps, and
     returns the `StepResult`. Every step counts against the cap, forced
     no-ops included, so `steps` and `episode_return` are the finished
-    episode's length and return.
+    episode's length and return. A step draws no observation: a caller that
+    reads one calls `render()`, so a replay or a terminal step draws nothing.
     """
 
     action_count = 0
@@ -79,7 +78,7 @@ class Env:
         self.episode_return += reward
         if self.solved or self.steps >= self.step_limit:
             self.done = True
-        return StepResult(self.render(), reward, self.done, self.solved)
+        return StepResult(reward, self.done, self.solved)
 
 
 # row/col deltas shared by the grid games: up, down, left, right
@@ -89,15 +88,20 @@ DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _MOVES = tuple((action, dr, dc) for action, (dr, dc) in enumerate(DIRECTIONS))
 
 
-def grid_search(start, open_cells):
+def grid_search(start, open_cells, goal=None):
     """Breadth-first search from `start` through the cells in `open_cells`.
 
     Returns a map from each reached cell to (previous cell, action), with
     `start` mapped to None. Neighbours are tried in `DIRECTIONS` order, so
     the path to each cell is, of its shortest paths, the one whose action
-    list sorts first.
+    list sorts first. With a `goal`, the search stops as soon as it reaches
+    `goal`: the map then holds only the cells found so far, but a cell's
+    entry never changes once set, so `grid_path` to `goal` is the full
+    search's path.
     """
     parents = {start: None}
+    if start == goal:
+        return parents
     frontier = [start]
     for cell in frontier:  # the list grows as it is read: a FIFO queue
         r, c = cell
@@ -105,6 +109,8 @@ def grid_search(start, open_cells):
             nxt = (r + dr, c + dc)
             if nxt in open_cells and nxt not in parents:
                 parents[nxt] = (cell, action)
+                if nxt == goal:
+                    return parents
                 frontier.append(nxt)
     return parents
 

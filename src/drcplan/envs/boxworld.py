@@ -223,7 +223,7 @@ def solve_scripted(level):
         if env.gem_pos is not None:
             blocked.add(env.gem_pos)
         blocked.discard(goal)
-        path = grid_path(grid_search(env.agent, INTERIOR - blocked), goal)
+        path = grid_path(grid_search(env.agent, INTERIOR - blocked, goal), goal)
         if path is None:
             return False
         for a in path:

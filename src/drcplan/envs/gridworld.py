@@ -68,7 +68,7 @@ def generate_gridworld(seed, config=GridworldConfig()):
             continue
         pick = rng.choice(len(empty), size=2, replace=False)
         player, goal = empty[pick[0]], empty[pick[1]]
-        if goal in grid_search(player, set(empty)):
+        if goal in grid_search(player, set(empty), goal):
             obstacles = tuple(tuple(bool(v) for v in row) for row in grid)
             return GridworldLayout(obstacles, player, goal)
     raise RuntimeError(f"no reachable layout found after {MAX_TRIES} tries (seed={seed})")

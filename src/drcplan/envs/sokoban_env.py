@@ -81,7 +81,7 @@ class SokobanEnv(Env):
                         self.player = (nr, nc)
                 else:
                     self.player = (nr, nc)
-        if self.boxes == set(self.level.targets):
+        if self.boxes == self.level.targets:
             reward += 10.0
             self.solved = True
         return self._end_step(reward)

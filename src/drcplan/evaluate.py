@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .boxoban.generator import generate_level_set
+from .boxoban.generator import check_box_count, generate_level_set
 from .envs.sokoban_env import SokobanEnv
 from .train import ActorGroup
 # unused here since episodes sample in `train`; kept because perfbench/tracing.py
@@ -135,7 +135,10 @@ def extrapolate_boxes(net, box_counts=(4, 5, 6, 7), levels_per_count=100, seed=0
 
     Reports include the degradation relative to the first requested count:
     `degradation_vs_base[n]` is that count's solved fraction minus n's.
+    Every count is checked before any level is generated.
     """
+    for n in box_counts:
+        check_box_count(n)
     reports = {}
     for n in box_counts:
         level_set = generate_level_set(seed ^ (n * 0x9E3779B9), levels_per_count, boxes=n)

@@ -152,7 +152,7 @@ class ActorGroup:
             rewards.append(res.reward)
             dones.append(res.done)
             if not res.done:
-                self.obs[i] = res.obs
+                self.obs[i] = env.render()
                 continue
             self.finished.append((tag, env.solved, env.episode_return, env.steps))
             self.episodes[i] = self.next_episode(i)

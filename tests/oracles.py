@@ -4,8 +4,8 @@ Everything here is deliberately naive (explicit loops, direct summation) and
 shares no code with the library paths it checks, except `replay_reference`,
 which runs the actors' per-step forward to check the actors' taped unroll
 against, and `solve_bfs_reference`, which shares the solver's board geometry
-and plan expansion but runs its own search with its own push distances and
-matching bound.
+and the full `grid_search` but runs its own search with its own push
+distances, matching bound and plan expansion.
 """
 
 import heapq
@@ -14,7 +14,8 @@ import itertools
 import numpy as np
 
 from drcplan.boxoban.solver import (BUDGET_EXHAUSTED, SOLVED, UNSOLVABLE, Solution,
-                                    SolveResult, _Board, _expand_moves)
+                                    SolveResult, _Board)
+from drcplan.envs.base import grid_path, grid_search
 
 
 def _conv_geometry(h, wd, k, stride):
@@ -352,6 +353,24 @@ def _flood_reference(board, free, start_bit):
         reach = grown
 
 
+def expand_moves_reference(board, boxes, player, pushes):
+    """A push plan as player moves: each leg walks the `grid_search` path
+    of a full search through a fresh set of the free cells."""
+    w = board.w
+    actions = []
+    for bi, d, pi in pushes:
+        if player != pi:
+            free = board.floor & ~boxes
+            open_cells = {divmod(i, w) for i in range(free.bit_length()) if free >> i & 1}
+            path = grid_path(grid_search(divmod(player, w), open_cells), divmod(pi, w))
+            assert path is not None, "push plan references an unreachable player cell"
+            actions.extend(path)
+        actions.append(d)
+        boxes = (boxes ^ (1 << bi)) | (1 << (bi + board.step[d]))
+        player = bi
+    return actions
+
+
 def push_distances_reference(level):
     """Per target, in sorted order, a dict from cell to the fewest pushes
     that bring a lone box on that cell to the target, found by a
@@ -477,7 +496,7 @@ def solve_bfs_reference(level, node_budget=200000):
         key, push = parents[key]
         pushes.append(push)
     pushes.reverse()
-    actions = _expand_moves(board, boxes0, player0, pushes)
+    actions = expand_moves_reference(board, boxes0, player0, pushes)
     return SolveResult(SOLVED, Solution(actions, len(pushes)), nodes=nodes)
 
 

@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drcplan.boxoban import (BUDGET_EXHAUSTED, SOLVED, UNSOLVABLE, LevelSet,
                              SokobanLevel, UniformRandomPolicy, filter_by_agent,
@@ -15,7 +16,7 @@ from drcplan.boxoban import (BUDGET_EXHAUSTED, SOLVED, UNSOLVABLE, LevelSet,
                              serialize_levels, solve_bfs)
 from drcplan.boxoban import generator, solver
 from drcplan.boxoban.generator import _reverse_play_sample
-from drcplan.envs.sokoban_env import ACTION_NOOP
+from drcplan.envs.sokoban_env import ACTION_NOOP, SokobanEnv
 
 import oracles
 
@@ -286,6 +287,35 @@ def test_solver_solutions_replay_and_are_push_minimal_or_better():
         res = solve_bfs(lvl)
         assert res.status == SOLVED
         assert replay_solution(lvl, res.solution.actions)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), boxes=st.integers(1, 3))
+def test_solver_plans_replay_and_need_their_last_push(seed, boxes):
+    """On reverse-play samples, the solver's plan solves the level under
+    `SokobanEnv`'s rules, and the plan without its last push does not."""
+    rng = np.random.default_rng(seed)
+    level = None
+    while level is None:
+        level = _reverse_play_sample(rng, boxes)
+    res = solve_bfs(level)
+    assert res.status == SOLVED
+    assert replay_solution(level, res.solution.actions)
+    assert not replay_solution(level, res.solution.actions[:-1])
+
+
+def test_replay_draws_no_frame_per_move(monkeypatch):
+    """`replay_solution` runs the moves through `SokobanEnv`'s rules and
+    draws at most the frame of the env's first `reset()`, whether the
+    plan solves the level or not."""
+    frames, render = [], SokobanEnv.render
+    monkeypatch.setattr(SokobanEnv, "render", lambda env: frames.append(env) or render(env))
+    for level in parse_levels(GOLDEN).levels:
+        actions = solve_bfs(level).solution.actions
+        for plan, solves in ((actions, True), (actions[:-1], False)):
+            frames.clear()
+            assert replay_solution(level, plan) == solves
+            assert len(frames) <= 1
 
 
 def _reference_levels():

@@ -108,8 +108,8 @@ def test_observation_format_and_key_display():
     actions = solve_scripted(level)
     env2 = BoxworldEnv(level)
     for a in actions:
-        res = env2.step(a)
-        hand = res.obs[0, 0]
+        env2.step(a)
+        hand = env2.render()[0, 0]
         if env2.hand is not None:
             np.testing.assert_array_equal(hand, np.float32(PALETTE[env2.hand]))
     # gem colour appears nowhere in the palette

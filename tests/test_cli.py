@@ -223,6 +223,18 @@ def test_a_box_count_the_generator_cannot_carve_fails_first(setup, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_extrapolate_checks_every_box_count_before_it_generates_a_level(setup, tmp_path,
+                                                                       capsys, monkeypatch):
+    """`--boxes 4,9` fails as `--boxes 9` does, before the 4-box levels are
+    generated and played."""
+    monkeypatch.setattr(evaluate, "generate_level_set",
+                        lambda *a, **k: pytest.fail("a level set was generated"))
+    argv = ["extrapolate", "--boxes", "4,9", "--out", str(tmp_path / "out"),
+            "--config", setup["config"], "--params", setup["params"]]
+    assert _error(capsys, argv) == "drcplan extrapolate: error: boxes must be between 1 and 8, got 9"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["param-count", "train"])
 def test_a_network_size_below_one_fails_before_the_command_runs(tmp_path, capsys, command):
     config = tmp_path / "run.cfg"

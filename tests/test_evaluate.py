@@ -66,6 +66,33 @@ def test_forced_noops_are_executed_and_counted(levels):
         assert length == len(env.executed) == env.steps
 
 
+def test_an_episode_draws_one_frame_per_reset_and_per_step_it_goes_on_from(levels, net):
+    """The stepper reads the observation of each reset and of each step
+    whose episode goes on, and draws no other frame: a terminal step draws
+    nothing."""
+    counts = dict.fromkeys(("resets", "steps", "ongoing", "frames"), 0)
+
+    class CountingEnv(SokobanEnv):
+        def reset(self):
+            counts["resets"] += 1
+            return super().reset()
+
+        def step(self, action):
+            res = super().step(action)
+            counts["steps"] += 1
+            counts["ongoing"] += not res.done
+            return res
+
+        def render(self):
+            counts["frames"] += 1
+            return super().render()
+
+    factories = [lambda lv=lv, i=i: CountingEnv(lv, step_limit=4 + i) for i, lv in enumerate(levels)]
+    run_episodes(net, factories, seed=7, batch_size=5)
+    assert counts["steps"] - counts["ongoing"] == len(levels)  # every episode ended
+    assert counts["frames"] == counts["resets"] + counts["ongoing"]
+
+
 def test_rejects_unknown_mode_and_noops_without_a_noop_action(levels, net):
     with pytest.raises(ValueError, match="unknown mode"):
         run_episodes(net, _factories(levels), mode="argmax")

@@ -69,4 +69,12 @@ def test_grid_search_matches_brute_force(grid):
     assert grid_path(parents, start) == []
     if goal not in dist:
         assert grid_path(parents, goal) is None
+    # with a goal, the search stops once it finds the goal, on the same path
+    stopped = grid_search(start, open_cells, goal)
+    assert grid_path(stopped, goal) == grid_path(parents, goal)
+    assert all(parents[cell] == entry for cell, entry in stopped.items())
+    if goal in dist:
+        assert list(stopped)[-1] == goal
+    else:
+        assert stopped == parents
 
