@@ -6,13 +6,12 @@ the probe solves some source level; a probe that solves none keeps every
 level.
 
 The probe is a `play(env_factories, seed=...)` callable with the contract of
-`evaluate.run_episodes` (which is itself the network probe): it plays each
-environment once, episode j with RNG `[*seed, j]`, and returns (solved,
-return, length) triples in input order. The filter passes
-`seed=(seed, level_id)`, so attempt a on a level uses RNG
-`[seed, level_id, a]` whatever else the set holds. Scripted probes are
-`play_scripted` with a policy `(obs, rng) -> action` bound; a policy's
-`begin_episode(env)` hook, if any, runs at every episode start.
+`evaluate.run_episodes` (which is itself the network probe): it builds each
+environment, plays its one episode with RNG `[*seed, j]` for episode j,
+and returns (solved, return, length) triples in input order. The filter
+passes `seed=(seed, level_id)`, so attempt a on a level uses RNG
+`[seed, level_id, a]` whatever else the set holds. `play_random` is the
+uniform random probe; it reads no observation, so it draws no frame.
 
 The kept levels keep their source ids; the set carries no tier of its own
 (`drcplan filter-levels --tier` only names the file it writes).
@@ -28,26 +27,16 @@ from ..envs.sokoban_env import SokobanEnv
 from .levels import LevelSet
 
 
-class UniformRandomPolicy:
-    def __init__(self, action_count):
-        self.action_count = action_count
-
-    def __call__(self, obs, rng):
-        return int(rng.integers(0, self.action_count))
-
-
-def play_scripted(policy, env_factories, seed=0):
-    """`run_episodes` for a scripted policy; `seed` is an int or a tuple of ints."""
+def play_random(env_factories, seed=0):
+    """`run_episodes` for the uniform random policy; `seed` is an int or a
+    tuple of ints."""
     key = seed if isinstance(seed, tuple) else (seed,)
     outcomes = []
     for j, make in enumerate(env_factories):
         env = make()
         rng = np.random.default_rng([*key, j])
-        obs = env.reset()
-        if hasattr(policy, "begin_episode"):
-            policy.begin_episode(env)
-        while not env.step(policy(obs, rng)).done:
-            obs = env.render()
+        while not env.step(int(rng.integers(env.action_count))).done:
+            pass
         outcomes.append((env.solved, env.episode_return, env.steps))
     return outcomes
 

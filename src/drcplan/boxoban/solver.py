@@ -82,20 +82,12 @@ class _Board:
     def __init__(self, level):
         self.h, self.w = level.height, level.width
         n = self.h * self.w
-        self.full = (1 << n) - 1
         self.floor = 0
         for r in range(self.h):
             for c in range(self.w):
                 if not level.walls[r][c]:
                     self.floor |= 1 << (r * self.w + c)
         self.targets = self._mask(level.targets)
-        not_col0 = self.full
-        not_colw = self.full
-        for r in range(self.h):
-            not_col0 &= ~(1 << (r * self.w))
-            not_colw &= ~(1 << (r * self.w + self.w - 1))
-        self.not_col0 = not_col0
-        self.not_colw = not_colw
         # cell index step per direction; the border is all wall, so a step
         # from a floor cell stays on the grid
         self.step = tuple(dr * self.w + dc for dr, dc in DIRECTIONS)
@@ -232,7 +224,7 @@ def solve_bfs(level, node_budget=200000):
     region_cache = {}
     bounds, bound_of = matching.bounds, matching.bound
     pushes_from = board.pushes
-    floor, w, nc0, ncw = board.floor, board.w, board.not_col0, board.not_colw
+    floor, w = board.floor, board.w
     heappop, heappush = heapq.heappop, heapq.heappush
     nodes = 0
 
@@ -254,9 +246,10 @@ def solve_bfs(level, node_budget=200000):
                 continue
         free = floor & ~boxes
         reach = player_bit
-        while True:  # bit-parallel flood fill through free cells
-            grown = (reach | ((reach & nc0) >> 1) | ((reach & ncw) << 1)
-                     | (reach >> w) | (reach << w)) & free
+        # bit-parallel flood fill through free cells; no free cell is in a
+        # border column, so a one-cell shift never wraps into another row
+        while True:
+            grown = (reach | reach >> 1 | reach << 1 | reach >> w | reach << w) & free
             if grown == reach:
                 break
             reach = grown
@@ -327,8 +320,7 @@ def _expand_moves(board, boxes, player, pushes):
 
 def replay_solution(level, actions):
     """Check a move sequence solves a level; returns True/False. The moves
-    run through `SokobanEnv`'s rules, and the only frame drawn is the one
-    of the env's initial `reset()`."""
+    run through `SokobanEnv`'s rules, and the replay draws no frame."""
     from ..envs.sokoban_env import SokobanEnv
 
     env = SokobanEnv(level, step_limit=max(len(actions), 1) + 1)

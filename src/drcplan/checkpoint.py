@@ -12,8 +12,8 @@ round trip is bit-exact and saving the loaded state writes the same file.
 The container is not `.npz`: zip entries carry their write time, so two
 identical runs would write different bytes, and `np.savez` appends `.npz` to
 the path. A truncated or malformed file raises `ValueError` naming it, as
-does a version 1 file (raw bytes behind a bare `DRCK`), which is no longer
-read.
+do bytes after the last record and a version 1 file (raw bytes behind a
+bare `DRCK`), which is no longer read.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ def load_checkpoint(path):
                 for name in h["moments"]:
                     adam.m[name] = _read_float_array(f)
                     adam.v[name] = _read_float_array(f)
+            trailing = len(f.read())
+            if trailing:
+                raise ValueError(f"{trailing} bytes after the last record")
             return params, adam
         except (ValueError, KeyError, TypeError) as e:
             raise ValueError(f"{path}: {e}") from None

@@ -17,13 +17,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .boxoban import (SOLVED, UniformRandomPolicy, filter_by_agent, generate_level_set,
-                      level_hash, parse_levels, play_scripted, replay_solution, serialize_levels,
-                      solve_bfs)
+from .boxoban import (SOLVED, filter_by_agent, generate_level_set, level_hash, parse_levels,
+                      play_random, replay_solution, serialize_levels, solve_bfs)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_run_config
 from .drc import DrcNetwork, build_parameters, count_parameters, format_count_report
-from .envs import SokobanEnv
 from .evaluate import (evaluate, extrapolate_boxes, run_episodes, sokoban_factories,
                        thinking_steps_eval)
 from .gradcheck import full_drc_gradcheck
@@ -67,7 +65,8 @@ def _ensure_out(args):
 
 
 def _load_levels(path):
-    """Read one level file or every .txt under a directory, sorted."""
+    """Read one level file or every .txt under a directory, sorted; a parse
+    error names its file."""
     if os.path.isdir(path):
         paths = sorted(
             os.path.join(dp, f)
@@ -81,7 +80,11 @@ def _load_levels(path):
     offset = 0
     for p in paths:
         with open(p) as f:
-            ls = parse_levels(f.read())
+            text = f.read()
+        try:
+            ls = parse_levels(text)
+        except ValueError as e:
+            raise ValueError(f"{p}: {e}") from None
         if merged is None:
             merged = ls
         else:
@@ -200,7 +203,7 @@ def cmd_filter_levels(args):
     run = _sokoban_run(args)
     levels = _load_levels(args.levels)
     if args.params is None:
-        play = partial(play_scripted, UniformRandomPolicy(SokobanEnv.action_count))
+        play = play_random
     else:
         play = partial(run_episodes, _load_net(args, run), batch_size=run.eval_batch_size)
     kept = filter_by_agent(levels, play, attempts=args.attempts, step_limit=run.step_limit,

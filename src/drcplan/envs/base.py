@@ -1,10 +1,10 @@
 """What the grid games and the Boxoban tools share.
 
-- `Env`, the environment protocol. Environments are deterministic functions
-  of (seed, action sequence): any stochasticity comes from a generator owned
-  by the instance and seeded at construction. `step` applies the rules and
-  draws nothing; `render()` draws the current observation, a float32 array
-  in [0, 1] laid out H x W x C, for the callers that read one.
+- `Env`, the environment protocol. An env is one episode, a deterministic
+  function of (seed, action sequence) that its constructor starts: any
+  stochasticity comes from a generator it owns. `step` applies the rules
+  and draws nothing; `render()` draws the current observation, a float32
+  array in [0, 1] laid out H x W x C, for the callers that read one.
 - `DIRECTIONS`, the four moves of a grid, whose index is the move's action
   id in every game.
 - `grid_search` and `grid_path`, the one breadth-first search over
@@ -25,13 +25,14 @@ class StepResult:
 
 
 class Env:
-    """Base class and owner of the running episode's record.
+    """Base class and owner of the episode's record.
 
-    A game defines `reset()`, `step(action)`, `render()` and its action
-    metadata, and keeps only its own rules:
+    A game defines its constructor, `step(action)`, `render()` and its
+    action metadata, and keeps only its own rules:
 
-    - `reset()` calls `_begin_episode()`, which zeroes `steps` and
-      `episode_return` and clears `done` and `solved`;
+    - the constructor starts the env's only episode: `Env.__init__` zeroes
+      `steps` and `episode_return` and clears `done` and `solved`, and the
+      game sets its starting state;
     - `step(action)` calls `_check_step(action)` first, applies the game's
       rules (setting `solved` on a win, or `done` on a loss such as an
       obstacle or a ghost), and returns `_end_step(reward)`.
@@ -40,8 +41,9 @@ class Env:
     the episode once it is solved or has run `step_limit` steps, and
     returns the `StepResult`. Every step counts against the cap, forced
     no-ops included, so `steps` and `episode_return` are the finished
-    episode's length and return. A step draws no observation: a caller that
-    reads one calls `render()`, so a replay or a terminal step draws nothing.
+    episode's length and return. Neither the constructor nor a step draws
+    an observation: a caller that reads one calls `render()`, so a replay or
+    a terminal step draws nothing.
     """
 
     action_count = 0
@@ -51,21 +53,16 @@ class Env:
     def __init__(self, step_limit=None):
         if step_limit is not None:
             self.step_limit = step_limit
-
-    def reset(self):
-        raise NotImplementedError
+        self.steps = 0
+        self.episode_return = 0.0
+        self.done = False
+        self.solved = False
 
     def step(self, action):
         raise NotImplementedError
 
     def render(self):
         raise NotImplementedError
-
-    def _begin_episode(self):
-        self.steps = 0
-        self.episode_return = 0.0
-        self.done = False
-        self.solved = False
 
     def _check_step(self, action):
         if self.done:

@@ -142,21 +142,15 @@ class BoxworldEnv(Env):
     def __init__(self, level, step_limit=None):
         super().__init__(step_limit)
         self.level = level
-        self.reset()
-
-    def reset(self):
-        self.agent = self.level.agent_start
+        self.agent = level.agent_start
         self.hand = None  # palette index of the held key
-        self.loose = {self.level.loose_key_pos: self.level.loose_key_color}
+        self.loose = {level.loose_key_pos: level.loose_key_color}
         self.gem_pos = None
         self.locks = {}  # lock cell -> box index
         self.contents = {}  # content cell -> box index
-        self.opened = [False] * len(self.level.boxes)
-        for i, box in enumerate(self.level.boxes):
+        for i, box in enumerate(level.boxes):
             self.locks[box.lock_pos] = i
             self.contents[box.content_pos] = i
-        self._begin_episode()
-        return self.render()
 
     def step(self, action):
         self._check_step(action)
@@ -169,7 +163,6 @@ class BoxworldEnv(Env):
                 box = self.level.boxes[i]
                 if self.hand == box.lock_color:
                     self.hand = None
-                    self.opened[i] = True
                     del self.locks[dest]
                     del self.contents[box.content_pos]
                     if box.content_color == -1:

@@ -87,12 +87,7 @@ class GridworldEnv(Env):
                 if blocked:
                     self._base[r, c, 0] = OBSTACLE_VALUE
         self._base[self.layout.goal[0], self.layout.goal[1], 0] = GOAL_VALUE
-        self.reset()
-
-    def reset(self):
         self.player = self.layout.player
-        self._begin_episode()
-        return self.render()
 
     def step(self, action):
         self._check_step(action)

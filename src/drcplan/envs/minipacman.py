@@ -89,6 +89,10 @@ class _Ghost:
 
 
 class MiniPacmanEnv(Env):
+    """One episode on the maze: the constructor seeds the instance's
+    generator, which places the player, ghosts and pills and later moves
+    the ghosts; `step` plays a move and `render` draws the maze."""
+
     action_count = 5  # four directions + stay
     noop_action = ACTION_STAY
     step_limit = 500
@@ -96,14 +100,8 @@ class MiniPacmanEnv(Env):
     def __init__(self, seed, config=MiniPacmanConfig(), step_limit=None):
         super().__init__(step_limit)
         self.config = config
-        self.seed = seed
-        self.reset()
-
-    def reset(self):
-        self.rng = np.random.default_rng(self.seed)
-        self._begin_episode()
+        self.rng = np.random.default_rng(seed)
         self._populate(first=True)
-        return self.render()
 
     def _populate(self, first):
         cfg = self.config

@@ -54,13 +54,8 @@ class SokobanEnv(Env):
         super().__init__(step_limit)
         self.level = level
         self._wall_grid = np.array(level.walls, dtype=bool)
-        self.reset()
-
-    def reset(self):
-        self.boxes = set(self.level.boxes)
-        self.player = self.level.player
-        self._begin_episode()
-        return self.render()
+        self.boxes = set(level.boxes)
+        self.player = level.player
 
     def step(self, action):
         self._check_step(action)

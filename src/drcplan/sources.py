@@ -1,4 +1,4 @@
-"""Episode sources: per-actor streams of freshly reset environments.
+"""Episode sources: per-actor streams of fresh environments, one per episode.
 
 Each actor owns one source; a source owns an independent RNG stream derived
 from (base seed, actor index), so parallel actors never share randomness and

@@ -100,13 +100,16 @@ def sample_action(logits, rng):
 class ActorGroup:
     """Rows of environments stepped in lockstep through one batched forward.
 
-    Each row owns an environment, which keeps its episode's return and
-    length, an RNG and its recurrent-state row. `next_episode(row)` returns
-    `(env, rng, noop_steps, tag)` for the row's next episode, or None when
-    its stream is empty; the first `noop_steps` actions of that episode are
-    the environment's no-op. A row whose stream is empty leaves the batch, so
-    no forward runs on finished episodes. Finished episodes are recorded as
-    `(tag, solved, return, length)`.
+    Each row owns an environment, which is one episode and keeps its return
+    and length, an RNG and its recurrent-state row. `next_episode(row)`
+    returns `(env, rng, noop_steps, tag)` for the row's next episode, a
+    freshly built env, or None when its stream is empty; the first
+    `noop_steps` actions of that episode are the environment's no-op. A
+    row reads its env's `render()` at the episode's start and after each
+    step the episode goes on from, and draws no other frame. A row whose
+    stream is empty leaves the batch, so no forward runs on finished
+    episodes. Finished episodes are recorded as `(tag, solved, return,
+    length)`.
 
     The forward runs in the caller's grad mode: evaluation runs it under
     `autodiff.no_grad`; training records it on the autodiff tape, and
@@ -124,7 +127,7 @@ class ActorGroup:
         self.greedy = greedy
         self.episodes = [next_episode(i) for i in range(rows)]
         self.k = rows
-        self.obs = np.stack([env.reset() for env, _, _, _ in self.episodes]).astype(np.float32)
+        self.obs = np.stack([env.render() for env, _, _, _ in self.episodes]).astype(np.float32)
         self.state = net.zero_state(batch=self.k)
         self.finished = []
 
@@ -159,7 +162,7 @@ class ActorGroup:
             if self.episodes[i] is None:
                 emptied.append(i)
                 continue
-            self.obs[i] = self.episodes[i][0].reset()
+            self.obs[i] = self.episodes[i][0].render()
         if any(dones):  # a new episode starts from the zero state
             self.state = self.state.scale(1.0 - np.array(dones, dtype=np.float32))
         if emptied:  # those rows leave the batch

@@ -342,8 +342,13 @@ def replay_reference(net, state, obs, dones=None):
 
 
 def _flood_reference(board, free, start_bit):
-    """All cells reachable from start through `free` cells."""
-    w, nc0, ncw, full = board.w, board.not_col0, board.not_colw, board.full
+    """All cells reachable from start through `free` cells, with column
+    masks that keep a one-cell shift from wrapping into another row."""
+    w, full = board.w, (1 << board.h * board.w) - 1
+    nc0 = ncw = full
+    for r in range(board.h):
+        nc0 &= ~(1 << (r * w))
+        ncw &= ~(1 << (r * w + w - 1))
     reach = start_bit
     while True:
         grown = (reach | ((reach & nc0) >> 1) | ((reach & ncw) << 1)

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drcplan.boxoban import (BUDGET_EXHAUSTED, SOLVED, UNSOLVABLE, LevelSet,
-                             SokobanLevel, UniformRandomPolicy, filter_by_agent,
-                             generate_level, generate_level_set, level_hash,
-                             parse_levels, play_scripted, replay_solution,
-                             serialize_levels, solve_bfs)
+                             SokobanLevel, filter_by_agent, generate_level,
+                             generate_level_set, level_hash, parse_levels, play_random,
+                             replay_solution, serialize_levels, solve_bfs)
 from drcplan.boxoban import generator, solver
 from drcplan.boxoban.generator import _reverse_play_sample
 from drcplan.envs.sokoban_env import ACTION_NOOP, SokobanEnv
@@ -306,8 +305,7 @@ def test_solver_plans_replay_and_need_their_last_push(seed, boxes):
 
 def test_replay_draws_no_frame_per_move(monkeypatch):
     """`replay_solution` runs the moves through `SokobanEnv`'s rules and
-    draws at most the frame of the env's first `reset()`, whether the
-    plan solves the level or not."""
+    draws no frame, whether the plan solves the level or not."""
     frames, render = [], SokobanEnv.render
     monkeypatch.setattr(SokobanEnv, "render", lambda env: frames.append(env) or render(env))
     for level in parse_levels(GOLDEN).levels:
@@ -315,7 +313,7 @@ def test_replay_draws_no_frame_per_move(monkeypatch):
         for plan, solves in ((actions, True), (actions[:-1], False)):
             frames.clear()
             assert replay_solution(level, plan) == solves
-            assert len(frames) <= 1
+            assert frames == []
 
 
 def _reference_levels():
@@ -502,6 +500,22 @@ def test_generate_level_failure_names_its_cause(monkeypatch):
     assert m and int(m[1]) + int(m[2]) == 3 and int(m[2]) > 0
 
 
+def play_scripted(policy, env_factories, seed=0):
+    """`play_random` for a scripted policy `(env, rng) -> action`, whose
+    `begin_episode(env)` hook, if any, runs when each env is built."""
+    key = seed if isinstance(seed, tuple) else (seed,)
+    outcomes = []
+    for j, make in enumerate(env_factories):
+        env = make()
+        rng = np.random.default_rng([*key, j])
+        if hasattr(policy, "begin_episode"):
+            policy.begin_episode(env)
+        while not env.step(policy(env, rng)).done:
+            pass
+        outcomes.append((env.solved, env.episode_return, env.steps))
+    return outcomes
+
+
 class SolutionReplayPolicy:
     """A scripted probe that replays known solutions keyed by level hash and
     plays no-ops once a plan is exhausted (or on a level it has none for)."""
@@ -515,7 +529,7 @@ class SolutionReplayPolicy:
         self._plan = self.solutions.get(level_hash(env.level), [])
         self._i = 0
 
-    def __call__(self, obs, rng):
+    def __call__(self, env, rng):
         if self._i < len(self._plan):
             a = self._plan[self._i]
             self._i += 1
@@ -547,9 +561,21 @@ def test_filter_rejects_oracle_solved_levels():
     assert len(kept) == 0
 
 
+def test_the_random_probe_plays_uniform_actions_and_draws_no_frame(monkeypatch):
+    """`play_random` steps episode j with a uniform action from RNG
+    `[*seed, j]`, as a scripted uniform policy does, and never renders."""
+    levels = generate_level_set(29, 4, boxes=1).levels
+    factories = [partial(SokobanEnv, lv, step_limit=40) for lv in levels]
+    scripted = play_scripted(lambda env, rng: int(rng.integers(0, 5)), factories, seed=(5, 2))
+    frames, render = [], SokobanEnv.render
+    monkeypatch.setattr(SokobanEnv, "render", lambda env: frames.append(env) or render(env))
+    assert play_random(factories, seed=(5, 2)) == scripted
+    assert any(solved for solved, _, _ in scripted) and frames == []
+
+
 def test_filter_random_policy_keeps_most_levels():
     ls = generate_level_set(17, 15)
-    kept = filter_by_agent(ls, partial(play_scripted, UniformRandomPolicy(5)), attempts=2, seed=0)
+    kept = filter_by_agent(ls, play_random, attempts=2, seed=0)
     assert len(kept) >= 12  # random play rarely solves these
 
 
@@ -557,10 +583,9 @@ def test_filter_decides_each_level_on_its_own():
     """Attempt a on a level plays RNG [seed, level_id, a], so a level's fate
     does not depend on the other levels of the set."""
     ls = generate_level_set(29, 12, boxes=1)
-    play = partial(play_scripted, UniformRandomPolicy(5))
-    kept = filter_by_agent(ls, play, attempts=3, step_limit=40, seed=5)
+    kept = filter_by_agent(ls, play_random, attempts=3, step_limit=40, seed=5)
     alone = [i for i, l in zip(ls.ids, ls.levels)
-             if len(filter_by_agent(LevelSet(levels=[l], ids=[i]), play, attempts=3,
+             if len(filter_by_agent(LevelSet(levels=[l], ids=[i]), play_random, attempts=3,
                                     step_limit=40, seed=5))]
     assert kept.ids == alone
     assert 0 < len(kept) < len(ls)  # both decisions occur
@@ -575,7 +600,7 @@ def test_filter_plays_attempt_a_on_stream_seed_level_id_a():
         def begin_episode(self, env):
             first_draws.append(None)
 
-        def __call__(self, obs, rng):
+        def __call__(self, env, rng):
             if first_draws[-1] is None:
                 first_draws[-1] = rng.random()
             return 4  # the no-op never solves, so every attempt is played
@@ -588,7 +613,7 @@ def test_filter_plays_attempt_a_on_stream_seed_level_id_a():
 
 def test_filter_zero_attempts_empty_by_convention():
     ls = generate_level_set(19, 3)
-    kept = filter_by_agent(ls, partial(play_scripted, UniformRandomPolicy(5)), attempts=0)
+    kept = filter_by_agent(ls, play_random, attempts=0)
     assert len(kept) == 0
 
 

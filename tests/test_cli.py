@@ -103,6 +103,17 @@ def test_verify_levels_names_each_level_it_cannot_certify(setup, capsys, monkeyp
                    "4/6 solvable within budget; 6 distinct hashes"]
 
 
+def test_a_level_parse_error_names_its_file(setup, tmp_path, capsys):
+    """In a directory of level files, a file that does not parse is named in
+    the command's one error line."""
+    good = Path(setup["levels"]).read_text()
+    (tmp_path / "a.txt").write_text(good)
+    bad = tmp_path / "b.txt"
+    bad.write_text(good.split("\n\n")[0].rsplit("\n", 1)[0] + "\n")  # one row short
+    assert _error(capsys, ["verify-levels", "--levels", str(tmp_path)]) == \
+        f"drcplan verify-levels: error: {bad}: line 1: truncated level (expected 10 rows)"
+
+
 @pytest.mark.parametrize("mode", ["sample", "greedy"])
 def test_eval_reports_every_episode_within_the_step_limit(setup, tmp_path, mode):
     out = _run(setup, "eval", tmp_path, "--params", setup["params"], "--levels", setup["levels"],
@@ -172,13 +183,13 @@ def test_filter_levels_plays_to_the_configured_step_limit(setup, tmp_path, monke
 
     monkeypatch.setattr(filtering, "SokobanEnv", SpyEnv)
     probes = []
-    for name in ("play_scripted", "run_episodes"):
+    for name in ("play_random", "run_episodes"):
         spy = lambda *a, real=getattr(cli, name), name=name, **kw: probes.append(name) or real(*a, **kw)
         monkeypatch.setattr(cli, name, spy)
     extra = ["--params", setup["params"]] if policy == "network" else []
     _run(setup, "filter-levels", tmp_path, "--levels", setup["levels"], "--attempts", "1", *extra)
     assert limits == {10}
-    assert set(probes) == {"run_episodes" if extra else "play_scripted"}
+    assert set(probes) == {"run_episodes" if extra else "play_random"}
 
 
 def test_extrapolate_plays_at_the_configured_eval_batch_size(setup, tmp_path, monkeypatch):

@@ -35,9 +35,9 @@ def test_outcomes_do_not_depend_on_batch_size(levels, net, mode, noops):
 
 
 class SpyEnv(SokobanEnv):
-    def reset(self):
+    def __init__(self, level, step_limit=None):
+        super().__init__(level, step_limit)
         self.executed = []
-        return super().reset()
 
     def step(self, action):
         self.executed.append(action)
@@ -66,16 +66,16 @@ def test_forced_noops_are_executed_and_counted(levels):
         assert length == len(env.executed) == env.steps
 
 
-def test_an_episode_draws_one_frame_per_reset_and_per_step_it_goes_on_from(levels, net):
-    """The stepper reads the observation of each reset and of each step
-    whose episode goes on, and draws no other frame: a terminal step draws
-    nothing."""
-    counts = dict.fromkeys(("resets", "steps", "ongoing", "frames"), 0)
+def test_an_episode_draws_one_frame_at_its_start_and_per_step_it_goes_on_from(levels, net):
+    """The stepper reads the observation at the start of each episode and
+    after each step whose episode goes on, and draws no other frame: building
+    an env or taking a terminal step draws nothing."""
+    counts = dict.fromkeys(("episodes", "steps", "ongoing", "frames"), 0)
 
     class CountingEnv(SokobanEnv):
-        def reset(self):
-            counts["resets"] += 1
-            return super().reset()
+        def __init__(self, level, step_limit=None):
+            super().__init__(level, step_limit)
+            counts["episodes"] += 1
 
         def step(self, action):
             res = super().step(action)
@@ -89,8 +89,9 @@ def test_an_episode_draws_one_frame_per_reset_and_per_step_it_goes_on_from(level
 
     factories = [lambda lv=lv, i=i: CountingEnv(lv, step_limit=4 + i) for i, lv in enumerate(levels)]
     run_episodes(net, factories, seed=7, batch_size=5)
+    assert counts["episodes"] == len(levels)
     assert counts["steps"] - counts["ongoing"] == len(levels)  # every episode ended
-    assert counts["frames"] == counts["resets"] + counts["ongoing"]
+    assert counts["frames"] == counts["episodes"] + counts["ongoing"]
 
 
 def test_rejects_unknown_mode_and_noops_without_a_noop_action(levels, net):

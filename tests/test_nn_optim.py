@@ -261,6 +261,10 @@ def _npy(arr):
     return buf.getvalue()
 
 
+# a checkpoint of no parameters and no Adam state
+EMPTY = _npy(np.array(json.dumps({"magic": "DRCK", "version": 2, "params": [], "adam": None})))
+
+
 @pytest.mark.parametrize("raw,cause", [
     pytest.param(b"NOPE" + b"\0" * 32, "", id="junk"),
     pytest.param(b"", "", id="empty"),
@@ -271,6 +275,9 @@ def _npy(arr):
                  id="header_without_magic"),
     pytest.param(_npy(np.array(json.dumps({"magic": "DRCK", "version": 3, "params": [],
                                            "adam": None}))), "", id="other_version"),
+    pytest.param(EMPTY + b"\0", "1 bytes after the last record$", id="one_byte_after"),
+    pytest.param(EMPTY + EMPTY, f"{len(EMPTY)} bytes after the last record$",
+                 id="two_checkpoints"),
 ])
 def test_checkpoint_rejects_other_files(tmp_path, raw, cause):
     path = tmp_path / "junk.bin"

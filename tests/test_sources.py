@@ -1,7 +1,8 @@
 """Episode sources: `env.step_limit` reaches the envs of every game, an
 unset limit keeps each game's own cap (500 steps for MiniPacman, 120 for the
 others), each game's network preset fits the envs its source makes, and
-every env keeps its running episode's record."""
+every env is one episode: building it draws no frame, and it keeps the
+episode's record."""
 
 import numpy as np
 import pytest
@@ -67,12 +68,13 @@ def test_unset_step_limit_keeps_the_games_own_cap(game):
 @pytest.mark.parametrize("game", sorted(GAMES))
 def test_each_env_keeps_its_episode_record(game):
     """`steps`, `episode_return`, `done` and `solved` follow the step
-    results, a finished episode refuses another step, and `reset()` starts
-    a new record."""
+    results, a finished episode refuses another step, and the source's next
+    env starts a new record."""
     kwargs = {"levels": generate_level_set(3, 2, boxes=1)} if game == "sokoban" else {}
-    env = source_factory(game, **kwargs, step_limit=9)(seed=4, actor_index=1).next_env()
+    source = source_factory(game, **kwargs, step_limit=9)(seed=4, actor_index=1)
     rng = np.random.default_rng(0)
     for _ in range(2):
+        env = source.next_env()
         assert (env.steps, env.episode_return, env.done, env.solved) == (0, 0.0, False, False)
         ret, length, res = 0.0, 0, None
         while not env.done:
@@ -83,7 +85,19 @@ def test_each_env_keeps_its_episode_record(game):
         assert env.solved == res.solved and length <= 9
         with pytest.raises(RuntimeError, match="after the episode ended"):
             env.step(0)
-        env.reset()
+
+
+@pytest.mark.parametrize("game", sorted(GAMES))
+def test_building_an_env_draws_no_frame(game, monkeypatch):
+    """A new env starts its episode's record at zero and draws nothing until
+    a caller reads its `render()`."""
+    kwargs, _ = GAMES[game]
+    source = source_factory(game, **kwargs())(seed=4, actor_index=1)
+    frames = []
+    monkeypatch.setattr(type(source.next_env()), "render", lambda env: frames.append(env))
+    env = source.next_env()
+    assert frames == []
+    assert (env.steps, env.episode_return, env.done, env.solved) == (0, 0.0, False, False)
 
 
 @pytest.mark.parametrize("game", sorted(GAMES))
@@ -93,7 +107,7 @@ def test_the_games_preset_fits_its_envs(game):
     kwargs = {"levels": generate_level_set(3, 2, boxes=1)} if game == "sokoban" else {}
     env = source_factory(game, **kwargs)(seed=4, actor_index=1).next_env()
     preset = preset_config(game)
-    assert env.reset().shape == preset.obs_shape
+    assert env.render().shape == preset.obs_shape
     assert env.action_count == preset.action_count
     with pytest.raises(ValueError, match="out of range"):
         env.step(preset.action_count)
