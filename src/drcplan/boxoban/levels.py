@@ -146,9 +146,7 @@ class LevelSet:
     def __iter__(self):
         return iter(self.levels)
 
-    def add(self, level, level_id=None):
-        if level_id is None:
-            level_id = self.ids[-1] + 1 if self.ids else 0
+    def add(self, level, level_id):
         if level_id in self._id_set:
             raise ValueError(f"duplicate level id {level_id}")
         self.levels.append(level)

@@ -65,8 +65,8 @@ def _ensure_out(args):
 
 
 def _load_levels(path):
-    """Read one level file or every .txt under a directory, sorted; a parse
-    error names its file."""
+    """Read one level file or every .txt under a directory, sorted; later files'
+    levels take the ids after the first file's, and a parse error names its file."""
     if os.path.isdir(path):
         paths = sorted(
             os.path.join(dp, f)
@@ -77,7 +77,6 @@ def _load_levels(path):
     else:
         paths = [path]
     merged = None
-    offset = 0
     for p in paths:
         with open(p) as f:
             text = f.read()
@@ -86,12 +85,11 @@ def _load_levels(path):
         except ValueError as e:
             raise ValueError(f"{p}: {e}") from None
         if merged is None:
-            merged = ls
+            merged, offset = ls, max(ls.ids, default=-1) + 1
         else:
             for lv in ls.levels:
                 merged.add(lv, offset)
                 offset += 1
-        offset = max(merged.ids, default=-1) + 1
     return merged
 
 
@@ -126,8 +124,7 @@ def cmd_train(args):
     run = load_run_config(args.config, seed=args.seed)
     net = DrcNetwork.create(run.drc, seed=run.train.seed)
     levels = _load_levels(run.levels_path) if run.levels_path else None
-    factory = source_factory(run.game, levels=levels, gridworld_config=run.gridworld,
-                             minipacman_config=run.minipacman, step_limit=run.step_limit)
+    factory = source_factory(run.game, levels=levels, settings=run.settings, step_limit=run.step_limit)
     out = _ensure_out(args)
     trainer = Trainer(net, factory, run.train, out_dir=out)
     trainer.run(args.env_steps, metrics_path=os.path.join(out, "metrics.jsonl"),

@@ -4,6 +4,11 @@ Unknown keys are rejected so typos fail loudly. Booleans accept true/false,
 tuples are comma-separated, and the encoder spec uses
 `channels:kernel:stride` groups, e.g. `encoder = 32:8:4,32:4:2`.
 
+Every game reads `game`, `drc.*`, `train.*`, `env.step_limit`,
+`eval.batch_size` and its own keys (`sources.GAME_SETTINGS`): `data.levels`
+for Sokoban, `gridworld.*` for the gridworlds, `minipacman.*` for MiniPacman,
+none for Boxworld. Another game's key is rejected as unknown.
+
 The game's preset fixes the network's input and action count (`drc.obs_shape`
 and `drc.action_count` are not keys; a gridworld's input is `gridworld.size`
 square). `env.step_limit` caps every game's episodes (unset: 500 steps for
@@ -16,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .drc import DrcConfig, preset_config
-from .envs.gridworld import GRIDWORLD12, GridworldConfig
-from .envs.minipacman import MiniPacmanConfig
+from .sources import GAME_SETTINGS
 from .train import TrainConfig
 
 
@@ -29,8 +33,7 @@ class RunConfig:
     step_limit: int = None  # None: each game's own episode cap
     levels_path: str = ""  # training level file/directory (Sokoban)
     eval_batch_size: int = 64
-    gridworld: GridworldConfig = None
-    minipacman: MiniPacmanConfig = None
+    settings: object = None  # the game's own settings; None for Sokoban and Boxworld
 
 
 def parse_config_text(text):
@@ -83,11 +86,23 @@ def _parse_encoder(value):
     return tuple(layers)
 
 
+def _override(raw, prefix, defaults):
+    """`defaults` with the fields `raw` sets as `<prefix>.<field>`, popped and coerced."""
+    over = {}
+    for f_ in fields(defaults):
+        key = f"{prefix}.{f_.name}"
+        if key in raw and key not in ("drc.obs_shape", "drc.action_count"):  # set by the game
+            value = raw.pop(key)
+            over[f_.name] = (_parse_encoder(value) if key == "drc.encoder"
+                             else _coerce(key, value, getattr(defaults, f_.name)))
+    return replace(defaults, **over)
+
+
 def load_run_config(path=None, seed=0):
     """Build a RunConfig from an optional file and the run's seed.
 
-    Keys `<section>.<field>` override one field of the section's dataclass,
-    coerced to the type of the field's default.
+    Keys `<section>.<field>` override one field of the section's dataclass;
+    a key of a section the game does not read is left over and rejected.
     """
     raw = {}
     if path:
@@ -97,30 +112,22 @@ def load_run_config(path=None, seed=0):
         raise ValueError("train.seed cannot be set in a run config: pass the seed with --seed")
 
     game = raw.pop("game", "sokoban")
-    sections = {}
-    for prefix, defaults in (("drc", preset_config(game)),
-                             ("train", TrainConfig(seed=seed)),
-                             ("gridworld", GRIDWORLD12 if game == "gridworld12" else GridworldConfig()),
-                             ("minipacman", MiniPacmanConfig())):
-        over = {}
-        for f_ in fields(defaults):
-            key = f"{prefix}.{f_.name}"
-            if key in raw and key not in ("drc.obs_shape", "drc.action_count"):  # set by the game
-                value = raw.pop(key)
-                over[f_.name] = (_parse_encoder(value) if key == "drc.encoder"
-                                 else _coerce(key, value, getattr(defaults, f_.name)))
-        sections[prefix] = replace(defaults, **over)
-    if game in ("gridworld", "gridworld12"):  # the network sees the whole grid
-        size = sections["gridworld"].size
-        sections["drc"] = replace(sections["drc"], obs_shape=(size, size, 1))
+    drc = _override(raw, "drc", preset_config(game))
+    train = _override(raw, "train", TrainConfig(seed=seed))
+    settings = None
+    if game in GAME_SETTINGS:
+        prefix, defaults, _ = GAME_SETTINGS[game]
+        settings = _override(raw, prefix, defaults)
+        if prefix == "gridworld":  # the network sees the whole grid
+            drc = replace(drc, obs_shape=(settings.size, settings.size, 1))
 
     step_limit = raw.pop("env.step_limit", None)
     run = RunConfig(
-        game=game,
+        game, drc, train,
         step_limit=None if step_limit is None else _coerce("env.step_limit", step_limit, 0),
-        levels_path=raw.pop("data.levels", ""),
+        levels_path=raw.pop("data.levels", "") if game == "sokoban" else "",
         eval_batch_size=_coerce("eval.batch_size", raw.pop("eval.batch_size", "64"), 0),
-        **sections,
+        settings=settings,
     )
     if raw:
         raise ValueError(f"unknown config keys: {sorted(raw)}")

@@ -83,34 +83,21 @@ def _sample_layout(rng):
 
     occupied = set()
 
-    def claim(cells):
-        # keep a 1-cell margin around every entity so box pairs stay unambiguous
-        for r, c in cells:
-            for rr in range(r - 1, r + 2):
-                for cc in range(c - 1, c + 2):
-                    occupied.add((rr, cc))
-
-    def place_pair():
+    def place(width):
+        # an entity `width` cells wide: a box (content, lock) is 2, a loose key or the agent 1
         for _ in range(100):
             r = int(rng.integers(1, SIZE - 1))
-            c = int(rng.integers(1, SIZE - 2))
-            if (r, c) not in occupied and (r, c + 1) not in occupied:
-                claim([(r, c), (r, c + 1)])
-                return (r, c)
-        return None
-
-    def place_single():
-        for _ in range(100):
-            r = int(rng.integers(1, SIZE - 1))
-            c = int(rng.integers(1, SIZE - 1))
-            if (r, c) not in occupied:
-                claim([(r, c)])
+            c = int(rng.integers(1, SIZE - width))
+            if occupied.isdisjoint((r, c + i) for i in range(width)):
+                # keep a 1-cell margin around every entity so box pairs stay unambiguous
+                occupied.update((rr, cc) for rr in range(r - 1, r + 2)
+                                for cc in range(c - 1, c + width + 1))
                 return (r, c)
         return None
 
     boxes = []
     for i in range(length):
-        pos = place_pair()
+        pos = place(2)
         if pos is None:
             return None
         content = chain[i + 1] if i + 1 < length else -1
@@ -121,7 +108,7 @@ def _sample_layout(rng):
         attach = int(rng.integers(0, length))  # consumes solution colour chain[attach]
         lock = chain[attach]
         for _ in range(BRANCH_LENGTH):
-            pos = place_pair()
+            pos = place(2)
             if pos is None:
                 return None
             boxes.append(BoxSpec(pos, lock_color=lock, content_color=colors[next_color],
@@ -129,8 +116,8 @@ def _sample_layout(rng):
             lock = colors[next_color]
             next_color += 1
 
-    key_pos = place_single()
-    agent = place_single()
+    key_pos = place(1)
+    agent = place(1)
     if key_pos is None or agent is None:
         return None
     return BoxworldLevel(agent, key_pos, chain[0], tuple(boxes), length)

@@ -135,10 +135,12 @@ def extrapolate_boxes(net, box_counts=(4, 5, 6, 7), levels_per_count=100, seed=0
 
     Reports include the degradation relative to the first requested count:
     `degradation_vs_base[n]` is that count's solved fraction minus n's.
-    Every count is checked before any level is generated.
+    Every count is checked, and a repeated one refused, before any is generated.
     """
     for n in box_counts:
         check_box_count(n)
+    if len(set(box_counts)) != len(box_counts):
+        raise ValueError(f"box counts must be distinct, got {','.join(map(str, box_counts))}")
     reports = {}
     for n in box_counts:
         level_set = generate_level_set(seed ^ (n * 0x9E3779B9), levels_per_count, boxes=n)

@@ -3,6 +3,11 @@
 Each actor owns one source; a source owns an independent RNG stream derived
 from (base seed, actor index), so parallel actors never share randomness and
 a training run is reproducible from its config alone.
+
+`GAME_SETTINGS` holds, for each game with settings of its own, the run
+config section that sets them (`gridworld.*` for gridworld and gridworld12,
+`minipacman.*` for MiniPacman), their defaults and the env class they
+configure. Sokoban reads `data.levels` instead; Boxworld has no settings.
 """
 
 from __future__ import annotations
@@ -11,9 +16,14 @@ from functools import partial
 
 import numpy as np
 
-from .envs import (BoxworldEnv, GridworldConfig, GridworldEnv, MiniPacmanConfig,
+from .envs import (GRIDWORLD12, BoxworldEnv, GridworldConfig, GridworldEnv, MiniPacmanConfig,
                    MiniPacmanEnv, SokobanEnv, generate_boxworld)
-from .envs.gridworld import GRIDWORLD12
+
+GAME_SETTINGS = {
+    "gridworld": ("gridworld", GridworldConfig(), GridworldEnv),
+    "gridworld12": ("gridworld", GRIDWORLD12, GridworldEnv),
+    "minipacman": ("minipacman", MiniPacmanConfig(), MiniPacmanEnv),
+}
 
 
 class SokobanSource:
@@ -50,21 +60,19 @@ class SeededSource:
 GridworldSource = SeededSource
 
 
-def source_factory(game, *, levels=None, gridworld_config=None, minipacman_config=None,
-                   step_limit=None):
-    """Build a (seed, actor_index) -> source callable for the Trainer; an
+def source_factory(game, *, levels=None, settings=None, step_limit=None):
+    """Build a (seed, actor_index) -> source callable for the Trainer. `settings`
+    configures a game of `GAME_SETTINGS` (unset: its defaults there); an
     unknown game, or Sokoban without a level set, fails here."""
-    makers = {
-        "gridworld": partial(GridworldEnv, config=gridworld_config or GridworldConfig()),
-        "gridworld12": partial(GridworldEnv, config=gridworld_config or GRIDWORLD12),
-        "boxworld": lambda env_seed, step_limit: BoxworldEnv(generate_boxworld(env_seed), step_limit),
-        "minipacman": partial(MiniPacmanEnv, config=minipacman_config or MiniPacmanConfig()),
-    }
     if game == "sokoban":
         if levels is None:
             raise ValueError("sokoban training needs a level set: set data.levels in the run config")
         return lambda seed, actor_index: SokobanSource(levels, [seed, 7919, actor_index], step_limit)
-    if game not in makers:
+    if game == "boxworld":
+        make = lambda env_seed, step_limit: BoxworldEnv(generate_boxworld(env_seed), step_limit)
+    elif game in GAME_SETTINGS:
+        _, defaults, env = GAME_SETTINGS[game]
+        make = partial(env, config=defaults if settings is None else settings)
+    else:
         raise ValueError(f"unknown game {game!r}")
-    make = makers[game]
     return lambda seed, actor_index: SeededSource([seed, 7919, actor_index], make, step_limit)

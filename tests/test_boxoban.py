@@ -63,6 +63,26 @@ def test_value_roundtrip():
     assert again.levels == ls.levels and again.ids == ls.ids
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(draws=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4),
+                                st.integers(0, 2**63 - 1)),
+                      min_size=1, max_size=4, unique_by=lambda draw: draw[2]))
+def test_level_text_round_trips(draws):
+    """Reverse-play levels with 1-4 boxes under distinct random ids parse
+    back to the same ids and levels, and reserialize to the same text."""
+    levels = LevelSet()
+    for seed, boxes, level_id in draws:
+        rng = np.random.default_rng(seed)
+        level = None
+        while level is None:
+            level = _reverse_play_sample(rng, boxes)
+        levels.add(level, level_id)
+    text = serialize_levels(levels)
+    parsed = parse_levels(text)
+    assert serialize_levels(parsed) == text
+    assert (parsed.ids, parsed.levels) == (levels.ids, levels.levels)
+
+
 def test_empty_file():
     ls = parse_levels("")
     assert len(ls) == 0

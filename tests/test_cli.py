@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from drcplan import cli, evaluate
-from drcplan.boxoban import (BUDGET_EXHAUSTED, UNSOLVABLE, SolveResult, filtering,
+from drcplan.boxoban import (BUDGET_EXHAUSTED, UNSOLVABLE, LevelSet, SolveResult, filtering,
                              generate_level_set, parse_levels, serialize_levels)
 from drcplan.checkpoint import save_checkpoint
 from drcplan.drc import DrcNetwork, count_parameters, preset_config
@@ -112,6 +112,19 @@ def test_a_level_parse_error_names_its_file(setup, tmp_path, capsys):
     bad.write_text(good.split("\n\n")[0].rsplit("\n", 1)[0] + "\n")  # one row short
     assert _error(capsys, ["verify-levels", "--levels", str(tmp_path)]) == \
         f"drcplan verify-levels: error: {bad}: line 1: truncated level (expected 10 rows)"
+
+
+def test_a_level_directory_numbers_later_files_after_the_first(tmp_path):
+    """The first file (in sorted order) keeps its ids; each level of a later
+    file takes the next id above the largest so far."""
+    levels = generate_level_set(3, 5, boxes=1)
+    parts = {"a.txt": ([7, 2], levels.levels[:2]), "b.txt": ([0], levels.levels[2:3]),
+             "c/d.txt": ([4, 5], levels.levels[3:])}
+    for name, (ids, lvs) in parts.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(serialize_levels(LevelSet(levels=list(lvs), ids=ids)))
+    merged = cli._load_levels(str(tmp_path))
+    assert (merged.ids, merged.levels) == ([7, 2, 8, 9, 10], levels.levels)
 
 
 @pytest.mark.parametrize("mode", ["sample", "greedy"])
@@ -246,6 +259,17 @@ def test_extrapolate_checks_every_box_count_before_it_generates_a_level(setup, t
     assert not (tmp_path / "out").exists()
 
 
+def test_extrapolate_refuses_a_repeated_box_count_before_it_generates_a_level(setup, tmp_path,
+                                                                             capsys, monkeypatch):
+    """`--boxes 1,1` would generate, play and print the 1-box set twice."""
+    monkeypatch.setattr(evaluate, "generate_level_set",
+                        lambda *a, **k: pytest.fail("a level set was generated"))
+    argv = ["extrapolate", "--boxes", "1,2,1", "--out", str(tmp_path / "out"),
+            "--config", setup["config"], "--params", setup["params"]]
+    assert _error(capsys, argv) == "drcplan extrapolate: error: box counts must be distinct, got 1,2,1"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["param-count", "train"])
 def test_a_network_size_below_one_fails_before_the_command_runs(tmp_path, capsys, command):
     config = tmp_path / "run.cfg"
@@ -272,6 +296,25 @@ def test_a_removed_memory_kind_or_key_fails_before_training(tmp_path, capsys, mo
     config.write_text(f"game = gridworld12\n{line}\n")
     argv = ["train", "--config", str(config), "--out", str(tmp_path / "out")]
     assert _error(capsys, argv) == f"drcplan train: error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+# per game, a key of another game's section (no level file exists)
+FOREIGN_KEY = {"sokoban": "gridworld.size = 5", "gridworld": "data.levels = missing",
+               "gridworld12": "data.levels = missing", "boxworld": "minipacman.n_ghosts = 1",
+               "minipacman": "gridworld.size = 5"}
+
+
+@pytest.mark.parametrize("game", sorted(FOREIGN_KEY))
+def test_another_games_key_fails_before_training(tmp_path, capsys, monkeypatch, game):
+    """A key the game does not read ends `train` with one error line before
+    any level file is read or update runs."""
+    monkeypatch.setattr(Trainer, "train_one_update", lambda self: pytest.fail("an update ran"))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"game = {game}\n{FOREIGN_KEY[game]}\n")
+    argv = ["train", "--config", str(config), "--out", str(tmp_path / "out")]
+    key = FOREIGN_KEY[game].split(" = ")[0]
+    assert _error(capsys, argv) == f"drcplan train: error: unknown config keys: ['{key}']"
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from drcplan.config import load_run_config, parse_config_text
 from drcplan.drc import DrcConfig
-from drcplan.envs.gridworld import GRIDWORLD12
+from drcplan.envs.gridworld import GRIDWORLD12, GridworldConfig
 from drcplan.envs.minipacman import MiniPacmanConfig
 
 
@@ -26,7 +26,6 @@ train.num_actors = 4
 train.batch_size = 4
 train.unroll_length = 8
 gridworld.obstacle_count = 1,3
-minipacman.ghost_move_prob = 0.5
 env.step_limit = 40
 eval.batch_size = 16
 """, seed=9)
@@ -36,10 +35,45 @@ eval.batch_size = 16
     assert (run.train.lr_init, run.train.num_actors, run.train.batch_size) == (1e-3, 4, 4)
     assert run.train.unroll_length == 8
     assert run.train.seed == 9
-    assert run.gridworld.obstacle_count == (1, 3)
-    assert run.gridworld.size == GRIDWORLD12.size
-    assert run.minipacman.ghost_move_prob == 0.5
+    assert run.settings.obstacle_count == (1, 3)
+    assert run.settings.size == GRIDWORLD12.size
     assert (run.step_limit, run.eval_batch_size, run.levels_path) == (40, 16, "")
+    run = _load(tmp_path, "game = minipacman\nminipacman.ghost_move_prob = 0.5\n")
+    assert run.settings.ghost_move_prob == 0.5
+
+
+@pytest.mark.parametrize("game, settings", [
+    ("sokoban", None), ("gridworld", GridworldConfig()), ("gridworld12", GRIDWORLD12),
+    ("boxworld", None), ("minipacman", MiniPacmanConfig())])
+def test_each_game_gets_its_own_default_settings(tmp_path, game, settings):
+    run = _load(tmp_path, f"game = {game}\n")
+    assert (run.settings, run.levels_path) == (settings, "")
+
+
+def test_sokoban_reads_its_level_path_and_a_gridworld_its_size(tmp_path):
+    assert _load(tmp_path, "data.levels = data/train\n").levels_path == "data/train"
+    run = _load(tmp_path, "game = gridworld\ngridworld.size = 9\n")
+    assert (run.settings.size, run.drc.obs_shape) == (9, (9, 9, 1))
+
+
+# per game, one key of each other game's section, sorted as the error lists them
+FOREIGN_KEYS = {
+    "sokoban": ["gridworld.size", "minipacman.n_ghosts"],
+    "gridworld": ["data.levels", "minipacman.n_ghosts"],
+    "gridworld12": ["data.levels", "minipacman.n_ghosts"],
+    "boxworld": ["data.levels", "gridworld.size", "minipacman.n_ghosts"],
+    "minipacman": ["data.levels", "gridworld.size"],
+}
+
+
+@pytest.mark.parametrize("game", sorted(FOREIGN_KEYS))
+def test_another_games_keys_are_rejected(tmp_path, game):
+    """A game reads only its own section: a key another game reads is
+    unknown to it, as a misspelt key is."""
+    keys = FOREIGN_KEYS[game]
+    text = f"game = {game}\n" + "".join(f"{key} = 3\n" for key in keys)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'unknown config keys: {keys}')}$"):
+        _load(tmp_path, text)
 
 
 def test_encoder_spec(tmp_path):

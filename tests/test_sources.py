@@ -28,13 +28,13 @@ def _gridworld_action(env):
 # per game: source_factory keywords, and a policy that never ends an episode
 GAMES = {
     "sokoban": (lambda: {"levels": generate_level_set(3, 2, boxes=1)}, lambda env: ACTION_NOOP),
-    "gridworld": (lambda: {"gridworld_config": GridworldConfig(obstacle_count=(0, 0))},
+    "gridworld": (lambda: {"settings": GridworldConfig(obstacle_count=(0, 0))},
                   _gridworld_action),
-    "gridworld12": (lambda: {"gridworld_config": GridworldConfig(size=12, obstacle_count=(0, 0))},
+    "gridworld12": (lambda: {"settings": GridworldConfig(size=12, obstacle_count=(0, 0))},
                     _gridworld_action),
     # walking up never reaches the gem, which sits left of a lock
     "boxworld": (lambda: {}, lambda env: UP),
-    "minipacman": (lambda: {"minipacman_config": MiniPacmanConfig(n_ghosts=0)},
+    "minipacman": (lambda: {"settings": MiniPacmanConfig(n_ghosts=0)},
                    lambda env: ACTION_STAY),
 }
 
